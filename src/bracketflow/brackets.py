@@ -19,11 +19,6 @@ DIM_CAP = 16
 NILP_TOL = 1e-8
 JSON_COEFF_FLOOR = 1e-14
 
-# Canonical pairing of brackets: sum coefficient products over ALL ordered
-# index pairs (i, j) and every k.  Norms, adjoints, and the trace -1
-# normalization of the moment map all assume this convention.
-INNER_PRODUCT_CONVENTION = "ordered-pairs"
-
 
 def jacobi_tolerance(mu):
     """Residual threshold below which a bracket counts as a Lie bracket."""
@@ -141,16 +136,18 @@ def act(h, mu):
     return BracketTensor(c, antisymmetrize=True)
 
 
-def pi_action(a, mu):
-    """Infinitesimal action (pi(A)mu)(x, y) = A mu(x,y) - mu(Ax,y) - mu(x,Ay)."""
-    a = np.asarray(a, dtype=float)
-    c = mu.coeffs
-    out = (
+def pi_apply(a, c):
+    """pi(A) on raw structure constants c; no validation, result not antisymmetrized."""
+    return (
         np.einsum("kc,ijc->ijk", a, c)
         - np.einsum("ai,ajk->ijk", a, c)
         - np.einsum("bj,ibk->ijk", a, c)
     )
-    return BracketTensor(out)
+
+
+def pi_action(a, mu):
+    """Infinitesimal action (pi(A)mu)(x, y) = A mu(x,y) - mu(Ax,y) - mu(x,Ay)."""
+    return BracketTensor(pi_apply(np.asarray(a, dtype=float), mu.coeffs))
 
 
 def ad_map(mu, x):

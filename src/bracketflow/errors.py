@@ -50,10 +50,6 @@ class NotPositiveDefinite(BracketFlowError):
     """Matrix expected to be positive definite is not."""
 
 
-class InterpolationGap(BracketFlowError):
-    """Recorded samples are too sparse to reconstruct the gauge path."""
-
-
 class OutOfRange(BracketFlowError):
     """Requested time or parameter lies outside the computed range."""
 

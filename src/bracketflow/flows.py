@@ -1,4 +1,4 @@
-"""The four bracket-flow variants, monitors, and gauge recovery.
+"""The four bracket-flow variants, monitors, and the gauge h(t).
 
 Vector fields (all of the shape mu' = -pi(A(mu)) mu):
 
@@ -7,10 +7,16 @@ Vector fields (all of the shape mu' = -pi(A(mu)) mu):
   scalstar   A = (Ric*)_{q_beta} + ||Ric*||^2 Id   (keeps scal* = -1)
   scal       post-hoc rescaling of a scalstar run by |scal|^{-1/2}
 
-Integration uses an embedded Dormand-Prince 5(4) pair with PI step control,
-stepping exactly onto the recording grid.  Each recorded sample carries the
-curvature pack and the monitor quantities used by the convergence and
-collapse criteria.
+Integration uses an embedded Dormand-Prince 5(4) pair with PI step control
+and first-same-as-last stage reuse, stepping exactly onto the recording grid.
+Each recorded sample carries the curvature pack and the monitor quantities
+used by the convergence and collapse criteria.
+
+Gauged, scalstar and scal runs also carry the gauge h' = -A(mu) h, h(0) = Id,
+for two coefficients: "variant", the A driving the field (so that
+h(t).mu(0) = mu(t)), and "ricci", Ric + ||Ric*||^2 Id.  Each accepted step
+advances h by a 4th-order Magnus step built from that step's own stages; h
+stays out of the step-size control, so the bracket path does not depend on it.
 """
 
 import math
@@ -18,10 +24,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import expm
 
-from .brackets import BracketTensor, jacobi_residual, ensure_lie
+from .brackets import BracketTensor, ensure_lie, jacobi_residual, pi_apply
 from .curvature import CurvaturePack, curvature_pack, curvature_parts
-from .errors import InterpolationGap, GaugeMismatch, OutOfRange
+from .errors import GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
 
 DRIFT_TOL = 1e-7
@@ -29,6 +36,7 @@ CONV_TOL = 1e-10
 F_TOL = 1e-8
 BLOWUP_FACTOR = 1e12
 CONV_WINDOW = 10
+GAUGE_COEFFICIENTS = ("variant", "ricci")
 
 
 class Variant(str, Enum):
@@ -85,6 +93,9 @@ class FlowTrajectory:
     termination: Termination = Termination.REACHED_T_END
     steps: int = 0
     renormalizations: int = 0
+    # coefficient name -> (len(samples), n, n) stack of h at the sample times;
+    # empty on raw runs.
+    gauges: dict = field(default_factory=dict)
 
     @property
     def times(self):
@@ -116,39 +127,56 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 
 
 def _field_endomorphism(coeffs, variant, dec):
-    """The endomorphism A(mu) driving mu' = -pi(A)mu, from raw coefficients."""
+    """The endomorphism A(mu) driving mu' = -pi(A)mu, from raw coefficients.
+
+    Returns (A, R) with R = Ric + ||Ric*||^2 Id, the coefficient of the "ricci"
+    gauge, taken from the same curvature evaluation; R is None on raw runs.
+    """
     mu = BracketTensor(coeffs)
     _, _, _, ric, ric_star = curvature_parts(mu)
     if variant == Variant.RAW:
-        return ric
+        return ric, None
+    shift = float(np.sum(ric_star * ric_star)) * np.eye(mu.dim)
     a = project_qbeta(ric_star, dec)
-    if variant == Variant.GAUGED:
-        return a
-    return a + float(np.sum(ric_star * ric_star)) * np.eye(mu.dim)
-
-
-def _pi_apply(a, c):
-    return (
-        np.einsum("kc,ijc->ijk", a, c)
-        - np.einsum("ai,ajk->ijk", a, c)
-        - np.einsum("bj,ibk->ijk", a, c)
-    )
+    if variant == Variant.SCALSTAR:
+        a = a + shift
+    return a, ric + shift
 
 
 def flow_field(coeffs, variant, dec):
     """dc/dt for the given variant; pure polynomial formula, no validation."""
-    a = _field_endomorphism(coeffs, variant, dec)
-    return -_pi_apply(a, coeffs)
+    a, _ = _field_endomorphism(coeffs, variant, dec)
+    return -pi_apply(a, coeffs)
 
 
-def _dp_step(fun, y, h):
-    k = [fun(y)]
-    for row, _ in zip(_DP_A[1:], range(6)):
-        yi = y + h * sum(a * ki for a, ki in zip(row, k))
-        k.append(fun(yi))
+def _dp_step(stage, y, h, first):
+    """One Dormand-Prince step from y, given first = stage(y).
+
+    stage(c) returns (dc/dt, gauge coefficients).  All seven stage values are
+    returned: row 7 of _DP_A equals _DP_B5, so the last one is stage(y5) and
+    serves as the next step's first stage.
+    """
+    stages = [first]
+    for row in _DP_A[1:]:
+        yi = y + h * sum(a * s[0] for a, s in zip(row, stages))
+        stages.append(stage(yi))
+    k = [s[0] for s in stages]
     y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
     y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-    return y5, y5 - y4, k[0]
+    return y5, y5 - y4, stages
+
+
+def _magnus_step(gauge, stages, d, g):
+    """Advance h' = -A h over an accepted step of size d, A = stage coefficient g.
+
+    4th-order Magnus step (Iserles & Norsett 1999): the b5 quadrature of the
+    integral of A over the step plus the end-point commutator term.  Exact
+    when A is constant.
+    """
+    a_first, a_last = stages[0][1][g], stages[-1][1][g]
+    omega = -d * sum(b * s[1][g] for b, s in zip(_DP_B5, stages))
+    omega += (d * d / 12.0) * (a_last @ a_first - a_first @ a_last)
+    return expm(omega) @ gauge
 
 
 def _error_norm(err, y_old, y_new, rel_tol, abs_tol):
@@ -203,7 +231,13 @@ def integrate(mu0, spec):
     cap = BLOWUP_FACTOR * max(mu0.norm, 1.0)
     traj = FlowTrajectory(variant=variant, label=label)
 
-    fun = lambda c: flow_field(c, core_variant, dec)
+    def stage(c):
+        a, a_ricci = _field_endomorphism(c, core_variant, dec)
+        return -pi_apply(a, c), (a, a_ricci)
+
+    # gauges[g] is h for GAUGE_COEFFICIENTS[g]; rows[g] collects it per sample.
+    gauges = [np.eye(mu0.dim) for _ in GAUGE_COEFFICIENTS] if dec is not None else []
+    rows = [[] for _ in gauges]
 
     def record(t_now, c):
         # The live state may sit up to drift_tol/2 off the scal* = -1 slice
@@ -217,9 +251,11 @@ def integrate(mu0, spec):
             c = c * abs(s) ** -0.5
         mu = BracketTensor(c.copy())
         pack = curvature_pack(mu)
-        fnorm = float(np.linalg.norm(fun(c)))
+        fnorm = float(np.linalg.norm(flow_field(c, core_variant, dec)))
         monitors = _monitors(t_now, mu, pack, label, fnorm, drift)
         traj.samples.append(FlowSample(t_now, mu, pack, monitors))
+        for row, g in zip(rows, gauges):
+            row.append(g)
 
     record(0.0, y)
     next_record = spec.record_every
@@ -227,6 +263,7 @@ def integrate(mu0, spec):
     err_prev = 1.0
     renorms = 0
     steps = 0
+    first = stage(y)
 
     while t < spec.t_end - 1e-14 * max(1.0, spec.t_end):
         if steps >= spec.max_steps:
@@ -237,15 +274,19 @@ def integrate(mu0, spec):
         if h < 1e-14 * max(1.0, abs(t)):
             traj.termination = Termination.STEP_FAILURE
             break
-        y_new, err, _ = _dp_step(fun, y, h)
+        y_new, err, stages = _dp_step(stage, y, h, first)
         steps += 1
         err_norm = _error_norm(err, y, y_new, spec.rel_tol, spec.abs_tol)
         if err_norm <= 1.0:
             t += h
             y = y_new
+            first = stages[-1]
+            gauges = [_magnus_step(g, stages, h, i) for i, g in enumerate(gauges)]
             if core_variant == Variant.SCALSTAR:
                 y, bumped = _renormalize_scalstar(y, only_if_drifted=True)
                 renorms += int(bumped)
+                if bumped:
+                    first = stage(y)
             norm = float(np.linalg.norm(y))
             jac = jacobi_residual(BracketTensor(y))
             if jac > 1e-8 * (1.0 + norm * norm):
@@ -274,6 +315,7 @@ def integrate(mu0, spec):
         record(t, y)
     traj.steps = steps
     traj.renormalizations = renorms
+    traj.gauges = {name: np.stack(row) for name, row in zip(GAUGE_COEFFICIENTS, rows)}
     if variant == Variant.SCAL:
         _rescale_to_scal(traj)
     return traj
@@ -299,10 +341,17 @@ def _converged(traj, conv_tol):
 
 
 def _rescale_to_scal(traj):
-    """Convert a scalstar trajectory into the scal-normalized family in place."""
+    """Convert a scalstar trajectory into the scal-normalized family in place.
+
+    mu(t) is scaled by |scal(t)|^-1/2, so the "variant" gauge is scaled by
+    sqrt(|scal(t)| / |scal(0)|) to keep h(t).mu(0) = mu(t).
+    """
+    scal0 = abs(traj.samples[0].pack.scal)
+    factors = []
     for i, s in enumerate(traj.samples):
         if abs(s.pack.scal) < 1e-12 * (1.0 + s.pack.normSq):
             raise OutOfRange(f"scal = {s.pack.scal:.3e} at t = {s.t}; cannot rescale")
+        factors.append(math.sqrt(abs(s.pack.scal) / scal0))
         mu = s.bracket.scaled(abs(s.pack.scal) ** -0.5)
         pack = curvature_pack(mu)
         traj.samples[i] = FlowSample(
@@ -311,23 +360,24 @@ def _rescale_to_scal(traj):
             pack,
             _monitors(s.t, mu, pack, traj.label, s.monitors.field_norm, s.monitors.drift),
         )
+    traj.gauges["variant"] = traj.gauges["variant"] * np.array(factors)[:, None, None]
 
 
 @dataclass
 class GaugePath:
-    """Solution h(t) of h' = -A(mu(t)) h along a recorded trajectory."""
+    """Solution h(t) of h' = -A(mu(t)) h at the recorded times; mats is (N, n, n)."""
 
     times: np.ndarray
-    mats: list
+    mats: np.ndarray
     coefficient: str
 
     @property
     def norms(self):
-        return np.array([float(np.linalg.norm(m)) for m in self.mats])
+        return np.linalg.norm(self.mats, axis=(1, 2))
 
     @property
     def dets(self):
-        return np.array([float(np.linalg.det(m)) for m in self.mats])
+        return np.linalg.det(self.mats)
 
     def at(self, t, tol=1e-9):
         for ti, m in zip(self.times, self.mats):
@@ -348,79 +398,26 @@ class GaugePath:
         return out
 
 
-def _gauge_coefficient(coeffs, coefficient, variant, dec):
-    mu = BracketTensor(coeffs)
-    _, _, _, ric, ric_star = curvature_parts(mu)
-    if coefficient == "ricci":
-        return ric + float(np.sum(ric_star * ric_star)) * np.eye(mu.dim)
-    a = project_qbeta(ric_star, dec)
-    if variant == Variant.SCALSTAR:
-        a = a + float(np.sum(ric_star * ric_star)) * np.eye(mu.dim)
-    return a
+def recover_gauge(traj, h0=None, coefficient="variant"):
+    """The gauge h' = -A h, h(0) = h0 (default Id), at the trajectory's sample times.
 
-
-def recover_gauge(traj, h0=None, coefficient="variant", max_substep=0.02):
-    """Integrate the linear gauge ODE h' = -A h alongside the stored samples.
-
-    coefficient="variant" uses the endomorphism driving the trajectory's own
-    vector field, so the recovered path satisfies h(t).mu(0) = mu(t).
-    coefficient="ricci" uses Ric + ||Ric*||^2 Id, the ungauged normalized
-    coefficient whose solution converges in GL exactly in the Einstein case.
-    samples are interpolated linearly; too-sparse recording raises.
+    integrate carries h(t) with h(0) = Id through every accepted step, so this
+    only applies h0 on the right.  coefficient="variant" uses the endomorphism
+    driving the trajectory's own vector field, so the path satisfies
+    h(t).mu(0) = mu(t).  coefficient="ricci" uses Ric + ||Ric*||^2 Id, the
+    ungauged normalized coefficient whose solution converges in GL exactly in
+    the Einstein case; on a scal run it is the gauge of the scalstar run the
+    samples were rescaled from.
     """
-    variant = Variant.SCALSTAR if traj.variant == Variant.SCAL else traj.variant
-    if variant not in (Variant.GAUGED, Variant.SCALSTAR):
-        raise GaugeMismatch("gauge recovery needs a gauged or scalstar trajectory")
-    dec = beta_decomposition(traj.label)
-    n = traj.samples[0].bracket.dim
-    h = np.eye(n) if h0 is None else np.array(h0, dtype=float)
-    times = traj.times
-    coeff_norms = [
-        float(np.linalg.norm(_gauge_coefficient(s.bracket.coeffs, coefficient, variant, dec)))
-        for s in traj.samples
-    ]
-    gaps = np.diff(times)
-    if np.any(gaps * (np.array(coeff_norms[:-1]) + np.array(coeff_norms[1:])) > 4.0):
-        raise InterpolationGap("record_every too large for stable gauge recovery")
-    mats = [h.copy()]
-    n_samples = len(times)
-    for i in range(n_samples - 1):
-        gap = times[i + 1] - times[i]
-        # Quadratic interpolation of the bracket path through three samples
-        # (one-sided at the ends); linear on two-sample trajectories.
-        j = min(max(i, 1), n_samples - 2)
-        if n_samples >= 3:
-            ts = times[j - 1 : j + 2]
-            cs = [traj.samples[j - 1 + k].bracket.coeffs for k in range(3)]
-
-            def mu_at(t):
-                l0 = (t - ts[1]) * (t - ts[2]) / ((ts[0] - ts[1]) * (ts[0] - ts[2]))
-                l1 = (t - ts[0]) * (t - ts[2]) / ((ts[1] - ts[0]) * (ts[1] - ts[2]))
-                l2 = (t - ts[0]) * (t - ts[1]) / ((ts[2] - ts[0]) * (ts[2] - ts[1]))
-                return l0 * cs[0] + l1 * cs[1] + l2 * cs[2]
-
-        else:
-            c0, c1 = traj.samples[i].bracket.coeffs, traj.samples[i + 1].bracket.coeffs
-            t0 = times[i]
-
-            def mu_at(t):
-                return c0 + (t - t0) / gap * (c1 - c0)
-
-        nsub = max(6, int(math.ceil(gap / max_substep)))
-        dt = gap / nsub
-        for k in range(nsub):
-            t_base = times[i] + k * dt
-
-            def a_at(frac):
-                return _gauge_coefficient(mu_at(t_base + frac * dt), coefficient, variant, dec)
-
-            k1 = -a_at(0.0) @ h
-            k2 = -a_at(0.5) @ (h + 0.5 * dt * k1)
-            k3 = -a_at(0.5) @ (h + 0.5 * dt * k2)
-            k4 = -a_at(1.0) @ (h + dt * k3)
-            h = h + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        mats.append(h.copy())
-    return GaugePath(times=times, mats=mats, coefficient=coefficient)
+    if coefficient not in GAUGE_COEFFICIENTS:
+        raise ValueError(
+            f"unknown gauge coefficient {coefficient!r}; expected one of {GAUGE_COEFFICIENTS}"
+        )
+    if not traj.gauges:
+        raise GaugeMismatch("gauge recovery needs a gauged, scalstar or scal trajectory")
+    stored = traj.gauges[coefficient]
+    h = np.eye(stored.shape[1]) if h0 is None else np.array(h0, dtype=float)
+    return GaugePath(times=traj.times, mats=stored @ h, coefficient=coefficient)
 
 
 def blowdown_check(traj, s, spec=None):

@@ -56,16 +56,6 @@ def subspace_intersection(basis_a, basis_b, rtol=RANK_TOL):
     return orthonormal_basis(vectors, rtol)
 
 
-def contains_vector(basis, v, tol=1e-8):
-    """Whether `v` lies in the column span of `basis` up to `tol` (relative)."""
-    v = np.asarray(v, dtype=float)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return True
-    resid = v - basis @ (basis.T @ v)
-    return np.linalg.norm(resid) <= tol * nv
-
-
 def symmetric_sqrt(mat, tol=1e-12):
     """Symmetric positive-definite square root via eigendecomposition."""
     mat = np.asarray(mat, dtype=float)

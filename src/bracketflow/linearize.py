@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import BracketTensor, derivation_matrix, derivation_space, pi_action
+from .brackets import act, derivation_matrix, derivation_space, pi_action
 from .curvature import curvature_parts, killing_matrix
 from .errors import GaugeMismatch
 from .flows import Variant, flow_field
@@ -44,11 +44,6 @@ def delta_matrix(mu):
 
 def delta_apply(mu, a):
     return -pi_action(a, mu).coeffs
-
-
-def delta_adjoint_matrix(mu):
-    """The adjoint V -> gl(n); plain transpose in the flattened coordinates."""
-    return delta_matrix(mu).T
 
 
 def k_beta_basis(dec):
@@ -125,16 +120,11 @@ def p_operator(mu, dec, fd_check=True, fd_step=1e-6):
         from scipy.linalg import expm
 
         for a, pa in zip(basis, images):
-            plus = _ricstar_q(BracketTensor(_act_coeffs(expm(fd_step * a), mu)), dec)
-            minus = _ricstar_q(BracketTensor(_act_coeffs(expm(-fd_step * a), mu)), dec)
+            plus = _ricstar_q(act(expm(fd_step * a), mu), dec)
+            minus = _ricstar_q(act(expm(-fd_step * a), mu), dec)
             fd = (plus - minus) / (2.0 * fd_step)
             fd_disc = max(fd_disc, float(np.linalg.norm(fd - pa)))
     return POperator(matrix=mat, sl_basis=basis, fd_discrepancy=fd_disc)
-
-
-def _act_coeffs(h, mu):
-    hinv = np.linalg.inv(h)
-    return np.einsum("ai,bj,kc,abc->ijk", hinv, hinv, h, mu.coeffs, optimize=True)
 
 
 def _ricstar_q(mu, dec):

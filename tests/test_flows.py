@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from bracketflow import (
+    BracketTensor,
     FlowSpec,
     Termination,
     Variant,
@@ -16,10 +17,13 @@ from bracketflow import (
     integrate,
     nilradical,
     normalize_soliton,
+    pi_action,
+    project_qbeta,
     recover_gauge,
     soliton_residual,
     stratum_label,
 )
+from bracketflow.curvature import curvature_parts
 from bracketflow.errors import GaugeMismatch, OutOfRange
 from bracketflow.strata import beta_decomposition
 
@@ -38,6 +42,14 @@ def hyp_label(hyp_norm):
 @pytest.fixture(scope="module")
 def s3_label():
     return stratum_label(catalog("s3").bracket)
+
+
+@pytest.fixture(scope="module")
+def s3_short(s3_label):
+    return integrate(
+        catalog("s3").bracket,
+        FlowSpec(variant=Variant.SCALSTAR, t_end=2.0, label=s3_label, record_every=0.25),
+    )
 
 
 class TestRawFlow:
@@ -386,15 +398,74 @@ class TestGaugeRecovery:
         with pytest.raises(GaugeMismatch):
             recover_gauge(traj)
 
-    def test_sparse_recording_rejected(self, mu_s3, s3_label):
-        from bracketflow.errors import InterpolationGap
-
+    def test_sparse_recording_keeps_contract(self, mu_s3, s3_label):
+        # The stepper carries h, so record_every does not limit its accuracy.
         traj = integrate(
             mu_s3,
             FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=s3_label, record_every=10.0),
         )
-        with pytest.raises(InterpolationGap):
-            recover_gauge(traj)
+        path = recover_gauge(traj, coefficient="variant")
+        mu0 = traj.samples[0].bracket
+        gap = np.linalg.norm(act(path.at(10.0), mu0).coeffs - traj.sample_at(10.0).bracket.coeffs)
+        assert gap <= 1e-4
+        # |det h(20)| ~ 3e-18 is below act's singular tolerance, so at t = 20 the
+        # contract is checked multiplied through by h: h mu0(x, y) = mu(t)(h x, h y).
+        h = path.at(20.0)
+        lhs = np.einsum("kc,abc->abk", h, mu0.coeffs)
+        rhs = np.einsum("ia,jb,ijk->abk", h, h, traj.sample_at(20.0).bracket.coeffs)
+        assert np.linalg.norm(lhs - rhs) <= 1e-4 * np.linalg.norm(lhs)
+
+    def test_gauges_match_joint_solve_ivp(self, s3_short, s3_label):
+        from scipy.integrate import solve_ivp
+
+        dec = beta_decomposition(s3_label)
+
+        def rhs(_, y):
+            mu = BracketTensor(y[:27].reshape(3, 3, 3), antisymmetrize=True)
+            _, _, _, ric, ric_star = curvature_parts(mu)
+            shift = float(np.sum(ric_star * ric_star)) * np.eye(3)
+            a = project_qbeta(ric_star, dec) + shift
+            h_var, h_ric = y[27:36].reshape(3, 3), y[36:].reshape(3, 3)
+            return np.concatenate([
+                -pi_action(a, mu).coeffs.ravel(),
+                (-a @ h_var).ravel(),
+                (-(ric + shift) @ h_ric).ravel(),
+            ])
+
+        c0 = s3_short.samples[0].bracket.coeffs
+        y0 = np.concatenate([c0.ravel(), np.eye(3).ravel(), np.eye(3).ravel()])
+        times = s3_short.times
+        ref = solve_ivp(
+            rhs, (0.0, times[-1]), y0, method="DOP853", rtol=1e-13, atol=1e-15, t_eval=times
+        )
+        assert ref.success
+        for coefficient, rows in (("variant", slice(27, 36)), ("ricci", slice(36, 45))):
+            mats = recover_gauge(s3_short, coefficient=coefficient).mats
+            assert np.max(np.abs(np.reshape(mats, (len(times), 9)) - ref.y[rows].T)) <= 1e-8
+
+    def test_h0_multiplies_on_the_right(self, s3_short, rng):
+        g = sla.expm(0.3 * rng.standard_normal((3, 3)))
+        for coefficient in ("variant", "ricci"):
+            np.testing.assert_allclose(
+                recover_gauge(s3_short, h0=g, coefficient=coefficient).mats,
+                recover_gauge(s3_short, coefficient=coefficient).mats @ g,
+                rtol=0.0, atol=1e-14,
+            )
+
+    def test_unknown_coefficient_rejected(self, s3_short):
+        with pytest.raises(ValueError, match="'Ricci'"):
+            recover_gauge(s3_short, coefficient="Ricci")
+
+    def test_scal_run_keeps_contract(self, mu_s3, s3_label):
+        traj = integrate(
+            mu_s3,
+            FlowSpec(variant=Variant.SCAL, t_end=10.0, label=s3_label, record_every=0.25),
+        )
+        path = recover_gauge(traj, coefficient="variant")
+        mu0 = traj.samples[0].bracket
+        for t in (1.0, 10.0):
+            moved = act(path.at(t), mu0)
+            assert np.linalg.norm(moved.coeffs - traj.sample_at(t).bracket.coeffs) <= 1e-6
 
     def test_sample_times_strictly_increasing(self, mu_s3, s3_label):
         traj = integrate(
