@@ -227,14 +227,25 @@ def is_nilpotent_matrix(a, tol=NILP_TOL, floor=0.0):
     return np.linalg.norm(np.linalg.matrix_power(a, a.shape[0]), 2) <= tol * norm ** a.shape[0]
 
 
-def _eigenvalue_energy(mu, x):
-    """Sum of squared moduli of the eigenvalues of ad(x).
+def root_energy_gram(mu, basis):
+    """Gram matrix, on the columns of basis, of E(x) = sum of |eigenvalues of ad(x)|^2.
 
-    For a solvable bracket the eigenvalues are values of fixed linear
-    functionals (the roots), so this is an exact positive semidefinite
-    quadratic form in x.
+    For a solvable bracket the eigenvalues of ad(x) are values of fixed linear
+    functionals (the roots), so E is an exact positive semidefinite quadratic
+    form and its Gram follows by polarization.
     """
-    return float(np.sum(np.abs(np.linalg.eigvals(ad_map(mu, x))) ** 2))
+
+    def energy(x):
+        return float(np.sum(np.abs(np.linalg.eigvals(ad_map(mu, x))) ** 2))
+
+    r = basis.shape[1]
+    diag = np.array([energy(basis[:, i]) for i in range(r)])
+    gram = np.diag(diag)
+    for i in range(r):
+        for j in range(i + 1, r):
+            q_sum = energy(basis[:, i] + basis[:, j])
+            gram[i, j] = gram[j, i] = 0.5 * (q_sum - diag[i] - diag[j])
+    return gram
 
 
 def nilradical(mu):
@@ -250,16 +261,8 @@ def nilradical(mu):
         _pairwise_products(mu, np.eye(n), np.eye(n)), floor=_span_floor(mu)
     )
     comp = null_space(derived.T) if derived.shape[1] else np.eye(n)
-    r = comp.shape[1]
-    if r:
-        # Gram matrix of the root-energy form on the complement, by polarization.
-        diag = np.array([_eigenvalue_energy(mu, comp[:, i]) for i in range(r)])
-        gram = np.diag(diag)
-        for i in range(r):
-            for j in range(i + 1, r):
-                q_sum = _eigenvalue_energy(mu, comp[:, i] + comp[:, j])
-                gram[i, j] = gram[j, i] = 0.5 * (q_sum - diag[i] - diag[j])
-        w, v = np.linalg.eigh(gram)
+    if comp.shape[1]:
+        w, v = np.linalg.eigh(root_energy_gram(mu, comp))
         scale = max(1.0, float(np.max(np.abs(w))))
         kernel = comp @ v[:, np.abs(w) <= NILP_TOL * scale]
     else:

@@ -102,10 +102,10 @@ class FlowTrajectory:
         return np.array([s.t for s in self.samples])
 
     def sample_at(self, t, tol=1e-9):
-        for s in self.samples:
-            if abs(s.t - t) <= tol * max(1.0, abs(t)):
-                return s
-        raise OutOfRange(f"no recorded sample at t = {t}")
+        i = _time_index(self.times, t, tol * max(1.0, abs(t)))
+        if i is None:
+            raise OutOfRange(f"no recorded sample at t = {t}")
+        return self.samples[i]
 
     @property
     def final(self):
@@ -126,21 +126,25 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _field_endomorphism(coeffs, variant, dec):
-    """The endomorphism A(mu) driving mu' = -pi(A)mu, from raw coefficients.
+def _endomorphisms(ric, ric_star, variant, dec):
+    """The endomorphism A driving mu' = -pi(A)mu, from Ric and Ric*.
 
     Returns (A, R) with R = Ric + ||Ric*||^2 Id, the coefficient of the "ricci"
-    gauge, taken from the same curvature evaluation; R is None on raw runs.
+    gauge; R is None on raw runs.
     """
-    mu = BracketTensor(coeffs)
-    _, _, _, ric, ric_star = curvature_parts(mu)
     if variant == Variant.RAW:
         return ric, None
-    shift = float(np.sum(ric_star * ric_star)) * np.eye(mu.dim)
+    shift = float(np.sum(ric_star * ric_star)) * np.eye(len(ric))
     a = project_qbeta(ric_star, dec)
     if variant == Variant.SCALSTAR:
         a = a + shift
     return a, ric + shift
+
+
+def _field_endomorphism(coeffs, variant, dec):
+    """_endomorphisms from one curvature evaluation on raw coefficients."""
+    _, _, _, ric, ric_star = curvature_parts(BracketTensor(coeffs))
+    return _endomorphisms(ric, ric_star, variant, dec)
 
 
 def flow_field(coeffs, variant, dec):
@@ -251,7 +255,8 @@ def integrate(mu0, spec):
             c = c * abs(s) ** -0.5
         mu = BracketTensor(c.copy())
         pack = curvature_pack(mu)
-        fnorm = float(np.linalg.norm(flow_field(c, core_variant, dec)))
+        a, _ = _endomorphisms(pack.Ric, pack.RicStar, core_variant, dec)
+        fnorm = float(np.linalg.norm(pi_apply(a, c)))
         monitors = _monitors(t_now, mu, pack, label, fnorm, drift)
         traj.samples.append(FlowSample(t_now, mu, pack, monitors))
         for row, g in zip(rows, gauges):
@@ -380,22 +385,28 @@ class GaugePath:
         return np.linalg.det(self.mats)
 
     def at(self, t, tol=1e-9):
-        for ti, m in zip(self.times, self.mats):
-            if abs(ti - t) <= tol * max(1.0, abs(t)):
-                return m
-        raise OutOfRange(f"no gauge sample at t = {t}")
+        i = _time_index(self.times, t, tol * max(1.0, abs(t)))
+        if i is None:
+            raise OutOfRange(f"no gauge sample at t = {t}")
+        return self.mats[i]
 
     def relative_increments(self, dt):
         """Pairs (t, ||h(t+dt) - h(t)|| / ||h(t)||) over the recorded grid."""
+        times, tol = self.times, 1e-9 * max(1.0, dt)
+        first = np.searchsorted(times, times + dt - tol)
         out = []
-        for i, ti in enumerate(self.times):
-            for j in range(i + 1, len(self.times)):
-                if abs(self.times[j] - ti - dt) <= 1e-9 * max(1.0, dt):
-                    num = float(np.linalg.norm(self.mats[j] - self.mats[i]))
-                    den = max(float(np.linalg.norm(self.mats[i])), 1e-300)
-                    out.append((float(ti), num / den))
-                    break
+        for i, j in enumerate(np.maximum(first, np.arange(1, len(times) + 1))):
+            if j < len(times) and abs(times[j] - times[i] - dt) <= tol:
+                num = float(np.linalg.norm(self.mats[j] - self.mats[i]))
+                den = max(float(np.linalg.norm(self.mats[i])), 1e-300)
+                out.append((float(times[i]), num / den))
         return out
+
+
+def _time_index(times, t, tol):
+    """Index of the first of the ascending times within tol of t, or None."""
+    i = int(np.searchsorted(times, t - tol))
+    return i if i < len(times) and abs(times[i] - t) <= tol else None
 
 
 def recover_gauge(traj, h0=None, coefficient="variant"):

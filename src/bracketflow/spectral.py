@@ -1,25 +1,30 @@
 """Spectral type of solvable brackets: real / imaginary / mixed, and flatness.
 
-The classifier works through the adjoint spectra: phi(mu, X) is the largest
-|Re lambda| and psi(mu, X) the largest |lambda| over the eigenvalues of
-ad(X).  A non-nilpotent solvable bracket is of real type exactly when phi
-stays bounded away from zero on the unit sphere of the nilradical
-complement.
+phi(mu, X) is the largest |Re lambda| and psi(mu, X) the largest |lambda|
+over the eigenvalues of ad(X).  A non-nilpotent solvable bracket is of real
+type when phi stays away from zero on the unit sphere of the nilradical
+complement a, and of imaginary type when phi vanishes identically.
+
+By Lie's theorem the eigenvalues of ad(X) are linear functionals alpha_i(X),
+so Q_R(X) = sum (Re alpha_i(X))^2 = (E(X) + B(X, X)) / 2 is a positive
+semidefinite quadratic form, with E the root energy form and B the Killing
+form.  Q_R vanishes on the nilradical, so the type is decided exactly by the
+eigenvalues of its rank x rank Gram on a: real when Q_R is positive definite
+there, imaginary when it is zero.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .brackets import ad_map, ensure_lie, is_solvable, nilradical
-from .curvature import ricci
+from .brackets import ad_map, ensure_lie, is_solvable, nilradical, root_energy_gram
+from .curvature import killing_matrix, ricci
 from .errors import NilpotentInput, NotSolvable
 
-SIGMA_THRESHOLD = 1e-7
+TYPE_TOL = 1e-12
 FLAT_TOL = 1e-10
-_GRID_SEED = 20240
+
 
 class AlgebraType(str, Enum):
     REAL = "RealType"
@@ -65,39 +70,25 @@ def psi(mu, x):
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def _sphere_grid(dim, count):
-    rng = np.random.default_rng(_GRID_SEED)
-    pts = rng.standard_normal((count, dim))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    axes = np.vstack([np.eye(dim), -np.eye(dim)])
-    return np.vstack([axes, pts])
+def _real_root_form(mu, a_basis):
+    """Eigenvalues (ascending) and eigenvectors of the Gram of Q_R on a_basis.
 
-
-def _optimize_on_sphere(value, dim, sign, refine_from):
-    """Nelder-Mead refinement of value(x/|x|); sign=+1 minimizes, -1 maximizes."""
-    best_x, best_v = None, np.inf
-
-    def objective(x):
-        nx = np.linalg.norm(x)
-        if nx < 1e-12:
-            return np.inf
-        return sign * value(x / nx)
-
-    for x0 in refine_from:
-        res = minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-9, "maxiter": 2000},
-        )
-        if res.fun < best_v:
-            best_v, best_x = res.fun, res.x / np.linalg.norm(res.x)
-    return sign * best_v, best_x
+    Q_R(x) = sum (Re alpha_i(x))^2 = (E(x) + B(x, x)) / 2, with E the root
+    energy form and B the Killing form.
+    """
+    killing = a_basis.T @ killing_matrix(mu) @ a_basis
+    return np.linalg.eigh(0.5 * (root_energy_gram(mu, a_basis) + killing))
 
 
 def sigma_a(mu):
-    """Approximate global minimum of phi over the unit sphere of a = n^perp.
+    """phi at the least eigenvector v of Q_R on a = n^perp; returns (value, v).
 
-    Deterministic sphere grid (>= 64 * 2^dim a directions) plus Nelder-Mead
-    refinement from the three best grid points.  Returns (value, witness).
+    The value is attained on the unit sphere of a, so it bounds the minimum
+    sigma_a of phi there from above.  Since phi(x)^2 <= Q_R(x) <= n phi(x)^2
+    with n = dim g, and lambda_min is the least eigenvalue of Q_R on a,
+    sqrt(lambda_min / n) <= sigma_a <= value <= sqrt(lambda_min).
+    The value is exact at rank 1 (the unit sphere of a is +-v) and for
+    non-real types (Q_R(v) = 0 forces phi(v) = 0).
     """
     ensure_lie(mu)
     if not is_solvable(mu):
@@ -105,47 +96,38 @@ def sigma_a(mu):
     _, a_basis, rank = nilradical(mu)
     if rank == 0:
         raise NilpotentInput("sigma_a requires a non-nilpotent bracket (rank >= 1)")
-    grid = _sphere_grid(rank, 64 * 2**rank)
-    vals = np.array([phi(mu, a_basis @ d) for d in grid])
-    order = np.argsort(vals)
-    value, direction = _optimize_on_sphere(
-        lambda d: phi(mu, a_basis @ d), rank, +1.0, grid[order[:3]]
-    )
-    return float(value), a_basis @ direction
+    _, vecs = _real_root_form(mu, a_basis)
+    witness = a_basis @ vecs[:, 0]
+    return phi(mu, witness), witness
 
 
 def classify_type(mu):
     """Type report for a solvable Lie bracket.
 
-    Abelian and Nilpotent are detected structurally; otherwise real type is
-    decided by sigma_a > threshold, and imaginary type by sampling phi over
-    the full unit sphere (reported with "sampled" confidence, since sampling
-    cannot certify a universally quantified statement).
+    Abelian and Nilpotent are detected structurally.  Otherwise the type is
+    read off the eigenvalues of Q_R on the nilradical complement a, against
+    TYPE_TOL (1 + ||mu||^2): real when the least is above it, imaginary when
+    the largest is below it, mixed otherwise.  sigma_a and the witness are
+    those of sigma_a(mu), except that a mixed report's witness is the top
+    eigenvector of Q_R.
     """
     ensure_lie(mu)
     if mu.is_zero:
         return TypeReport(AlgebraType.ABELIAN, 0.0, np.zeros(mu.dim), 0)
     if not is_solvable(mu):
         raise NotSolvable("classification covers solvable brackets only")
-    _, _, rank = nilradical(mu)
+    _, a_basis, rank = nilradical(mu)
     if rank == 0:
         return TypeReport(AlgebraType.NILPOTENT, 0.0, np.zeros(mu.dim), 0)
-    value, witness = sigma_a(mu)
-    if value > SIGMA_THRESHOLD:
+    lam, vecs = _real_root_form(mu, a_basis)
+    witness = a_basis @ vecs[:, 0]
+    value = phi(mu, witness)
+    tol = TYPE_TOL * (1.0 + mu.norm_sq)
+    if lam[0] > tol:
         return TypeReport(AlgebraType.REAL, value, witness, rank)
-    grid = _sphere_grid(mu.dim, 64 * 2**mu.dim)
-    vals = np.array([phi(mu, d) for d in grid])
-    order = np.argsort(vals)[::-1]
-    phi_max, phi_witness = _optimize_on_sphere(
-        lambda d: phi(mu, d), mu.dim, -1.0, grid[order[:3]]
-    )
-    if phi_max <= SIGMA_THRESHOLD:
-        return TypeReport(
-            AlgebraType.IMAGINARY, value, witness, rank,
-            confidence="sampled",
-            notes="imaginary type decided by full-sphere sampling",
-        )
-    return TypeReport(AlgebraType.MIXED, value, np.asarray(phi_witness), rank)
+    if lam[-1] <= tol:
+        return TypeReport(AlgebraType.IMAGINARY, value, witness, rank)
+    return TypeReport(AlgebraType.MIXED, value, a_basis @ vecs[:, -1], rank)
 
 
 def is_flat_bracket(mu):

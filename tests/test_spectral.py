@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bracketflow
 from bracketflow import (
     BracketTensor,
     act,
@@ -12,8 +21,9 @@ from bracketflow import (
     psi,
     sigma_a,
 )
-from bracketflow.catalog import almost_abelian
-from bracketflow.errors import NilpotentInput, NotSolvable
+from bracketflow.brackets import DIM_CAP, ad_map
+from bracketflow.catalog import almost_abelian, random_solvable_bracket
+from bracketflow.errors import NilpotentInput, NotSolvable, SingularGauge
 from bracketflow.spectral import AlgebraType
 import scipy.linalg as sla
 
@@ -76,13 +86,26 @@ class TestSigmaA:
         with pytest.raises(NilpotentInput):
             sigma_a(mu_h3)
 
+    def test_rank_two_diagonal(self):
+        # ad(e1) = diag(1, 0), ad(e2) = diag(0, 1) on span{e3, e4}: phi(x) =
+        # max(|x1|, |x2|), so sigma_a = 1/sqrt(2), and Q_R = x1^2 + x2^2 has
+        # lambda_min = 1, whose certified lower bound is sqrt(1/4) = 1/2.
+        mu = BracketTensor.from_entries(4, [(1, 3, 3, 1.0), (2, 4, 4, 1.0)])
+        report = classify_type(mu)
+        assert report.kind == AlgebraType.REAL
+        assert report.rank == 2
+        value, witness = sigma_a(mu)
+        assert 1.0 / np.sqrt(2.0) - 1e-12 <= value <= 1.0 + 1e-12
+        assert np.linalg.norm(witness[2:]) <= 1e-12
+        assert report.sigma_a == pytest.approx(value, abs=1e-15)
+
 
 class TestClassify:
     def test_catalog_kinds(self, mu_h3, mu_e2, mu_s3):
         assert classify_type(mu_h3).kind == AlgebraType.NILPOTENT
         report = classify_type(mu_e2)
         assert report.kind == AlgebraType.IMAGINARY
-        assert report.confidence == "sampled"
+        assert report.confidence == "exact"
         assert classify_type(mu_s3).kind == AlgebraType.REAL
         assert classify_type(BracketTensor.zero(3)).kind == AlgebraType.ABELIAN
 
@@ -154,3 +177,97 @@ class TestFlat:
         moved = act(np.diag([1.0, 1.0, 1.5]), mu_e2)
         assert not is_flat_bracket(moved)
         assert classify_type(moved).kind == AlgebraType.IMAGINARY
+
+
+def _rank_two_real(rng, dim):
+    """e1, e2 act on the abelian ideal span{e3..en} by independent diagonals."""
+    d1, d2 = rng.standard_normal((2, dim - 2))
+    entries = [(1, 3 + k, 3 + k, d1[k]) for k in range(dim - 2)]
+    entries += [(2, 3 + k, 3 + k, d2[k]) for k in range(dim - 2)]
+    return BracketTensor.from_entries(dim, entries)
+
+
+def _qr_gram(mu, a_basis):
+    """Oracle: Gram of Q_R(x) = sum (Re eig ad x)^2, polarized from direct eigenvalues."""
+
+    def q(x):
+        return float(np.sum(np.real(np.linalg.eigvals(ad_map(mu, x))) ** 2))
+
+    r = a_basis.shape[1]
+    gram = np.diag([q(a_basis[:, i]) for i in range(r)])
+    for i in range(r):
+        for j in range(i + 1, r):
+            mixed = q(a_basis[:, i] + a_basis[:, j]) - gram[i, i] - gram[j, j]
+            gram[i, j] = gram[j, i] = 0.5 * mixed
+    return gram
+
+
+_PROPERTY = settings(max_examples=40, deadline=None, database=None)
+
+
+class TestTypeProperties:
+    @_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 8))
+    def test_kind_is_gauge_invariant(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        try:
+            mu = random_solvable_bracket(rng, dim)
+        except SingularGauge:
+            return
+        h = sla.expm(0.3 * rng.standard_normal((dim, dim)))
+        assert classify_type(act(h, mu)).kind == classify_type(mu).kind
+
+    @_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 8), rank_two=st.booleans())
+    def test_sigma_a_certified_interval(self, seed, dim, rank_two):
+        # phi^2 <= Q_R <= n phi^2 on a, so every unit x in a has
+        # phi(x) >= sqrt(lambda_min / n), and sigma_a's attained value lies in
+        # [sqrt(lambda_min / n), sqrt(lambda_min)].
+        rng = np.random.default_rng(seed)
+        try:
+            mu = _rank_two_real(rng, dim) if rank_two else random_solvable_bracket(rng, dim)
+        except SingularGauge:
+            return
+        report = classify_type(mu)
+        if report.kind != AlgebraType.REAL:
+            return
+        _, a_basis, rank = nilradical(mu)
+        lam_min = float(np.linalg.eigvalsh(_qr_gram(mu, a_basis))[0])
+        lower, upper = np.sqrt(lam_min / dim), np.sqrt(lam_min)
+        slack = 1e-9 * (1.0 + mu.norm)
+        for d in rng.standard_normal((50, rank)):
+            x = a_basis @ (d / np.linalg.norm(d))
+            assert phi(mu, x) >= lower - slack
+        value, _ = sigma_a(mu)
+        assert lower - slack <= value <= upper + slack
+
+
+class TestBoundedTimeAtDimCap:
+    def test_rotation_bracket_is_imaginary(self):
+        t = np.zeros((DIM_CAP - 1, DIM_CAP - 1))
+        for b in range((DIM_CAP - 1) // 2):
+            t[2 * b, 2 * b + 1], t[2 * b + 1, 2 * b] = 1.0 + b, -1.0 - b
+        start = time.perf_counter()
+        report = classify_type(almost_abelian(t))
+        assert report.kind == AlgebraType.IMAGINARY
+        assert report.confidence == "exact"
+        assert time.perf_counter() - start < 10.0
+
+    def test_random_solvable_is_real(self):
+        rng = np.random.default_rng(16)
+        for _ in range(10):  # the generator's gauge is singular on a few % of draws
+            try:
+                mu = random_solvable_bracket(rng, DIM_CAP)
+                break
+            except SingularGauge:
+                continue
+        start = time.perf_counter()
+        assert classify_type(mu).kind == AlgebraType.REAL
+        assert time.perf_counter() - start < 10.0
+
+
+def test_import_leaves_out_scipy_optimize():
+    src = Path(bracketflow.__file__).resolve().parent.parent
+    code = "import bracketflow, sys; sys.exit('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
