@@ -6,9 +6,16 @@ The inner product of two brackets sums the products of coefficients over
 ALL ordered pairs (i, j) and all k; with this pair-counting convention the
 3-dimensional Heisenberg bracket mu(e1, e2) = e3 has squared norm 2, and
 the normalized moment map has trace exactly -1.
+
+The coefficient-level kernels `pi_apply` and `jacobi_norm` act on raw
+(n, n, n) arrays by reshapes and BLAS products, without validation; the
+BracketTensor functions wrap them.
 """
 
+import functools
+import itertools
 import json
+import math
 
 import numpy as np
 
@@ -109,10 +116,31 @@ def jacobi_residual(mu):
 
     Evaluated over all basis triples; zero exactly when mu is a Lie bracket.
     """
-    c = mu.coeffs
-    t = np.einsum("xyk,kzw->xyzw", c, c)
-    cyc = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
-    return float(np.linalg.norm(cyc))
+    return jacobi_norm(mu.coeffs)
+
+
+@functools.cache
+def _cyclic_triples(n):
+    """Flat indices into (n, n, n) of (x, y, z), (y, z, x), (z, x, y) for x < y < z."""
+    x, y, z = np.array(list(itertools.combinations(range(n), 3)), dtype=int).reshape(-1, 3).T
+    idx = np.stack([(x * n + y) * n + z, (y * n + z) * n + x, (z * n + x) * n + y])
+    idx.flags.writeable = False
+    return idx
+
+
+def jacobi_norm(c):
+    """jacobi_residual on raw coefficients c; no validation.
+
+    T[x, y, z, w] = sum_k c[x, y, k] c[k, z, w] is one product of the two
+    reshapes of c.  The cyclic sum of T is alternating in (x, y, z) when c is
+    antisymmetric, so only the triples x < y < z are summed, times sqrt(6);
+    on integrator states, antisymmetric up to round-off, the terms left out
+    are round-off too.
+    """
+    n = c.shape[0]
+    t = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n**3, n)
+    xyz, yzx, zxy = _cyclic_triples(n)
+    return math.sqrt(6.0) * float(np.linalg.norm(t[xyz] + t[yzx] + t[zxy]))
 
 
 def ensure_lie(mu):
@@ -137,12 +165,12 @@ def act(h, mu):
 
 
 def pi_apply(a, c):
-    """pi(A) on raw structure constants c; no validation, result not antisymmetrized."""
-    return (
-        np.einsum("kc,ijc->ijk", a, c)
-        - np.einsum("ai,ajk->ijk", a, c)
-        - np.einsum("bj,ibk->ijk", a, c)
-    )
+    """pi(A) on raw structure constants c; no validation, result not antisymmetrized.
+
+    (pi(A)c)[i, j, k] = sum A[k, l] c[i, j, l] - A[l, i] c[l, j, k] - A[l, j] c[i, l, k].
+    """
+    n = c.shape[0]
+    return c @ a.T - (a.T @ c.reshape(n, n * n)).reshape(n, n, n) - a.T @ c
 
 
 def pi_action(a, mu):
@@ -153,11 +181,6 @@ def pi_action(a, mu):
 def ad_map(mu, x):
     """Adjoint map ad(X): Y -> mu(X, Y) as an n x n matrix."""
     return np.einsum("i,ijk->kj", np.asarray(x, dtype=float), mu.coeffs)
-
-
-def all_ad_maps(mu):
-    """Stack of the adjoint maps of the basis vectors, shape (n, n, n)."""
-    return np.transpose(mu.coeffs, (0, 2, 1))
 
 
 def _pairwise_products(mu, basis_a, basis_b):
@@ -311,8 +334,11 @@ def derivation_space(mu):
     Returned as a list of n x n matrices; every element satisfies
     ||pi(A)mu|| <= RANK_TOL relative to the operator scale.
     """
-    ker = null_space(derivation_matrix(mu), RANK_TOL)
     n = mu.dim
+    if mu.is_zero:
+        # Every endomorphism derives the zero bracket: the basis E_pq, p n + q order.
+        return list(np.eye(n * n).reshape(n * n, n, n))
+    ker = null_space(derivation_matrix(mu), RANK_TOL)
     return [ker[:, i].reshape(n, n) for i in range(ker.shape[1])]
 
 

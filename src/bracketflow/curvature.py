@@ -4,22 +4,57 @@ All quantities are endomorphisms in the fixed orthonormal basis: the
 moment-map part M, the Killing form K, the mean-curvature vector H, the
 Ricci endomorphism Ric = M - K/2 - sym(ad H), and the modified Ricci
 Ric* = M - K/2 together with its trace scal*.
+
+The formulas live once, on raw (n, n, n) coefficient arrays (`coeff_parts`,
+`coeff_scal_star`), as BLAS products of the reshapes C1 = c.reshape(n, n^2)
+and C2 = c.reshape(n^2, n).  They validate nothing, so the integrator calls
+them on its stage states directly; the functions taking a BracketTensor read
+from the same code.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import ad_map, all_ad_maps, ensure_lie, pi_action
+from .brackets import ensure_lie, pi_action
 from .errors import ZeroBracket
 
 SYM_TOL = 1e-10
 
 
+def _moment(c):
+    """M = -1/2 C1 C1^T + 1/4 C2^T C2, so tr M = -||c||^2 / 4."""
+    n = c.shape[0]
+    c1 = c.reshape(n, n * n)
+    c2 = c.reshape(n * n, n)
+    return -0.5 * (c1 @ c1.T) + 0.25 * (c2.T @ c2)
+
+
+def coeff_parts(c):
+    """(M, K, H, Ric, Ric*) of raw coefficients c[i, j, k]; no validation.
+
+    K[p, q] = sum c[p, a, b] c[q, b, a] = tr(ad e_p ad e_q), H[p] = tr ad e_p,
+    and Ric = Ric* - sym(ad H) with ad H built transposed as H C1.
+    """
+    n = c.shape[0]
+    c1 = c.reshape(n, n * n)
+    m_part = _moment(c)
+    k = c1 @ np.swapaxes(c, 1, 2).reshape(n, n * n).T
+    h = np.trace(c, axis1=1, axis2=2)
+    ric_star = m_part - 0.5 * k
+    ad_h_t = (h @ c1).reshape(n, n)
+    ric = ric_star - 0.5 * (ad_h_t + ad_h_t.T)
+    return m_part, k, h, ric, ric_star
+
+
+def coeff_scal_star(c):
+    """scal* = tr M - tr K / 2 = -||c||^2 / 4 - 1/2 sum c[p, j, i] c[p, i, j]."""
+    return -0.25 * float(np.vdot(c, c)) - 0.5 * float(np.vdot(c, np.swapaxes(c, 1, 2)))
+
+
 def moment_part(mu):
-    """The endomorphism M with tr M = -||mu||^2 / 4, assembled componentwise."""
-    c = mu.coeffs
-    return -0.5 * np.einsum("pij,qij->pq", c, c) + 0.25 * np.einsum("ijp,ijq->pq", c, c)
+    """The endomorphism M with tr M = -||mu||^2 / 4."""
+    return _moment(mu.coeffs)
 
 
 def moment_map(mu):
@@ -56,16 +91,15 @@ def moment_map_fast(mu):
 
 def killing_matrix(mu):
     """Killing-form endomorphism: <K X, Y> = tr(ad X ad Y)."""
-    ads = all_ad_maps(mu)
-    return np.einsum("pij,qji->pq", ads, ads)
+    return coeff_parts(mu.coeffs)[1]
 
 
 def mean_curvature(mu):
     """Vector H with <H, X> = tr ad X."""
-    return np.einsum("pjj->p", mu.coeffs)
+    return coeff_parts(mu.coeffs)[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurvaturePack:
     """All Ricci-level curvature data of one bracket."""
 
@@ -93,13 +127,7 @@ class CurvaturePack:
 
 def curvature_parts(mu):
     """(M, K, H, Ric, RicStar) without any validity checks; formula only."""
-    m_part = moment_part(mu)
-    k = killing_matrix(mu)
-    h = mean_curvature(mu)
-    ric_star = m_part - 0.5 * k
-    ad_h = ad_map(mu, h)
-    ric = ric_star - 0.5 * (ad_h + ad_h.T)
-    return m_part, k, h, ric, ric_star
+    return coeff_parts(mu.coeffs)
 
 
 def curvature_pack(mu):
@@ -136,7 +164,7 @@ def ricci_star(mu):
 
 
 def scal_star(mu):
-    return float(np.trace(ricci_star(mu)))
+    return coeff_scal_star(mu.coeffs)
 
 
 def oracle_ricci(mu):

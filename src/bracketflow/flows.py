@@ -9,8 +9,10 @@ Vector fields (all of the shape mu' = -pi(A(mu)) mu):
 
 Integration uses an embedded Dormand-Prince 5(4) pair with PI step control
 and first-same-as-last stage reuse, stepping exactly onto the recording grid.
-Each recorded sample carries the curvature pack and the monitor quantities
-used by the convergence and collapse criteria.
+The stepper works on raw coefficient arrays through the kernels of
+`curvature` and `brackets`; only a recorded sample is validated as a
+BracketTensor.  Each recorded sample carries the curvature pack and the
+monitor quantities used by the convergence and collapse criteria.
 
 Gauged, scalstar and scal runs also carry the gauge h' = -A(mu) h, h(0) = Id,
 for two coefficients: "variant", the A driving the field (so that
@@ -26,8 +28,8 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import expm
 
-from .brackets import BracketTensor, ensure_lie, jacobi_residual, pi_apply
-from .curvature import CurvaturePack, curvature_pack, curvature_parts
+from .brackets import BracketTensor, ensure_lie, jacobi_norm, jacobi_residual, pi_apply
+from .curvature import CurvaturePack, coeff_parts, coeff_scal_star, curvature_pack
 from .errors import GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
 
@@ -53,7 +55,7 @@ class Termination(str, Enum):
     STEP_FAILURE = "StepFailure"
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowSpec:
     variant: Variant
     t_end: float
@@ -65,7 +67,7 @@ class FlowSpec:
     conv_tol: float = CONV_TOL
 
 
-@dataclass
+@dataclass(slots=True)
 class Monitors:
     f: float
     lyapunov: float
@@ -77,7 +79,7 @@ class Monitors:
     drift: float
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowSample:
     t: float
     bracket: BracketTensor
@@ -85,7 +87,7 @@ class FlowSample:
     monitors: Monitors
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowTrajectory:
     variant: Variant
     label: object
@@ -112,18 +114,18 @@ class FlowTrajectory:
         return self.samples[-1]
 
 
-# Dormand-Prince 5(4) tableau (autonomous fields: no stage times needed).
-_DP_A = (
-    (),
+# Dormand-Prince 5(4) tableau (autonomous fields: no stage times needed);
+# _DP_A[i - 1] holds the coefficients of stage i + 1.
+_DP_A = tuple(np.array(row) for row in (
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+))
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40))
 
 
 def _endomorphisms(ric, ric_star, variant, dec):
@@ -134,16 +136,23 @@ def _endomorphisms(ric, ric_star, variant, dec):
     """
     if variant == Variant.RAW:
         return ric, None
-    shift = float(np.sum(ric_star * ric_star)) * np.eye(len(ric))
+    shift = float(np.vdot(ric_star, ric_star))
     a = project_qbeta(ric_star, dec)
     if variant == Variant.SCALSTAR:
-        a = a + shift
-    return a, ric + shift
+        a = _plus_identity(a, shift)
+    return a, _plus_identity(ric, shift)
+
+
+def _plus_identity(m, s):
+    """m + s Id, adding s on the diagonal of a copy."""
+    out = m.copy()
+    out.flat[:: len(m) + 1] += s
+    return out
 
 
 def _field_endomorphism(coeffs, variant, dec):
     """_endomorphisms from one curvature evaluation on raw coefficients."""
-    _, _, _, ric, ric_star = curvature_parts(BracketTensor(coeffs))
+    _, _, _, ric, ric_star = coeff_parts(coeffs)
     return _endomorphisms(ric, ric_star, variant, dec)
 
 
@@ -156,17 +165,21 @@ def flow_field(coeffs, variant, dec):
 def _dp_step(stage, y, h, first):
     """One Dormand-Prince step from y, given first = stage(y).
 
-    stage(c) returns (dc/dt, gauge coefficients).  All seven stage values are
-    returned: row 7 of _DP_A equals _DP_B5, so the last one is stage(y5) and
-    serves as the next step's first stage.
+    stage(c) returns (dc/dt, gauge coefficients).  The stage slopes are rows
+    of one (7, n^3) array, so each tableau row is one matrix-vector product.
+    All seven stage values are returned: the last row of _DP_A equals _DP_B5,
+    so the last stage is evaluated at y5 and serves as the next step's first
+    stage.
     """
+    k = np.empty((7, y.size))
+    k[0] = first[0].ravel()
     stages = [first]
-    for row in _DP_A[1:]:
-        yi = y + h * sum(a * s[0] for a, s in zip(row, stages))
+    for i, row in enumerate(_DP_A, start=1):
+        yi = y + h * (row @ k[:i]).reshape(y.shape)
         stages.append(stage(yi))
-    k = [s[0] for s in stages]
-    y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-    y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
+        k[i] = stages[-1][0].ravel()
+    y5 = yi
+    y4 = y + h * (_DP_B4 @ k).reshape(y.shape)
     return y5, y5 - y4, stages
 
 
@@ -249,11 +262,10 @@ def integrate(mu0, spec):
         # snapshots are renormalized exactly while the drift itself is kept.
         drift = float("nan")
         if core_variant == Variant.SCALSTAR:
-            mu_live = BracketTensor(c.copy())
-            s = float(np.trace(curvature_parts(mu_live)[4]))
+            s = coeff_scal_star(c)
             drift = abs(s + 1.0)
             c = c * abs(s) ** -0.5
-        mu = BracketTensor(c.copy())
+        mu = BracketTensor(c)
         pack = curvature_pack(mu)
         a, _ = _endomorphisms(pack.Ric, pack.RicStar, core_variant, dec)
         fnorm = float(np.linalg.norm(pi_apply(a, c)))
@@ -293,7 +305,7 @@ def integrate(mu0, spec):
                 if bumped:
                     first = stage(y)
             norm = float(np.linalg.norm(y))
-            jac = jacobi_residual(BracketTensor(y))
+            jac = jacobi_norm(y)
             if jac > 1e-8 * (1.0 + norm * norm):
                 traj.termination = Termination.STEP_FAILURE
                 break
@@ -327,8 +339,7 @@ def integrate(mu0, spec):
 
 
 def _renormalize_scalstar(coeffs, only_if_drifted=False):
-    mu = BracketTensor(coeffs)
-    s = float(np.trace(curvature_parts(mu)[4]))
+    s = coeff_scal_star(coeffs)
     if s >= 0.0:
         raise OutOfRange(f"scal* = {s:.3e} is not negative; cannot normalize")
     if only_if_drifted and abs(s + 1.0) <= DRIFT_TOL / 2.0:
@@ -368,7 +379,7 @@ def _rescale_to_scal(traj):
     traj.gauges["variant"] = traj.gauges["variant"] * np.array(factors)[:, None, None]
 
 
-@dataclass
+@dataclass(slots=True)
 class GaugePath:
     """Solution h(t) of h' = -A(mu(t)) h at the recorded times; mats is (N, n, n)."""
 
@@ -452,7 +463,7 @@ def blowdown_check(traj, s, spec=None):
     return abs(rerun.final.bracket.norm - math.sqrt(s) * ref.bracket.norm)
 
 
-@dataclass
+@dataclass(slots=True)
 class SolitonDetection:
     converged: bool
     f_tail: float
