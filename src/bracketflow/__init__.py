@@ -43,7 +43,6 @@ from .flows import (
     Variant,
     blowdown_check,
     detect_soliton_convergence,
-    estimate_cubic_bound,
     integrate,
     recover_gauge,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "derived_series",
     "detect_soliton_convergence",
     "energy_gradient_flow",
-    "estimate_cubic_bound",
     "fingerprint",
     "fingerprint_distance",
     "integrate",

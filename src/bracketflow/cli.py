@@ -113,15 +113,15 @@ def cmd_flow(args):
     header = "t,||mu||,scal,scalstar,f,lyap,cs,typeIII,ricBound,jacobiRes"
     rows = [header]
     for s in traj.samples:
-        m = s.monitors
+        m, pack = s.monitors, s.pack
         rows.append(
             ",".join(
                 _fmt(v)
                 for v in (
                     s.t,
                     s.bracket.norm,
-                    s.pack.scal,
-                    s.pack.scalStar,
+                    pack.scal,
+                    pack.scalStar,
                     m.f,
                     m.lyapunov,
                     m.cs,

@@ -8,17 +8,22 @@ Vector fields (all of the shape mu' = -pi(A(mu)) mu):
   scal       post-hoc rescaling of a scalstar run by |scal|^{-1/2}
 
 Integration uses an embedded Dormand-Prince 5(4) pair with PI step control
-and first-same-as-last stage reuse, stepping exactly onto the recording grid.
+and first-same-as-last stage reuse.  Only t_end cuts a step short: the
+samples on the recording grid that fall inside an accepted step come from
+the DP5 continuous extension (dense output) of that step's seven stages.
 The stepper works on raw coefficient arrays through the kernels of
 `curvature` and `brackets`; only a recorded sample is validated as a
-BracketTensor.  Each recorded sample carries the curvature pack and the
-monitor quantities used by the convergence and collapse criteria.
+BracketTensor.  Each recorded sample carries the monitor quantities used by
+the convergence and collapse criteria; its curvature pack is recomputed on
+demand.
 
 Gauged, scalstar and scal runs also carry the gauge h' = -A(mu) h, h(0) = Id,
 for two coefficients: "variant", the A driving the field (so that
 h(t).mu(0) = mu(t)), and "ricci", Ric + ||Ric*||^2 Id.  Each accepted step
-advances h by a 4th-order Magnus step built from that step's own stages; h
-stays out of the step-size control, so the bracket path does not depend on it.
+advances h by a 4th-order Magnus step built from that step's own stages, and
+a sample inside a step gets h from the same kind of step over the partial
+interval; h stays out of the step-size control, so the bracket path does not
+depend on it.
 """
 
 import math
@@ -29,7 +34,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .brackets import BracketTensor, ensure_lie, jacobi_norm, jacobi_residual, pi_apply
-from .curvature import CurvaturePack, coeff_parts, coeff_scal_star, curvature_pack
+from .curvature import coeff_parts, coeff_scal_star, curvature_pack
 from .errors import GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
 
@@ -83,8 +88,12 @@ class Monitors:
 class FlowSample:
     t: float
     bracket: BracketTensor
-    pack: CurvaturePack
     monitors: Monitors
+
+    @property
+    def pack(self):
+        """The CurvaturePack of the sample's bracket, recomputed on each access."""
+        return curvature_pack(self.bracket)
 
 
 @dataclass(slots=True)
@@ -124,8 +133,25 @@ _DP_A = tuple(np.array(row) for row in (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 ))
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
 _DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40))
+_DP_E = _DP_B5 - _DP_B4
+# Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6):
+# b(theta) = _DP_DENSE @ (theta, theta^2, theta^3, theta^4), with b(1) = _DP_B5.
+_DP_DENSE = np.array((
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+))
+
+
+def _dense_weights(theta):
+    """The continuous-extension weights b(theta), so y(theta) = y + h b(theta) @ k."""
+    return _DP_DENSE @ np.cumprod(np.full(4, theta))
 
 
 def _endomorphisms(ric, ric_star, variant, dec):
@@ -166,10 +192,11 @@ def _dp_step(stage, y, h, first):
     """One Dormand-Prince step from y, given first = stage(y).
 
     stage(c) returns (dc/dt, gauge coefficients).  The stage slopes are rows
-    of one (7, n^3) array, so each tableau row is one matrix-vector product.
-    All seven stage values are returned: the last row of _DP_A equals _DP_B5,
-    so the last stage is evaluated at y5 and serves as the next step's first
-    stage.
+    of one (7, n^3) array k, so each tableau row is one matrix-vector product.
+    Returns y5, the error estimate h (b5 - b4) @ k (formed from the weights,
+    not as y5 - y4, which would cancel about five digits), k and all seven
+    stage values: the last row of _DP_A equals _DP_B5, so the last stage is
+    evaluated at y5 and serves as the next step's first stage.
     """
     k = np.empty((7, y.size))
     k[0] = first[0].ravel()
@@ -178,21 +205,22 @@ def _dp_step(stage, y, h, first):
         yi = y + h * (row @ k[:i]).reshape(y.shape)
         stages.append(stage(yi))
         k[i] = stages[-1][0].ravel()
-    y5 = yi
-    y4 = y + h * (_DP_B4 @ k).reshape(y.shape)
-    return y5, y5 - y4, stages
+    return yi, h * (_DP_E @ k).reshape(y.shape), k, stages
 
 
-def _magnus_step(gauge, stages, d, g):
-    """Advance h' = -A h over an accepted step of size d, A = stage coefficient g.
+def _magnus_step(gauge, a_stages, weights, d, span, a_end):
+    """Advance h' = -A h from a step's start over span = theta d, 0 < theta <= 1.
 
-    4th-order Magnus step (Iserles & Norsett 1999): the b5 quadrature of the
-    integral of A over the step plus the end-point commutator term.  Exact
-    when A is constant.
+    4th-order Magnus step (Iserles & Norsett 1999): the quadrature
+    d weights @ a_stages of the integral of A over the span, with the stage
+    values a_stages (7, n, n) of a step of size d, plus the end-point
+    commutator term (span^2/12)[A(end), A(start)].  The whole step uses
+    weights _DP_B5 and a_end = a_stages[-1]; a partial span uses
+    _dense_weights(theta).  Exact when A is constant.
     """
-    a_first, a_last = stages[0][1][g], stages[-1][1][g]
-    omega = -d * sum(b * s[1][g] for b, s in zip(_DP_B5, stages))
-    omega += (d * d / 12.0) * (a_last @ a_first - a_first @ a_last)
+    a_first = a_stages[0]
+    omega = -d * (weights @ a_stages.reshape(len(a_stages), -1)).reshape(a_first.shape)
+    omega += (span * span / 12.0) * (a_end @ a_first - a_first @ a_end)
     return expm(omega) @ gauge
 
 
@@ -224,7 +252,16 @@ def _monitors(t, mu, pack, label, field_norm, drift=float("nan")):
 
 
 def integrate(mu0, spec):
-    """Integrate one bracket-flow trajectory and record monitored samples."""
+    """Integrate one bracket-flow trajectory and record monitored samples.
+
+    Samples are taken at the multiples of spec.record_every up to spec.t_end,
+    and at t_end itself; a grid time inside an accepted step is read off the
+    step's continuous extension, so the grid does not shorten steps.
+    """
+    if not (math.isfinite(spec.record_every) and spec.record_every > 0.0):
+        raise OutOfRange(f"record_every = {spec.record_every} must be positive and finite")
+    if not (math.isfinite(spec.t_end) and spec.t_end >= 0.0):
+        raise OutOfRange(f"t_end = {spec.t_end} must be non-negative and finite")
     ensure_lie(mu0)
     label = spec.label
     dec = None
@@ -256,10 +293,12 @@ def integrate(mu0, spec):
     gauges = [np.eye(mu0.dim) for _ in GAUGE_COEFFICIENTS] if dec is not None else []
     rows = [[] for _ in gauges]
 
-    def record(t_now, c):
+    def record(t_now, c, gauges_at=None):
         # The live state may sit up to drift_tol/2 off the scal* = -1 slice
         # between renormalizations; the monitors are defined on the slice, so
         # snapshots are renormalized exactly while the drift itself is kept.
+        # gauges_at maps the sample's gauge coefficients to its gauges; by
+        # default the sample sits at the end of the last step.
         drift = float("nan")
         if core_variant == Variant.SCALSTAR:
             s = coeff_scal_star(c)
@@ -267,38 +306,41 @@ def integrate(mu0, spec):
             c = c * abs(s) ** -0.5
         mu = BracketTensor(c)
         pack = curvature_pack(mu)
-        a, _ = _endomorphisms(pack.Ric, pack.RicStar, core_variant, dec)
-        fnorm = float(np.linalg.norm(pi_apply(a, c)))
-        monitors = _monitors(t_now, mu, pack, label, fnorm, drift)
-        traj.samples.append(FlowSample(t_now, mu, pack, monitors))
-        for row, g in zip(rows, gauges):
+        ends = _endomorphisms(pack.Ric, pack.RicStar, core_variant, dec)
+        fnorm = float(np.linalg.norm(pi_apply(ends[0], c)))
+        traj.samples.append(FlowSample(t_now, mu, _monitors(t_now, mu, pack, label, fnorm, drift)))
+        for row, g in zip(rows, gauges if gauges_at is None else gauges_at(ends)):
             row.append(g)
 
     record(0.0, y)
-    next_record = spec.record_every
-    h = min(1e-3, spec.record_every, spec.t_end)
+    grid_index = 1  # the next sample on the grid is at grid_index * record_every
+    h = min(1e-3, spec.t_end)
     err_prev = 1.0
     renorms = 0
     steps = 0
     first = stage(y)
+    converged = False
 
     while t < spec.t_end - 1e-14 * max(1.0, spec.t_end):
         if steps >= spec.max_steps:
             traj.termination = Termination.STEP_FAILURE
             break
-        stop = min(spec.t_end, next_record)
-        h = min(h, stop - t)
+        h = min(h, spec.t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             traj.termination = Termination.STEP_FAILURE
             break
-        y_new, err, stages = _dp_step(stage, y, h, first)
+        y_new, err, k, stages = _dp_step(stage, y, h, first)
         steps += 1
         err_norm = _error_norm(err, y, y_new, spec.rel_tol, spec.abs_tol)
         if err_norm <= 1.0:
+            t_old, y_old, gauges_old = t, y, gauges
             t += h
+            if abs(t - spec.t_end) <= 1e-12 * max(1.0, spec.t_end):
+                t = spec.t_end
             y = y_new
             first = stages[-1]
-            gauges = [_magnus_step(g, stages, h, i) for i, g in enumerate(gauges)]
+            a_stages = [np.stack([s[1][g] for s in stages]) for g in range(len(gauges))]
+            gauges = [_magnus_step(g, a, _DP_B5, h, h, a[-1]) for g, a in zip(gauges, a_stages)]
             if core_variant == Variant.SCALSTAR:
                 y, bumped = _renormalize_scalstar(y, only_if_drifted=True)
                 renorms += int(bumped)
@@ -312,14 +354,26 @@ def integrate(mu0, spec):
             if norm > cap:
                 traj.termination = Termination.DIVERGED
                 break
-            if abs(t - stop) <= 1e-12 * max(1.0, stop):
-                t = stop
-                if abs(stop - next_record) <= 1e-12 * max(1.0, stop):
-                    record(t, y)
-                    next_record = round(next_record / spec.record_every + 1) * spec.record_every
-                    if _converged(traj, spec.conv_tol):
-                        traj.termination = Termination.CONVERGED
-                        break
+            # Every grid time in (t_old, t]: the step end itself, or a point of
+            # the continuous extension from y_old (on scalstar runs, the
+            # renormalized state) to y5, with its gauges by a partial Magnus step.
+            while (t_rec := grid_index * spec.record_every) <= t + 1e-12 * max(1.0, t):
+                if t - t_rec <= 1e-12 * max(1.0, t_rec):
+                    record(min(t_rec, spec.t_end), y)
+                else:
+                    theta = (t_rec - t_old) / h
+                    b = _dense_weights(theta)
+                    record(t_rec, y_old + h * (b @ k).reshape(y.shape), lambda ends: [
+                        _magnus_step(g, a, b, h, theta * h, e)
+                        for g, a, e in zip(gauges_old, a_stages, ends)
+                    ])
+                grid_index += 1
+                converged = _converged(traj, spec.conv_tol)
+                if converged:
+                    break
+            if converged:
+                traj.termination = Termination.CONVERGED
+                break
             fac = 0.9 * err_norm ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err_norm > 0 else 5.0
             err_prev = max(err_norm, 1e-10)
             h *= min(5.0, max(0.2, fac))
@@ -328,7 +382,7 @@ def integrate(mu0, spec):
     else:
         traj.termination = Termination.REACHED_T_END
 
-    if not traj.samples or abs(traj.samples[-1].t - t) > 1e-12 * max(1.0, t):
+    if not converged and abs(traj.samples[-1].t - t) > 1e-12 * max(1.0, t):
         record(t, y)
     traj.steps = steps
     traj.renormalizations = renorms
@@ -365,15 +419,15 @@ def _rescale_to_scal(traj):
     scal0 = abs(traj.samples[0].pack.scal)
     factors = []
     for i, s in enumerate(traj.samples):
-        if abs(s.pack.scal) < 1e-12 * (1.0 + s.pack.normSq):
-            raise OutOfRange(f"scal = {s.pack.scal:.3e} at t = {s.t}; cannot rescale")
-        factors.append(math.sqrt(abs(s.pack.scal) / scal0))
-        mu = s.bracket.scaled(abs(s.pack.scal) ** -0.5)
+        old = s.pack
+        if abs(old.scal) < 1e-12 * (1.0 + old.normSq):
+            raise OutOfRange(f"scal = {old.scal:.3e} at t = {s.t}; cannot rescale")
+        factors.append(math.sqrt(abs(old.scal) / scal0))
+        mu = s.bracket.scaled(abs(old.scal) ** -0.5)
         pack = curvature_pack(mu)
         traj.samples[i] = FlowSample(
             s.t,
             mu,
-            pack,
             _monitors(s.t, mu, pack, traj.label, s.monitors.field_norm, s.monitors.drift),
         )
     traj.gauges["variant"] = traj.gauges["variant"] * np.array(factors)[:, None, None]
@@ -494,22 +548,3 @@ def detect_soliton_convergence(traj, f_tol=F_TOL, cauchy_tol=1e-6):
         and gap <= cauchy_tol * (1.0 + window[-1].bracket.norm)
     )
     return SolitonDetection(converged, f_tail, traj.final.bracket, gap)
-
-
-def estimate_cubic_bound(dim, samples=2000, seed=0):
-    """Estimate sup ||pi(Ric_mu) mu|| over the unit sphere of brackets.
-
-    The raw vector field is homogeneous of degree three, so this constant
-    bounds ||mu'|| by C ||mu||^3 along any trajectory.
-    """
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(samples):
-        c = rng.standard_normal((dim, dim, dim))
-        c = 0.5 * (c - np.swapaxes(c, 0, 1))
-        norm = np.linalg.norm(c)
-        if norm == 0.0:
-            continue
-        c /= norm
-        best = max(best, float(np.linalg.norm(flow_field(c, Variant.RAW, None))))
-    return best

@@ -13,7 +13,6 @@ from bracketflow import (
     curvature_pack,
     derived_series,
     detect_soliton_convergence,
-    estimate_cubic_bound,
     integrate,
     nilradical,
     normalize_soliton,
@@ -25,7 +24,27 @@ from bracketflow import (
 )
 from bracketflow.curvature import curvature_parts
 from bracketflow.errors import GaugeMismatch, OutOfRange
+from bracketflow.flows import flow_field
 from bracketflow.strata import beta_decomposition
+
+
+def estimate_cubic_bound(dim, samples=2000, seed=0):
+    """Estimate sup ||pi(Ric_mu) mu|| over the unit sphere of brackets.
+
+    The raw vector field is homogeneous of degree three, so this constant
+    bounds ||mu'|| by C ||mu||^3 along any trajectory.
+    """
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(samples):
+        c = rng.standard_normal((dim, dim, dim))
+        c = 0.5 * (c - np.swapaxes(c, 0, 1))
+        norm = np.linalg.norm(c)
+        if norm == 0.0:
+            continue
+        c /= norm
+        best = max(best, float(np.linalg.norm(flow_field(c, Variant.RAW, None))))
+    return best
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +104,6 @@ class TestRawFlow:
 class TestIntegratorOracle:
     def test_raw_flow_matches_solve_ivp(self, mu_s3):
         from scipy.integrate import solve_ivp
-        from bracketflow.flows import flow_field
 
         traj = integrate(mu_s3, FlowSpec(variant=Variant.RAW, t_end=10.0, record_every=10.0))
         sol = solve_ivp(
@@ -101,7 +119,6 @@ class TestIntegratorOracle:
         # both endpoints are projected back before comparing.
         from scipy.integrate import solve_ivp
         from bracketflow.curvature import curvature_parts
-        from bracketflow.flows import flow_field
         from bracketflow import BracketTensor, curvature_pack
 
         dec = beta_decomposition(s3_label)
@@ -439,6 +456,12 @@ class TestGaugeRecovery:
             rhs, (0.0, times[-1]), y0, method="DOP853", rtol=1e-13, atol=1e-15, t_eval=times
         )
         assert ref.success
+        # The grid does not move the steps, so the samples before t_end are
+        # read off the continuous extension inside steps.
+        coarse = FlowSpec(variant=Variant.SCALSTAR, t_end=2.0, label=s3_label, record_every=2.0)
+        assert integrate(s3_short.samples[0].bracket, coarse).steps == s3_short.steps
+        brackets = np.array([s.bracket.coeffs.ravel() for s in s3_short.samples])
+        assert np.max(np.abs(brackets - ref.y[:27].T)) <= 1e-8
         for coefficient, rows in (("variant", slice(27, 36)), ("ricci", slice(36, 45))):
             mats = recover_gauge(s3_short, coefficient=coefficient).mats
             assert np.max(np.abs(np.reshape(mats, (len(times), 9)) - ref.y[rows].T)) <= 1e-8
@@ -473,3 +496,53 @@ class TestGaugeRecovery:
             FlowSpec(variant=Variant.SCALSTAR, t_end=5.0, label=s3_label, record_every=0.5),
         )
         assert np.all(np.diff(traj.times) > 0)
+
+
+class TestDenseOutput:
+    def test_recording_grid_does_not_shorten_steps(self, mu_s3, s3_label):
+        def steps(record_every):
+            spec = FlowSpec(
+                variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=record_every
+            )
+            return integrate(mu_s3, spec).steps
+
+        assert steps(0.25) <= 1.1 * steps(100.0)
+
+    def test_converged_run_ends_on_grid_sample(self, hyp_norm, hyp_label):
+        # The fixed point's steps grow fivefold each, so the tenth sample, where
+        # the convergence window fills, lies inside a step.
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=hyp_label, record_every=0.5)
+        traj = integrate(hyp_norm, spec)
+        assert traj.termination == Termination.CONVERGED
+        assert traj.steps < len(traj.samples) - 1
+        np.testing.assert_array_equal(traj.times, 0.5 * np.arange(len(traj.samples)))
+        assert traj.final.t < spec.t_end
+        assert all(len(mats) == len(traj.samples) for mats in traj.gauges.values())
+
+    def test_gauged_contract_at_interior_samples(self, mu_s3, s3_label):
+        spec = FlowSpec(variant=Variant.GAUGED, t_end=3.0, label=s3_label, record_every=0.25)
+        coarse = FlowSpec(variant=Variant.GAUGED, t_end=3.0, label=s3_label, record_every=3.0)
+        traj = integrate(mu_s3, spec)
+        assert traj.steps == integrate(mu_s3, coarse).steps  # samples lie inside steps
+        path = recover_gauge(traj, coefficient="variant")
+        mu0 = traj.samples[0].bracket
+        for h, s in zip(path.mats, traj.samples):
+            assert np.linalg.norm(act(h, mu0).coeffs - s.bracket.coeffs) <= 1e-8
+
+
+class TestFlowSpecValidation:
+    @pytest.mark.parametrize("record_every", [0.0, -0.5, float("nan"), float("inf")])
+    def test_record_every_must_be_positive_and_finite(self, mu_h3, record_every):
+        spec = FlowSpec(variant=Variant.RAW, t_end=1.0, record_every=record_every)
+        with pytest.raises(OutOfRange, match=f"record_every = {record_every}"):
+            integrate(mu_h3, spec)
+
+    @pytest.mark.parametrize("t_end", [-1.0, float("nan"), float("inf")])
+    def test_t_end_must_be_nonnegative_and_finite(self, mu_h3, t_end):
+        with pytest.raises(OutOfRange, match=f"t_end = {t_end}"):
+            integrate(mu_h3, FlowSpec(variant=Variant.RAW, t_end=t_end))
+
+    def test_zero_t_end_records_the_seed(self, mu_h3):
+        traj = integrate(mu_h3, FlowSpec(variant=Variant.RAW, t_end=0.0))
+        assert traj.termination == Termination.REACHED_T_END
+        np.testing.assert_array_equal(traj.times, [0.0])

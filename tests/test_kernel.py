@@ -170,5 +170,5 @@ def test_stepper_builds_no_bracket_tensor(monkeypatch):
 
     monkeypatch.setattr(BracketTensor, "__init__", counting_init)
     traj = integrate(mu0, spec)
-    assert traj.steps > 2 * len(traj.samples)
+    assert traj.steps > len(traj.samples)
     assert len(built) <= len(traj.samples) + 2
