@@ -29,9 +29,7 @@ from .curvature import (
     curvature_pack,
     killing_matrix,
     mean_curvature,
-    moment_map,
     moment_map_fast,
-    oracle_ricci,
     scalstar_first_variation,
 )
 from .errors import BracketFlowError
@@ -118,11 +116,9 @@ __all__ = [
     "label_from_beta",
     "load_bracket",
     "mean_curvature",
-    "moment_map",
     "moment_map_fast",
     "nilradical",
     "normalize_soliton",
-    "oracle_ricci",
     "p_operator",
     "phi",
     "pi_action",

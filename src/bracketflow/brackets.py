@@ -200,33 +200,34 @@ def _span_floor(mu):
     return RANK_TOL * max(mu.norm, 1e-300)
 
 
-def derived_series(mu):
-    """Dimensions [n, dim g', dim g'', ...] until the series vanishes or stalls."""
-    ensure_lie(mu)
-    dims = [mu.dim]
-    basis = np.eye(mu.dim)
-    while dims[-1] > 0:
-        span = orthonormal_basis(_pairwise_products(mu, basis, basis), floor=_span_floor(mu))
-        dims.append(span.shape[1])
-        if span.shape[1] >= dims[-2]:
-            break
-        basis = span
-    return dims
+def _descending_series(mu, central):
+    """Dimensions of g_0 = g, g_{i+1} = [left_i, g_i] until the series vanishes or stalls.
 
-
-def lower_central_series(mu):
-    """Dimensions of the lower central series g >= [g,g] >= [g,[g,g]] >= ..."""
+    The left factor is g_i itself for the derived series and all of g for the
+    lower central series.
+    """
     ensure_lie(mu)
     dims = [mu.dim]
     full = np.eye(mu.dim)
     basis = full
     while dims[-1] > 0:
-        span = orthonormal_basis(_pairwise_products(mu, full, basis), floor=_span_floor(mu))
+        left = full if central else basis
+        span = orthonormal_basis(_pairwise_products(mu, left, basis), floor=_span_floor(mu))
         dims.append(span.shape[1])
         if span.shape[1] >= dims[-2]:
             break
         basis = span
     return dims
+
+
+def derived_series(mu):
+    """Dimensions [n, dim g', dim g'', ...] until the series vanishes or stalls."""
+    return _descending_series(mu, central=False)
+
+
+def lower_central_series(mu):
+    """Dimensions of the lower central series g >= [g,g] >= [g,[g,g]] >= ..."""
+    return _descending_series(mu, central=True)
 
 
 def is_solvable(mu):
@@ -305,26 +306,15 @@ def nilradical(mu):
     return n_basis, a_basis, a_basis.shape[1]
 
 
-def pi_matrix(a, dim):
-    """Matrix of pi(A) acting on flattened (n^3) bracket tensors."""
-    a = np.asarray(a, dtype=float)
-    eye = np.eye(dim)
-    term1 = np.einsum("ia,jb,kc->ijkabc", eye, eye, a)
-    term2 = np.einsum("ai,jb,kc->ijkabc", a, eye, eye)
-    term3 = np.einsum("ia,bj,kc->ijkabc", eye, a, eye)
-    return (term1 - term2 - term3).reshape(dim**3, dim**3)
-
-
 def derivation_matrix(mu):
-    """Matrix of A -> pi(A)mu from flattened gl(n) to flattened brackets."""
+    """Matrix of A -> pi(A)mu from flattened gl(n) to flattened brackets.
+
+    Column p n + q is pi(E_pq)mu, one pi_apply on the raw coefficients each.
+    """
     n = mu.dim
-    cols = np.zeros((n**3, n * n))
-    basis = np.zeros((n, n))
-    for p in range(n):
-        for q in range(n):
-            basis[p, q] = 1.0
-            cols[:, p * n + q] = pi_action(basis, mu).coeffs.ravel()
-            basis[p, q] = 0.0
+    cols = np.empty((n**3, n * n))
+    for i, e in enumerate(np.eye(n * n).reshape(n * n, n, n)):
+        cols[:, i] = pi_apply(e, mu.coeffs).ravel()
     return cols
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import ensure_lie, pi_action
+from .brackets import ensure_lie
 from .errors import ZeroBracket
 
 SYM_TOL = 1e-10
@@ -57,33 +57,12 @@ def moment_part(mu):
     return _moment(mu.coeffs)
 
 
-def moment_map(mu):
-    """Normalized moment map m(mu), defined against the symmetric basis.
+def moment_map_fast(mu):
+    """Normalized moment map m(mu) = 4 M / ||mu||^2.
 
     <m(mu), A> = <pi(A)mu, mu> / ||mu||^2 for every symmetric A; trace -1,
     invariant under scaling of mu, and O(n)-equivariant.
     """
-    if mu.is_zero:
-        raise ZeroBracket("moment map is undefined at the zero bracket")
-    n = mu.dim
-    nsq = mu.norm_sq
-    m = np.zeros((n, n))
-    e = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            e[a, b] += 1.0
-            e[b, a] += 1.0
-            pairing = pi_action(e, mu).inner(mu) / nsq
-            e[a, b] = e[b, a] = 0.0
-            if a == b:
-                m[a, a] = 0.5 * pairing
-            else:
-                m[a, b] = m[b, a] = 0.5 * pairing
-    return m
-
-
-def moment_map_fast(mu):
-    """m(mu) = 4 M / ||mu||^2; cheap route used by the gradient flow."""
     if mu.is_zero:
         raise ZeroBracket("moment map is undefined at the zero bracket")
     return 4.0 * moment_part(mu) / mu.norm_sq
@@ -165,30 +144,6 @@ def ricci_star(mu):
 
 def scal_star(mu):
     return coeff_scal_star(mu.coeffs)
-
-
-def oracle_ricci(mu):
-    """Ricci endomorphism from the Koszul formula; used only as a test oracle.
-
-    Builds the Levi-Civita connection coefficients
-    Gamma[i,j,k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2 on the orthonormal
-    basis and contracts the curvature tensor directly, independently of the
-    moment-map / Killing-form route.
-    """
-    if mu.is_zero:
-        return np.zeros((mu.dim, mu.dim))
-    ensure_lie(mu)
-    c = mu.coeffs
-    # transpose axes chosen so gamma[i,j,k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2
-    gamma = 0.5 * (c - np.transpose(c, (2, 0, 1)) + np.transpose(c, (1, 2, 0)))
-    term1 = np.einsum("bcm,ama->bc", gamma, gamma)
-    term2 = np.einsum("acm,bma->bc", gamma, gamma)
-    term3 = np.einsum("abm,mca->bc", c, gamma)
-    ric = term1 - term2 - term3
-    asym = np.max(np.abs(ric - ric.T))
-    if asym > 1e-9 * (1.0 + mu.norm_sq):
-        raise AssertionError(f"Koszul Ricci came out asymmetric by {asym:.3e}")
-    return 0.5 * (ric + ric.T)
 
 
 def scalstar_first_variation(mu, a):

@@ -123,10 +123,9 @@ def normalize_soliton(mu, cert, tol=IDENTITY_TOL):
         float(np.linalg.norm(pi_action(beta_plus, normalized).coeffs)) <= tol,
         "beta+ is not a derivation of the normalized bracket",
     )
-    eigs = np.linalg.eigvalsh(0.5 * (beta_plus + beta_plus.T))
-    _check(float(eigs.min()) >= -tol, "beta+ is not positive semidefinite")
-    # Image of beta+ via its spectral decomposition.
     w, v = np.linalg.eigh(0.5 * (beta_plus + beta_plus.T))
+    _check(float(w.min()) >= -tol, "beta+ is not positive semidefinite")
+    # Image of beta+ via its spectral decomposition.
     image = v[:, w > tol]
     n_basis, _, _ = nilradical(normalized)
     _check(

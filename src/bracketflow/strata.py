@@ -117,6 +117,12 @@ class StratumLabel:
     def beta_plus(self):
         return np.diag(self.eigenvalues + self.norm_sq)
 
+    @property
+    def v_weights(self):
+        """pi(beta+) eigenvalue bp[k] - bp[i] - bp[j] of each basis bracket entry [i, j, k]."""
+        bp = self.eigenvalues + self.norm_sq
+        return bp[None, None, :] - bp[:, None, None] - bp[None, :, None]
+
     def to_dict(self):
         return {
             "beta_eigenvalues": self.eigenvalues.tolist(),
@@ -141,36 +147,29 @@ def _clustered(values, tol=EIG_TOL):
 def label_from_beta(eigenvalues, critical_bracket=None, residual=0.0):
     """Build a StratumLabel from known (sorted ascending) beta eigenvalues."""
     b = np.sort(np.asarray(eigenvalues, dtype=float))
-    bp = b + float(np.sum(b * b))
-    ad_eigs = (b[:, None] - b[None, :]).ravel()
     n = b.size
-    v_eigs = [
-        bp[k] - bp[i] - bp[j]
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(n)
-    ]
     if critical_bracket is None:
         critical_bracket = BracketTensor.zero(n)
-    return StratumLabel(
+    label = StratumLabel(
         eigenvalues=b,
         critical_bracket=critical_bracket,
         residual=float(residual),
-        ad_spectrum=_clustered(ad_eigs),
-        v_spectrum=_clustered(np.asarray(v_eigs)),
+        ad_spectrum=_clustered((b[:, None] - b[None, :]).ravel()),
     )
+    i, j = np.triu_indices(n, 1)
+    label.v_spectrum = _clustered(label.v_weights[i, j].ravel())
+    return label
+
+
+def _gap_clusters(values, tol=EIG_TOL):
+    """The sorted values, split wherever two neighbours are more than tol apart."""
+    w = np.sort(np.asarray(values, dtype=float))
+    return np.split(w, np.flatnonzero(np.diff(w) > tol) + 1)
 
 
 def _cluster_snap(values, tol=EIG_TOL):
     """Replace eigenvalue clusters (within tol) by their means."""
-    w = np.sort(np.asarray(values, dtype=float))
-    out = w.copy()
-    start = 0
-    for i in range(1, w.size + 1):
-        if i == w.size or w[i] - w[i - 1] > tol:
-            out[start:i] = np.mean(w[start:i])
-            start = i
-    return out
+    return np.concatenate([np.full(cl.size, np.mean(cl)) for cl in _gap_clusters(values, tol)])
 
 
 def stratum_label(mu0, crit_tol=CRIT_TOL, max_steps=MAX_FLOW_STEPS):
@@ -211,6 +210,7 @@ class BetaDecomposition:
     g_basis: list
     u_basis: list
     k_u_basis: list
+    k_beta_basis: list
     h_basis: list
     sl_basis: list
     v_weights: np.ndarray
@@ -222,7 +222,7 @@ class BetaDecomposition:
 
 
 def beta_decomposition(label):
-    """Build g_beta, u_beta, k_{u_beta}, h_beta, sl_beta and the V-grading."""
+    """Build g_beta, u_beta, k_{u_beta}, k_beta, h_beta, sl_beta and the V-grading."""
     _require_canonical(label)
     b = label.eigenvalues
     n = b.size
@@ -236,7 +236,7 @@ def beta_decomposition(label):
         e[i, j] = 1.0
         return e
 
-    g_basis, u_basis, k_u_basis = [], [], []
+    g_basis, u_basis, k_u_basis, k_beta_basis = [], [], [], []
     offdiag_g = []
     for i in range(n):
         for j in range(n):
@@ -247,6 +247,9 @@ def beta_decomposition(label):
                 g_basis.append(unit(i, j))
                 if i != j:
                     offdiag_g.append(unit(i, j))
+                if i < j:
+                    # k_beta = so(n) intersect g_beta
+                    k_beta_basis.append((unit(i, j) - unit(j, i)) / np.sqrt(2.0))
     # Diagonal part of h_beta: diagonals orthogonal to beta (tr beta = -1 != 0).
     diag_complement = orthonormal_basis(
         (np.eye(n) - np.outer(b, b) / float(b @ b)).T
@@ -256,20 +259,12 @@ def beta_decomposition(label):
         h_basis.append(np.diag(diag_complement[:, i]))
     sl_basis = h_basis + u_basis
 
-    bp = b + label.norm_sq
-    v_weights = bp[None, None, :] - bp[:, None, None] - bp[None, :, None]
+    v_weights = label.v_weights
     # Cluster the weights into eigenvalue levels; clusters are > EIG_TOL apart.
-    sorted_w = np.sort(v_weights.ravel())
-    clusters = [[sorted_w[0]]]
-    for w in sorted_w[1:]:
-        if w - clusters[-1][-1] <= EIG_TOL:
-            clusters[-1].append(w)
-        else:
-            clusters.append([w])
     eps = EIG_TOL / 4.0
     levels = [
         (float(np.mean(cl)), (v_weights >= cl[0] - eps) & (v_weights <= cl[-1] + eps))
-        for cl in clusters
+        for cl in _gap_clusters(v_weights.ravel())
     ]
     return BetaDecomposition(
         label=label,
@@ -279,6 +274,7 @@ def beta_decomposition(label):
         g_basis=g_basis,
         u_basis=u_basis,
         k_u_basis=k_u_basis,
+        k_beta_basis=k_beta_basis,
         h_basis=h_basis,
         sl_basis=sl_basis,
         v_weights=v_weights,
@@ -312,9 +308,7 @@ class GaugeCheck:
 def check_gauged(mu, label):
     """Decompose mu under the pi(beta+) grading and test V_{>=0} membership."""
     _require_canonical(label)
-    b = label.eigenvalues
-    bp = b + label.norm_sq
-    w = bp[None, None, :] - bp[:, None, None] - bp[None, :, None]
+    w = label.v_weights
     c = mu.coeffs
     neg = np.where(w < -EIG_TOL, c, 0.0)
     zero = np.where(np.abs(w) <= EIG_TOL, c, 0.0)

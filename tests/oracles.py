@@ -1,0 +1,148 @@
+"""Test oracles: slow, loop-by-loop definitions the package is checked against.
+
+None of these is part of the package.  Each spells out its quantity one
+index, basis element or matrix entry at a time:
+- `pi_matrix`: the dense n^6 matrix of pi(A) on flattened brackets;
+- `oracle_ricci`: Ricci from the Koszul formula, independent of the
+  moment-map / Killing-form route;
+- `moment_map`: m(mu) paired against the symmetric basis one entry at a time;
+- `delta_apply`: delta(A) = -pi(A)mu through a BracketTensor;
+- `p_matrix_loop`, `ad_beta_plus_loop`, `l_matrix_loop`: the linearization
+  operators on the sl_beta basis, one basis element or tangent column at a
+  time.
+"""
+
+import numpy as np
+
+from bracketflow.brackets import ensure_lie, pi_action
+from bracketflow.curvature import killing_matrix
+from bracketflow.errors import ZeroBracket
+from bracketflow.linearize import delta_matrix
+
+
+def pi_matrix(a, dim):
+    """Matrix of pi(A) acting on flattened (n^3) bracket tensors."""
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(dim)
+    term1 = np.einsum("ia,jb,kc->ijkabc", eye, eye, a)
+    term2 = np.einsum("ai,jb,kc->ijkabc", a, eye, eye)
+    term3 = np.einsum("ia,bj,kc->ijkabc", eye, a, eye)
+    return (term1 - term2 - term3).reshape(dim**3, dim**3)
+
+
+def oracle_ricci(mu):
+    """Ricci endomorphism from the Koszul formula; used only as a test oracle.
+
+    Builds the Levi-Civita connection coefficients
+    Gamma[i,j,k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2 on the orthonormal
+    basis and contracts the curvature tensor directly, independently of the
+    moment-map / Killing-form route.
+    """
+    if mu.is_zero:
+        return np.zeros((mu.dim, mu.dim))
+    ensure_lie(mu)
+    c = mu.coeffs
+    # transpose axes chosen so gamma[i,j,k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2
+    gamma = 0.5 * (c - np.transpose(c, (2, 0, 1)) + np.transpose(c, (1, 2, 0)))
+    term1 = np.einsum("bcm,ama->bc", gamma, gamma)
+    term2 = np.einsum("acm,bma->bc", gamma, gamma)
+    term3 = np.einsum("abm,mca->bc", c, gamma)
+    ric = term1 - term2 - term3
+    asym = np.max(np.abs(ric - ric.T))
+    if asym > 1e-9 * (1.0 + mu.norm_sq):
+        raise AssertionError(f"Koszul Ricci came out asymmetric by {asym:.3e}")
+    return 0.5 * (ric + ric.T)
+
+
+def moment_map(mu):
+    """Normalized moment map m(mu), defined against the symmetric basis.
+
+    <m(mu), A> = <pi(A)mu, mu> / ||mu||^2 for every symmetric A; trace -1,
+    invariant under scaling of mu, and O(n)-equivariant.
+    """
+    if mu.is_zero:
+        raise ZeroBracket("moment map is undefined at the zero bracket")
+    n = mu.dim
+    nsq = mu.norm_sq
+    m = np.zeros((n, n))
+    e = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a, n):
+            e[a, b] += 1.0
+            e[b, a] += 1.0
+            pairing = pi_action(e, mu).inner(mu) / nsq
+            e[a, b] = e[b, a] = 0.0
+            if a == b:
+                m[a, a] = 0.5 * pairing
+            else:
+                m[a, b] = m[b, a] = 0.5 * pairing
+    return m
+
+
+def delta_apply(mu, a):
+    return -pi_action(a, mu).coeffs
+
+
+def _sym(a):
+    return 0.5 * (a + a.T)
+
+
+def p_matrix_loop(mu, dec):
+    """P on the orthonormal sl_beta basis, entry <b_i, P(b_j)> by entry."""
+    dmat = delta_matrix(mu)
+    dtd = dmat.T @ dmat
+    k = killing_matrix(mu)
+    n = mu.dim
+
+    def apply_p(a, in_u):
+        dtd_a = (dtd @ a.ravel()).reshape(n, n)
+        if in_u:
+            return 0.5 * dtd_a
+        return 0.5 * (_sym(dtd_a) + a.T @ k + k @ a)
+
+    n_h = len(dec.h_basis)
+    basis = dec.sl_basis
+    m = len(basis)
+    mat = np.zeros((m, m))
+    for j, a in enumerate(basis):
+        pa = apply_p(a, in_u=j >= n_h)
+        for i, b in enumerate(basis):
+            mat[i, j] = float(np.sum(b * pa))
+    return mat
+
+
+def ad_beta_plus_loop(dec):
+    """ad(beta+) on the sl_beta basis, entry <b_i, [beta+, b_j]> by entry."""
+    basis = dec.sl_basis
+    bp = dec.label.beta_plus
+    m = len(basis)
+    out = np.zeros((m, m))
+    for j, a in enumerate(basis):
+        comm = bp @ a - a @ bp
+        for i, b in enumerate(basis):
+            out[i, j] = float(np.sum(b * comm))
+    return out
+
+
+def l_matrix_loop(mu, dec, tangent):
+    """L on the orthonormal tangent columns, one column at a time.
+
+    Each column's preimage A in sl_beta (delta(A) = column) is found by least
+    squares; then L(pi(A)mu) = -pi(P(A) + [beta+, A])mu, with A flipped in sign
+    so that pi(A)mu is the column itself.
+    """
+    n = mu.dim
+    basis = dec.sl_basis
+    p_mat = p_matrix_loop(mu, dec)
+    bp = dec.label.beta_plus
+    dmat = delta_matrix(mu)
+    dsl = np.column_stack([dmat @ b.ravel() for b in basis])
+    l_mat = np.zeros((tangent.shape[1], tangent.shape[1]))
+    for j in range(tangent.shape[1]):
+        coeffs = np.linalg.lstsq(dsl, tangent[:, j], rcond=None)[0]
+        a = -sum(c * b for c, b in zip(coeffs, basis))
+        coeffs = np.array([float(np.sum(b * a)) for b in basis])
+        pa = sum(c * img for c, img in zip(p_mat @ coeffs, basis))
+        lv = -pi_action(pa + (bp @ a - a @ bp), mu).coeffs.ravel()
+        l_mat[:, j] = tangent.T @ lv
+    return l_mat

@@ -26,22 +26,21 @@ from bracketflow import (
     fingerprint_distance,
     integrate,
     l_operator,
-    moment_map,
     moment_map_fast,
     normalize_soliton,
     nilradical,
-    oracle_ricci,
     pi_action,
     recover_gauge,
     soliton_label,
     soliton_residual,
     stratum_label,
 )
-from bracketflow.brackets import pi_matrix
 from bracketflow.catalog import random_antisymmetric_bracket, random_solvable_bracket
 from bracketflow.experiments import random_parabolic_gauge
 from bracketflow.linalg import random_orthogonal
 from bracketflow.solitons import SolitonKind
+
+from oracles import moment_map, oracle_ricci, pi_matrix
 
 
 def _report(criterion, passed, detail):

@@ -18,10 +18,11 @@ from bracketflow import (
     pi_action,
     save_bracket,
 )
-from bracketflow.brackets import pi_matrix
 from bracketflow.errors import NotSolvable, SingularGauge
 from bracketflow.catalog import random_antisymmetric_bracket, random_solvable_bracket
 from bracketflow.linalg import random_orthogonal
+
+from oracles import pi_matrix
 
 
 def brute_force_jacobi(mu):

@@ -6,15 +6,15 @@ from bracketflow import (
     BracketTensor,
     act,
     curvature_pack,
-    moment_map,
     moment_map_fast,
-    oracle_ricci,
     pi_action,
     scalstar_first_variation,
 )
 from bracketflow.catalog import random_antisymmetric_bracket, random_solvable_bracket
 from bracketflow.errors import NotALieBracket, ZeroBracket
 from bracketflow.linalg import random_orthogonal
+
+from oracles import moment_map, oracle_ricci
 
 
 class TestMomentMap:

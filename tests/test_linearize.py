@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bracketflow import (
     BracketTensor,
@@ -14,9 +16,12 @@ from bracketflow import (
     soliton_residual,
     stratum_label,
 )
+from bracketflow.catalog import almost_abelian
 from bracketflow.errors import GaugeMismatch
-from bracketflow.linearize import delta_apply, delta_matrix, k_beta_basis
+from bracketflow.linearize import _ad_beta_plus_matrix, _rows, delta_matrix
 from bracketflow.strata import grading_components
+
+from oracles import ad_beta_plus_loop, delta_apply, l_matrix_loop, p_matrix_loop
 
 
 def _normalized(name, lam=None, dim=None):
@@ -88,7 +93,7 @@ class TestPOperator:
         mu, _, dec = s3l_setup
         pop = p_operator(mu, dec)
         basis = dec.sl_basis
-        for a in k_beta_basis(dec) + derivation_space(mu):
+        for a in dec.k_beta_basis + derivation_space(mu):
             coeffs = np.array([float(np.sum(b * a)) for b in basis])
             # only the sl_beta component is in P's domain
             assert np.linalg.norm(pop.matrix @ coeffs) <= 1e-9
@@ -101,7 +106,7 @@ class TestPOperator:
 
     def test_finite_difference_definition_matches(self, s3l_setup):
         mu, _, dec = s3l_setup
-        pop = p_operator(mu, dec, fd_check=True)
+        pop = p_operator(mu, dec)
         assert pop.fd_discrepancy <= 1e-6
 
     def test_gauge_mismatch_detected(self):
@@ -210,6 +215,48 @@ class TestLOperator:
                 for w, norm in comps:
                     if abs(w - r) > 1e-6:
                         assert norm <= 1e-9
+
+
+@st.composite
+def _ad_diagonals(draw):
+    """ad(e1) eigenvalues for n = 3-10: all distinct, or from {1, 2, 3} / 4 with repeats."""
+    size = draw(st.integers(2, 9))
+    distinct = st.lists(st.integers(1, 12), min_size=size, max_size=size, unique=True)
+    repeated = st.lists(st.integers(1, 3), min_size=size, max_size=size)
+    return np.array(draw(st.one_of(distinct, repeated)), dtype=float) / 4.0
+
+
+def _assert_matches(got, want):
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * (1.0 + np.linalg.norm(want))
+
+
+class TestMatrixForm:
+    @pytest.mark.parametrize("dim", [9, 11])
+    def test_heisenberg_kernel_is_kbeta_orbit(self, dim):
+        # The 12- and 20-fold zero eigenvalues: the kernel is taken by SVD, not
+        # from the real parts of complex eigenvectors, which lose rank here.
+        # k_beta = so(2k) acts with stabilizer u(k), k = (dim - 1) / 2.
+        mu, label = _normalized("heisenberg", dim=dim)
+        rep = l_operator(mu, beta_decomposition(label))
+        k = (dim - 1) // 2
+        assert rep.kernel_dim == rep.kbeta_orbit_dim == k * (k - 1)
+        assert rep.kernel_matches_kbeta_orbit
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(d=_ad_diagonals())
+    def test_almost_abelian_solitons(self, d):
+        bracket = almost_abelian(np.diag(d))
+        mu, label = soliton_label(normalize_soliton(bracket, soliton_residual(bracket)))
+        dec = beta_decomposition(label)
+        rep = l_operator(mu, dec)
+        assert rep.kernel_matches_kbeta_orbit
+        assert rep.kernel_dim == rep.kbeta_orbit_dim
+        assert np.all(rep.eigenvalues <= 1e-8)
+        p_scale = 1.0 + float(np.max(np.abs(rep.P_spectrum), initial=0.0))
+        assert np.all(rep.P_spectrum >= -1e-10 * p_scale)
+        _assert_matches(p_operator(mu, dec).matrix, p_matrix_loop(mu, dec))
+        _assert_matches(_ad_beta_plus_matrix(_rows(dec.sl_basis, mu.dim), dec), ad_beta_plus_loop(dec))
+        _assert_matches(rep.L_matrix, l_matrix_loop(mu, dec, rep.tangent_basis))
 
 
 def _coords(a, basis):
