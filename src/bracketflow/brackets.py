@@ -154,13 +154,23 @@ def singular_tolerance(h):
     return 1e-12 * np.linalg.norm(h, 2) ** n
 
 
+_ACT_SUBSCRIPTS = "ai,bj,kc,abc->ijk"
+
+
+@functools.cache
+def _act_path(n):
+    """The contraction order einsum(optimize=True) plans for `act` at dimension n."""
+    eye = np.eye(n)
+    return np.einsum_path(_ACT_SUBSCRIPTS, eye, eye, eye, np.zeros((n, n, n)), optimize=True)[0]
+
+
 def act(h, mu):
     """Change-of-basis action (h.mu)(x, y) = h mu(h^-1 x, h^-1 y)."""
     h = np.asarray(h, dtype=float)
     if abs(np.linalg.det(h)) <= singular_tolerance(h):
         raise SingularGauge(f"|det h| = {abs(np.linalg.det(h)):.3e} below tolerance")
     hinv = np.linalg.inv(h)
-    c = np.einsum("ai,bj,kc,abc->ijk", hinv, hinv, h, mu.coeffs, optimize=True)
+    c = np.einsum(_ACT_SUBSCRIPTS, hinv, hinv, h, mu.coeffs, optimize=_act_path(mu.dim))
     return BracketTensor(c, antisymmetrize=True)
 
 

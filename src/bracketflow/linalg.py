@@ -23,9 +23,13 @@ def orthonormal_basis(vectors, rtol=RANK_TOL, floor=0.0):
 
 
 def null_space(mat, rtol=RANK_TOL, floor=0.0):
-    """Orthonormal basis (columns) of the kernel of `mat`."""
+    """Orthonormal basis (columns) of the kernel of `mat`.
+
+    A tall or square matrix needs only the thin SVD; a wide one keeps the full
+    `vt`, because its kernel also holds the rows past min(rows, cols).
+    """
     mat = np.asarray(mat, dtype=float)
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
+    _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > max(rtol * smax, floor))) if smax > 0 else 0
     return vt[rank:].T
@@ -34,14 +38,15 @@ def null_space(mat, rtol=RANK_TOL, floor=0.0):
 def subspace_distance(basis_a, basis_b):
     """Largest principal-angle sine between two subspaces (orthonormal columns).
 
+    Taken as the norm of the part of A outside span(B), which resolves angles
+    down to round-off; sqrt(1 - cos^2) would lose everything below about 1e-8.
     Returns 1.0 when the dimensions differ.
     """
     if basis_a.shape[1] != basis_b.shape[1]:
         return 1.0
     if basis_a.shape[1] == 0:
         return 0.0
-    s = np.linalg.svd(basis_a.T @ basis_b, compute_uv=False)
-    return float(np.sqrt(max(0.0, 1.0 - np.min(s) ** 2)))
+    return float(np.linalg.norm(basis_a - basis_b @ (basis_b.T @ basis_a), 2))
 
 
 def subspace_intersection(basis_a, basis_b, rtol=RANK_TOL):

@@ -7,6 +7,7 @@ index, basis element or matrix entry at a time:
   moment-map / Killing-form route;
 - `moment_map`: m(mu) paired against the symmetric basis one entry at a time;
 - `delta_apply`: delta(A) = -pi(A)mu through a BracketTensor;
+- `null_space_full_svd`: the kernel from the full SVD, left factor included;
 - `p_matrix_loop`, `ad_beta_plus_loop`, `l_matrix_loop`: the linearization
   operators on the sl_beta basis, one basis element or tangent column at a
   time.
@@ -17,6 +18,7 @@ import numpy as np
 from bracketflow.brackets import ensure_lie, pi_action
 from bracketflow.curvature import killing_matrix
 from bracketflow.errors import ZeroBracket
+from bracketflow.linalg import RANK_TOL
 from bracketflow.linearize import delta_matrix
 
 
@@ -81,6 +83,14 @@ def moment_map(mu):
 
 def delta_apply(mu, a):
     return -pi_action(a, mu).coeffs
+
+
+def null_space_full_svd(mat, rtol=RANK_TOL, floor=0.0):
+    """Kernel of `mat` from the rows of the full `vt` past the numerical rank."""
+    _, s, vt = np.linalg.svd(np.asarray(mat, dtype=float), full_matrices=True)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.sum(s > max(rtol * smax, floor))) if smax > 0 else 0
+    return vt[rank:].T
 
 
 def _sym(a):

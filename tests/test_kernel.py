@@ -6,10 +6,12 @@ kernel in `curvature.coeff_parts`, `brackets.pi_apply` and
 `brackets.jacobi_norm`.  Every bound is relative to 1 + ||mu||^2.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bracketflow import (
@@ -17,6 +19,7 @@ from bracketflow import (
     FlowSpec,
     Variant,
     act,
+    brackets,
     catalog,
     derivation_space,
     integrate,
@@ -32,12 +35,15 @@ from bracketflow.catalog import (
 )
 from bracketflow.curvature import coeff_parts, coeff_scal_star
 from bracketflow.errors import SingularGauge
-from bracketflow.linalg import RANK_TOL, null_space
+from bracketflow.linalg import RANK_TOL, null_space, subspace_distance
 
-from oracles import oracle_ricci, pi_matrix
+from oracles import null_space_full_svd, oracle_ricci, pi_matrix
 
 KERNEL_TOL = 1e-12
 PI_MATRIX_MAX_DIM = 10  # pi_matrix is a dense n^6 array: 134 MB at n = 16
+# A full SVD of the n = 16 derivation matrix (3,375 x 225) holds a 91 MB left
+# factor; the thin one needs about 12 MB at its peak.
+DERIVATION_PEAK_MB = 32
 
 _PROPERTY = settings(max_examples=40, deadline=None, database=None)
 _SEED = st.integers(0, 2**32 - 1)
@@ -167,6 +173,85 @@ def test_zero_bracket_derivations_equal_null_space(dim):
     got = derivation_space(zero)
     assert len(got) == dim * dim
     assert all(np.array_equal(d, ker[:, i].reshape(dim, dim)) for i, d in enumerate(got))
+
+
+def _rank_deficient(rng, rows, cols, rank):
+    """A rows x cols matrix of the given rank, nonzero singular values 1-10 times a scale."""
+    u = np.linalg.qr(rng.standard_normal((rows, rank)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    return (u * (scale * 10.0 ** rng.uniform(0.0, 1.0, rank))) @ v.T
+
+
+# Row counts against the column count N: gesdd bidiagonalizes the matrix itself
+# up to 11N/6 rows ("tall") and takes a QR first above that ("very_tall").
+_ROWS = {
+    "wide": lambda n: (1, n - 1),
+    "square": lambda n: (n, n),
+    "tall": lambda n: (n + 1, max(n + 1, 11 * n // 6)),
+    "very_tall": lambda n: (11 * n // 6 + 1, 4 * n),
+}
+
+
+@_PROPERTY
+@given(seed=_SEED, cols=st.integers(1, 40), shape=st.sampled_from(sorted(_ROWS)), data=st.data())
+def test_null_space_matches_full_svd(seed, cols, shape, data):
+    # The wide cases are nilradical's complements: a thin SVD there would drop
+    # the kernel rows past min(rows, cols).
+    lo, hi = _ROWS[shape](cols)
+    assume(lo <= hi)
+    rows = data.draw(st.integers(lo, hi), label="rows")
+    rank = data.draw(st.integers(0, min(rows, cols - 1)), label="rank")
+    mat = _rank_deficient(np.random.default_rng(seed), rows, cols, rank)
+    ker = null_space(mat)
+    assert ker.shape == (cols, cols - rank)
+    assert np.linalg.norm(ker.T @ ker - np.eye(cols - rank)) <= KERNEL_TOL
+    assert np.linalg.norm(mat @ ker) <= KERNEL_TOL * (1.0 + np.linalg.norm(mat))
+    assert subspace_distance(ker, null_space_full_svd(mat)) <= KERNEL_TOL
+
+
+def _two_step_draw():
+    """A seeded n = 16 random_solvable_bracket draw on a two-step ideal."""
+    return random_solvable_bracket(np.random.default_rng(1), DIM_CAP)
+
+
+def test_derivation_spaces_at_dim_cap_stay_small(monkeypatch):
+    solved = []
+
+    def recording_null_space(mat, *args):
+        solved.append(mat.shape)
+        return null_space(mat, *args)
+
+    monkeypatch.setattr(brackets, "null_space", recording_null_space)
+    tracemalloc.start()
+    try:
+        ders = derivation_space(catalog("heisenberg", dim=15).bracket)
+        _two_step_draw()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solved == [(15**3, 15**2)] * 2
+    assert len(ders) > 0
+    assert peak < DERIVATION_PEAK_MB * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_two_step_draw_equals_full_svd_draw(monkeypatch):
+    # The bench inputs at n = 8-16 are such draws: the thin SVD must not move them.
+    thin = _two_step_draw()
+    monkeypatch.setattr(brackets, "null_space", null_space_full_svd)
+    assert np.array_equal(thin.coeffs, _two_step_draw().coeffs)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 9, 13, DIM_CAP])
+def test_act_equals_einsum_planned_per_call(dim):
+    # act reuses one contraction path per dimension; the result must be the
+    # one einsum(optimize=True) gives when it plans the path itself.
+    rng = np.random.default_rng(dim)
+    mu = random_antisymmetric_bracket(rng, dim)
+    h = sla.expm(0.3 * rng.standard_normal((dim, dim)))
+    hinv = np.linalg.inv(h)
+    want = np.einsum("ai,bj,kc,abc->ijk", hinv, hinv, h, mu.coeffs, optimize=True)
+    assert np.array_equal(act(h, mu).coeffs, BracketTensor(want, antisymmetrize=True).coeffs)
 
 
 def test_stepper_builds_no_bracket_tensor(monkeypatch):
