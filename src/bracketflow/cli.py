@@ -198,13 +198,7 @@ def cmd_compare(args):
 
 def cmd_uniqueness(args):
     entry = _load_entry(args)
-    try:
-        report = run_uniqueness_experiment(
-            entry, seeds=args.seeds, t_end=args.t_end, seed=args.seed
-        )
-    except NonConvergence as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    report = run_uniqueness_experiment(entry, seeds=args.seeds, t_end=args.t_end, seed=args.seed)
     _emit(report.to_dict(), args.out)
     return EXIT_OK
 

@@ -5,11 +5,11 @@ moment-map part M, the Killing form K, the mean-curvature vector H, the
 Ricci endomorphism Ric = M - K/2 - sym(ad H), and the modified Ricci
 Ric* = M - K/2 together with its trace scal*.
 
-The formulas live once, on raw (n, n, n) coefficient arrays (`coeff_parts`,
-`coeff_scal_star`), as BLAS products of the reshapes C1 = c.reshape(n, n^2)
-and C2 = c.reshape(n^2, n).  They validate nothing, so the integrator calls
-them on its stage states directly; the functions taking a BracketTensor read
-from the same code.
+The formulas live once, on raw (n, n, n) coefficient arrays (`coeff_moment`,
+`coeff_parts`, `coeff_scal_star`), as BLAS products of the reshapes
+C1 = c.reshape(n, n^2) and C2 = c.reshape(n^2, n).  They validate nothing, so
+the integrator and the energy flow call them on their states directly; the
+functions taking a BracketTensor read from the same code.
 """
 
 from dataclasses import dataclass
@@ -22,8 +22,8 @@ from .errors import ZeroBracket
 SYM_TOL = 1e-10
 
 
-def _moment(c):
-    """M = -1/2 C1 C1^T + 1/4 C2^T C2, so tr M = -||c||^2 / 4."""
+def coeff_moment(c):
+    """M = -1/2 C1 C1^T + 1/4 C2^T C2 of raw coefficients c, so tr M = -||c||^2 / 4."""
     n = c.shape[0]
     c1 = c.reshape(n, n * n)
     c2 = c.reshape(n * n, n)
@@ -38,7 +38,7 @@ def coeff_parts(c):
     """
     n = c.shape[0]
     c1 = c.reshape(n, n * n)
-    m_part = _moment(c)
+    m_part = coeff_moment(c)
     k = c1 @ np.swapaxes(c, 1, 2).reshape(n, n * n).T
     h = np.trace(c, axis1=1, axis2=2)
     ric_star = m_part - 0.5 * k
@@ -52,11 +52,6 @@ def coeff_scal_star(c):
     return -0.25 * float(np.vdot(c, c)) - 0.5 * float(np.vdot(c, np.swapaxes(c, 1, 2)))
 
 
-def moment_part(mu):
-    """The endomorphism M with tr M = -||mu||^2 / 4."""
-    return _moment(mu.coeffs)
-
-
 def moment_map_fast(mu):
     """Normalized moment map m(mu) = 4 M / ||mu||^2.
 
@@ -65,7 +60,7 @@ def moment_map_fast(mu):
     """
     if mu.is_zero:
         raise ZeroBracket("moment map is undefined at the zero bracket")
-    return 4.0 * moment_part(mu) / mu.norm_sq
+    return 4.0 * coeff_moment(mu.coeffs) / mu.norm_sq
 
 
 def killing_matrix(mu):

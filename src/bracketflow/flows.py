@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import expm
 
-from .brackets import BracketTensor, ensure_lie, jacobi_norm, jacobi_residual, pi_apply
+from .brackets import BracketTensor, ensure_lie, jacobi_norm, pi_apply
 from .curvature import coeff_parts, coeff_scal_star, curvature_pack
 from .errors import GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
@@ -245,7 +245,7 @@ def _monitors(t, mu, pack, label, field_norm, drift=float("nan")):
         cs=cs,
         type3=t * pack.normSq,
         ric_bound=t * float(np.linalg.norm(pack.Ric)),
-        jacobi=jacobi_residual(mu),
+        jacobi=mu.jacobi_residual(),
         field_norm=field_norm,
         drift=drift,
     )
@@ -496,11 +496,12 @@ def recover_gauge(traj, h0=None, coefficient="variant"):
     return GaugePath(times=traj.times, mats=stored @ h, coefficient=coefficient)
 
 
-def blowdown_check(traj, s, spec=None):
+def blowdown_check(traj, s):
     """Parabolic-rescaling identity ||mu_s(1)|| = sqrt(s) ||mu(s)||.
 
-    Reruns the raw flow from sqrt(s)-scaled initial data up to time 1 and
-    returns the absolute defect between the two sides.
+    Reruns the raw flow, at FlowSpec's default tolerances, from sqrt(s)-scaled
+    initial data up to time 1 and returns the absolute defect between the two
+    sides.
     """
     if traj.variant != Variant.RAW:
         raise OutOfRange("blow-down scaling applies to raw-variant trajectories")
@@ -508,12 +509,8 @@ def blowdown_check(traj, s, spec=None):
         raise OutOfRange("blow-down factor must satisfy s >= 1")
     ref = traj.sample_at(s)
     mu0 = traj.samples[0].bracket
-    if spec is None:
-        spec = FlowSpec(variant=Variant.RAW, t_end=1.0, record_every=0.5)
-    rerun = integrate(mu0.scaled(math.sqrt(s)), FlowSpec(
-        variant=Variant.RAW, t_end=1.0, label=None,
-        rel_tol=spec.rel_tol, abs_tol=spec.abs_tol, record_every=1.0,
-    ))
+    spec = FlowSpec(variant=Variant.RAW, t_end=1.0, record_every=1.0)
+    rerun = integrate(mu0.scaled(math.sqrt(s)), spec)
     return abs(rerun.final.bracket.norm - math.sqrt(s) * ref.bracket.norm)
 
 

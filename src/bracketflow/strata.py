@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import BracketTensor, act, pi_action
-from .curvature import moment_map_fast
+from .brackets import BracketTensor, act, pi_apply
+from .curvature import coeff_moment, moment_map_fast
 from .errors import MaxStepsExceeded, NonCanonicalBeta, ZeroBracket
 from .linalg import orthonormal_basis
 
@@ -25,13 +25,20 @@ GAUGE_TOL = 1e-8
 _ARMIJO_C1 = 1e-4
 
 
-def _criticality_direction(mu):
-    """Sphere-tangential part of pi(m(mu))mu; vanishes exactly at critical points."""
-    m = moment_map_fast(mu)
-    g = pi_action(m, mu)
-    radial = g.inner(mu) / mu.norm_sq
-    tangent = g.coeffs - radial * mu.coeffs
-    return m, tangent, float(np.linalg.norm(tangent))
+def _criticality_direction(c):
+    """Energy ||m||^2, and the sphere-tangential part of pi(m)c with its norm.
+
+    c is the raw coefficient array; the tangent vanishes exactly at critical
+    points.  pi(m)c is antisymmetrized, or its round-off asymmetry grows along
+    the flow.  Norms and inner products are np.sum of products, as in
+    BracketTensor, so the iterates keep the round-off of the tensor-level flow.
+    """
+    norm_sq = float(np.sum(c * c))
+    m = 4.0 * coeff_moment(c) / norm_sq
+    g = pi_apply(m, c)
+    g = 0.5 * (g - np.swapaxes(g, 0, 1))
+    tangent = g - float(np.sum(g * c)) / norm_sq * c
+    return float(np.sum(m * m)), tangent, float(np.linalg.norm(tangent))
 
 
 def energy_gradient_flow(mu0, crit_tol=CRIT_TOL, max_steps=MAX_FLOW_STEPS, history=None):
@@ -41,32 +48,29 @@ def energy_gradient_flow(mu0, crit_tol=CRIT_TOL, max_steps=MAX_FLOW_STEPS, histo
     Armijo backtracking; the energy ||m||^2 is scale invariant, so the sphere
     restriction loses nothing.  Returns (limit bracket, criticality residual).
     A list passed as `history` collects the energy after every accepted step.
+    The iterations step the raw coefficients; the limit is the one bracket
+    built, for the return value or MaxStepsExceeded.result.
     """
     if mu0.is_zero:
         raise ZeroBracket("the energy flow needs a nonzero starting bracket")
     radius = mu0.norm
-    coeffs = mu0.coeffs.copy()
-    mu = BracketTensor(coeffs)
-    m, tangent, resid = _criticality_direction(mu)
-    energy = float(np.sum(m * m))
+    c = mu0.coeffs
+    energy, tangent, resid = _criticality_direction(c)
     if history is not None:
         history.append(energy)
     step = 0.1 / max(1.0, energy)
     for _ in range(max_steps):
         if resid <= crit_tol:
-            return mu, resid
+            break
         # Armijo backtracking along the negative sphere gradient.  Near a
         # degenerate critical point the predicted energy decrease per step is
         # of order residual^2 and falls below machine epsilon; in that regime
         # accept on a measurable residual decrease instead.
-        slope = 4.0 * resid**2 / mu.norm_sq
-        accepted = False
+        slope = 4.0 * resid**2 / float(np.sum(c * c))
         while step > 1e-18:
-            trial_c = mu.coeffs - step * tangent
-            trial_c *= radius / np.linalg.norm(trial_c)
-            trial = BracketTensor(trial_c)
-            m_t, tangent_t, resid_t = _criticality_direction(trial)
-            energy_t = float(np.sum(m_t * m_t))
+            trial = c - step * tangent
+            trial *= radius / np.linalg.norm(trial)
+            energy_t, tangent_t, resid_t = _criticality_direction(trial)
             decrease = _ARMIJO_C1 * step * slope
             roundoff_regime = decrease < 8.0 * np.finfo(float).eps * max(energy, 1.0)
             ok = energy_t <= energy - decrease or (
@@ -75,15 +79,15 @@ def energy_gradient_flow(mu0, crit_tol=CRIT_TOL, max_steps=MAX_FLOW_STEPS, histo
                 and resid_t <= resid * (1.0 - 1e-7)
             )
             if ok:
-                mu, m, tangent, resid, energy = trial, m_t, tangent_t, resid_t, energy_t
+                c, tangent, resid, energy = trial, tangent_t, resid_t, energy_t
                 if history is not None:
                     history.append(energy)
                 step *= 2.0
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:  # no step size was accepted
             break
+    mu = BracketTensor(c)
     if resid <= crit_tol:
         return mu, resid
     raise MaxStepsExceeded(
@@ -134,37 +138,26 @@ class StratumLabel:
         }
 
 
-def _clustered(values, tol=EIG_TOL):
-    out = []
-    for v in np.sort(values):
-        if out and abs(v - out[-1][0]) <= tol:
-            out[-1][1] += 1
-        else:
-            out.append([float(v), 1])
-    return [(v, m) for v, m in out]
-
-
 def label_from_beta(eigenvalues, critical_bracket=None, residual=0.0):
     """Build a StratumLabel from known (sorted ascending) beta eigenvalues."""
     b = np.sort(np.asarray(eigenvalues, dtype=float))
     n = b.size
     if critical_bracket is None:
         critical_bracket = BracketTensor.zero(n)
-    label = StratumLabel(
-        eigenvalues=b,
-        critical_bracket=critical_bracket,
-        residual=float(residual),
-        ad_spectrum=_clustered((b[:, None] - b[None, :]).ravel()),
-    )
+    label = StratumLabel(b, critical_bracket, float(residual))
+    # Each spectrum lists (smallest value, multiplicity) per _gap_clusters cluster.
     i, j = np.triu_indices(n, 1)
-    label.v_spectrum = _clustered(label.v_weights[i, j].ravel())
+    label.ad_spectrum, label.v_spectrum = (
+        [(float(cl[0]), cl.size) for cl in _gap_clusters(values)]
+        for values in ((b[:, None] - b[None, :]).ravel(), label.v_weights[i, j].ravel())
+    )
     return label
 
 
 def _gap_clusters(values, tol=EIG_TOL):
     """The sorted values, split wherever two neighbours are more than tol apart."""
     w = np.sort(np.asarray(values, dtype=float))
-    return np.split(w, np.flatnonzero(np.diff(w) > tol) + 1)
+    return np.split(w, np.flatnonzero(np.diff(w) > tol) + 1) if w.size else []
 
 
 def _cluster_snap(values, tol=EIG_TOL):
@@ -231,33 +224,21 @@ def beta_decomposition(label):
     mask_u = gaps > EIG_TOL
     mask_ut = gaps < -EIG_TOL
 
-    def unit(i, j):
-        e = np.zeros((n, n))
-        e[i, j] = 1.0
-        return e
+    # Row k of units is E_ij with k = i n + j, so boolean rows keep row-major order.
+    units = np.eye(n * n).reshape(n * n, n, n)
+    u = units[mask_u.ravel()]
+    g_offdiag = units[(mask_g & ~np.eye(n, dtype=bool)).ravel()]
+    # k_beta = so(n) intersect g_beta
+    g_upper = units[np.triu(mask_g, 1).ravel()]
 
-    g_basis, u_basis, k_u_basis, k_beta_basis = [], [], [], []
-    offdiag_g = []
-    for i in range(n):
-        for j in range(n):
-            if mask_u[i, j]:
-                u_basis.append(unit(i, j))
-                k_u_basis.append((unit(i, j) - unit(j, i)) / np.sqrt(2.0))
-            elif mask_g[i, j]:
-                g_basis.append(unit(i, j))
-                if i != j:
-                    offdiag_g.append(unit(i, j))
-                if i < j:
-                    # k_beta = so(n) intersect g_beta
-                    k_beta_basis.append((unit(i, j) - unit(j, i)) / np.sqrt(2.0))
+    def skew(e):
+        return list((e - np.swapaxes(e, 1, 2)) / np.sqrt(2.0))
+
     # Diagonal part of h_beta: diagonals orthogonal to beta (tr beta = -1 != 0).
     diag_complement = orthonormal_basis(
         (np.eye(n) - np.outer(b, b) / float(b @ b)).T
     )
-    h_basis = list(offdiag_g)
-    for i in range(diag_complement.shape[1]):
-        h_basis.append(np.diag(diag_complement[:, i]))
-    sl_basis = h_basis + u_basis
+    h_basis = list(g_offdiag) + [np.diag(col) for col in diag_complement.T]
 
     v_weights = label.v_weights
     # Cluster the weights into eigenvalue levels; clusters are > EIG_TOL apart.
@@ -271,12 +252,12 @@ def beta_decomposition(label):
         mask_g=mask_g,
         mask_u=mask_u,
         mask_ut=mask_ut,
-        g_basis=g_basis,
-        u_basis=u_basis,
-        k_u_basis=k_u_basis,
-        k_beta_basis=k_beta_basis,
+        g_basis=list(units[mask_g.ravel()]),
+        u_basis=list(u),
+        k_u_basis=skew(u),
+        k_beta_basis=skew(g_upper),
         h_basis=h_basis,
-        sl_basis=sl_basis,
+        sl_basis=h_basis + list(u),
         v_weights=v_weights,
         v_levels=levels,
     )

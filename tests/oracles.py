@@ -10,16 +10,31 @@ index, basis element or matrix entry at a time:
 - `null_space_full_svd`: the kernel from the full SVD, left factor included;
 - `p_matrix_loop`, `ad_beta_plus_loop`, `l_matrix_loop`: the linearization
   operators on the sl_beta basis, one basis element or tangent column at a
-  time.
+  time;
+- `energy_gradient_flow_tensor`: the moment-map energy flow stepping
+  BracketTensors, one per trial and one per pi(m)mu;
+- `beta_decomposition_loop`: the beta-adapted bases built E_ij by E_ij in a
+  double loop;
+- `clustered_from_first`: spectra clustered within EIG_TOL of each cluster's
+  first value, the rule before the gap rule of `strata._gap_clusters`.
 """
 
 import numpy as np
 
-from bracketflow.brackets import ensure_lie, pi_action
-from bracketflow.curvature import killing_matrix
-from bracketflow.errors import ZeroBracket
-from bracketflow.linalg import RANK_TOL
+from bracketflow.brackets import BracketTensor, ensure_lie, pi_action
+from bracketflow.curvature import killing_matrix, moment_map_fast
+from bracketflow.errors import MaxStepsExceeded, ZeroBracket
+from bracketflow.linalg import RANK_TOL, orthonormal_basis
 from bracketflow.linearize import delta_matrix
+from bracketflow.strata import (
+    _ARMIJO_C1,
+    CRIT_TOL,
+    EIG_TOL,
+    MAX_FLOW_STEPS,
+    BetaDecomposition,
+    _gap_clusters,
+    _require_canonical,
+)
 
 
 def pi_matrix(a, dim):
@@ -156,3 +171,141 @@ def l_matrix_loop(mu, dec, tangent):
         lv = -pi_action(pa + (bp @ a - a @ bp), mu).coeffs.ravel()
         l_mat[:, j] = tangent.T @ lv
     return l_mat
+
+
+def criticality_direction_tensor(mu):
+    """Sphere-tangential part of pi(m(mu))mu; vanishes exactly at critical points."""
+    m = moment_map_fast(mu)
+    g = pi_action(m, mu)
+    radial = g.inner(mu) / mu.norm_sq
+    tangent = g.coeffs - radial * mu.coeffs
+    return m, tangent, float(np.linalg.norm(tangent))
+
+
+def energy_gradient_flow_tensor(mu0, crit_tol=CRIT_TOL, max_steps=MAX_FLOW_STEPS, history=None):
+    """Run the negative gradient flow of the moment-map energy from mu0.
+
+    Steps are projected gradient descent on the sphere ||mu|| = ||mu0|| with
+    Armijo backtracking; the energy ||m||^2 is scale invariant, so the sphere
+    restriction loses nothing.  Returns (limit bracket, criticality residual).
+    A list passed as `history` collects the energy after every accepted step.
+    """
+    if mu0.is_zero:
+        raise ZeroBracket("the energy flow needs a nonzero starting bracket")
+    radius = mu0.norm
+    coeffs = mu0.coeffs.copy()
+    mu = BracketTensor(coeffs)
+    m, tangent, resid = criticality_direction_tensor(mu)
+    energy = float(np.sum(m * m))
+    if history is not None:
+        history.append(energy)
+    step = 0.1 / max(1.0, energy)
+    for _ in range(max_steps):
+        if resid <= crit_tol:
+            return mu, resid
+        # Armijo backtracking along the negative sphere gradient.  Near a
+        # degenerate critical point the predicted energy decrease per step is
+        # of order residual^2 and falls below machine epsilon; in that regime
+        # accept on a measurable residual decrease instead.
+        slope = 4.0 * resid**2 / mu.norm_sq
+        accepted = False
+        while step > 1e-18:
+            trial_c = mu.coeffs - step * tangent
+            trial_c *= radius / np.linalg.norm(trial_c)
+            trial = BracketTensor(trial_c)
+            m_t, tangent_t, resid_t = criticality_direction_tensor(trial)
+            energy_t = float(np.sum(m_t * m_t))
+            decrease = _ARMIJO_C1 * step * slope
+            roundoff_regime = decrease < 8.0 * np.finfo(float).eps * max(energy, 1.0)
+            ok = energy_t <= energy - decrease or (
+                roundoff_regime
+                and energy_t <= energy + 4.0 * np.finfo(float).eps * max(energy, 1.0)
+                and resid_t <= resid * (1.0 - 1e-7)
+            )
+            if ok:
+                mu, m, tangent, resid, energy = trial, m_t, tangent_t, resid_t, energy_t
+                if history is not None:
+                    history.append(energy)
+                step *= 2.0
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    if resid <= crit_tol:
+        return mu, resid
+    raise MaxStepsExceeded(
+        f"energy flow stalled at residual {resid:.3e}", result=mu, residual=resid
+    )
+
+
+def clustered_from_first(values, tol=EIG_TOL):
+    """(first value, count) groups of the sorted values, each within tol of its first."""
+    out = []
+    for v in np.sort(values):
+        if out and abs(v - out[-1][0]) <= tol:
+            out[-1][1] += 1
+        else:
+            out.append([float(v), 1])
+    return [(v, m) for v, m in out]
+
+
+def beta_decomposition_loop(label):
+    """Build g_beta, u_beta, k_{u_beta}, k_beta, h_beta, sl_beta and the V-grading."""
+    _require_canonical(label)
+    b = label.eigenvalues
+    n = b.size
+    gaps = b[:, None] - b[None, :]
+    mask_g = np.abs(gaps) <= EIG_TOL
+    mask_u = gaps > EIG_TOL
+    mask_ut = gaps < -EIG_TOL
+
+    def unit(i, j):
+        e = np.zeros((n, n))
+        e[i, j] = 1.0
+        return e
+
+    g_basis, u_basis, k_u_basis, k_beta_basis = [], [], [], []
+    offdiag_g = []
+    for i in range(n):
+        for j in range(n):
+            if mask_u[i, j]:
+                u_basis.append(unit(i, j))
+                k_u_basis.append((unit(i, j) - unit(j, i)) / np.sqrt(2.0))
+            elif mask_g[i, j]:
+                g_basis.append(unit(i, j))
+                if i != j:
+                    offdiag_g.append(unit(i, j))
+                if i < j:
+                    # k_beta = so(n) intersect g_beta
+                    k_beta_basis.append((unit(i, j) - unit(j, i)) / np.sqrt(2.0))
+    # Diagonal part of h_beta: diagonals orthogonal to beta (tr beta = -1 != 0).
+    diag_complement = orthonormal_basis(
+        (np.eye(n) - np.outer(b, b) / float(b @ b)).T
+    )
+    h_basis = list(offdiag_g)
+    for i in range(diag_complement.shape[1]):
+        h_basis.append(np.diag(diag_complement[:, i]))
+    sl_basis = h_basis + u_basis
+
+    v_weights = label.v_weights
+    # Cluster the weights into eigenvalue levels; clusters are > EIG_TOL apart.
+    eps = EIG_TOL / 4.0
+    levels = [
+        (float(np.mean(cl)), (v_weights >= cl[0] - eps) & (v_weights <= cl[-1] + eps))
+        for cl in _gap_clusters(v_weights.ravel())
+    ]
+    return BetaDecomposition(
+        label=label,
+        mask_g=mask_g,
+        mask_u=mask_u,
+        mask_ut=mask_ut,
+        g_basis=g_basis,
+        u_basis=u_basis,
+        k_u_basis=k_u_basis,
+        k_beta_basis=k_beta_basis,
+        h_basis=h_basis,
+        sl_basis=sl_basis,
+        v_weights=v_weights,
+        v_levels=levels,
+    )

@@ -217,5 +217,6 @@ class TestCli:
         # The s3 orbit flows toward its limit on a power-law clock; at t = 20
         # the rigidity tail is far above threshold, which must exit with 3.
         code = main(["uniqueness", "--catalog", "s3", "--seeds", "2", "--t-end", "20"])
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 3
+        assert err.startswith("non-convergence: ")

@@ -276,14 +276,15 @@ def test_stepper_builds_no_bracket_tensor(monkeypatch):
 def test_public_names_resolve_and_oracles_stay_in_tests():
     # The loop-by-loop oracles live in tests/oracles.py, not in the package.
     import bracketflow
-    from bracketflow import brackets, curvature, linearize
+    from bracketflow import brackets, curvature, linearize, strata
 
     for name in bracketflow.__all__:
         assert hasattr(bracketflow, name), name
     moved = {
         brackets: ["pi_matrix"],
-        curvature: ["oracle_ricci", "moment_map"],
+        curvature: ["oracle_ricci", "moment_map", "moment_part"],
         linearize: ["delta_apply", "k_beta_basis"],
+        strata: ["_clustered"],
     }
     for module, names in moved.items():
         for name in names:

@@ -2,21 +2,25 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from oracles import beta_decomposition_loop, clustered_from_first, energy_gradient_flow_tensor
+
 from bracketflow import (
     BracketTensor,
     act,
     beta_decomposition,
+    catalog,
     check_gauged,
     energy_gradient_flow,
     label_from_beta,
     nilradical,
     pi_action,
     project_qbeta,
+    random_solvable_bracket,
     same_label,
     stratum_label,
 )
 from bracketflow.curvature import moment_map_fast
-from bracketflow.errors import NonCanonicalBeta, ZeroBracket
+from bracketflow.errors import MaxStepsExceeded, NonCanonicalBeta, ZeroBracket
 from bracketflow.linalg import random_orthogonal
 from bracketflow.strata import grading_components
 
@@ -61,6 +65,109 @@ class TestEnergyFlow:
             energy_gradient_flow(mu_s3, crit_tol=1e-14, max_steps=2)
         assert info.value.result is not None
         assert info.value.residual > 0.0
+
+
+def _flow_record(flow, mu, **kwargs):
+    """(outcome, limit coefficients, residual, energy history) of one energy-flow run."""
+    history = []
+    try:
+        limit, resid = flow(mu, history=history, **kwargs)
+        return "converged", limit.coeffs, resid, history
+    except MaxStepsExceeded as exc:
+        return "stalled", exc.result.coeffs, exc.residual, history
+
+
+def _draw(seed, n):
+    return random_solvable_bracket(np.random.default_rng(seed), n)
+
+
+_FLOW_CASES = [(f"random{n}", lambda n=n: _draw(4100 + n, n)) for n in range(3, 10)] + [
+    ("s3", lambda: catalog("s3").bracket),
+    ("h3", lambda: catalog("h3").bracket),
+    ("e2", lambda: catalog("e2").bracket),
+    ("s3_lambda0.5", lambda: catalog("s3_lambda", lam=0.5).bracket),
+    ("s3_lambda_prime0.7", lambda: catalog("s3_lambda_prime", lam=0.7).bracket),
+    ("heisenberg5", lambda: catalog("heisenberg", dim=5).bracket),
+    ("gauged_h3", lambda: act(sla.expm(0.4 * np.random.default_rng(4199).standard_normal((3, 3))),
+                              catalog("h3").bracket)),
+]
+
+
+class TestRawArrayEnergyFlow:
+    """The flow steps raw arrays; the BracketTensor oracle gives the same bits."""
+
+    @pytest.mark.parametrize("name,make", _FLOW_CASES, ids=[c[0] for c in _FLOW_CASES])
+    def test_bit_identical_to_tensor_oracle(self, name, make):
+        mu = make()
+        got = _flow_record(energy_gradient_flow, mu, max_steps=300)
+        want = _flow_record(energy_gradient_flow_tensor, mu, max_steps=300)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+        assert np.array_equal(got[3], want[3])
+
+    def test_stalled_result_bit_identical(self, mu_s3):
+        got = _flow_record(energy_gradient_flow, mu_s3, crit_tol=1e-14, max_steps=5)
+        want = _flow_record(energy_gradient_flow_tensor, mu_s3, crit_tol=1e-14, max_steps=5)
+        assert got[0] == want[0] == "stalled"
+        assert np.array_equal(got[1], want[1]) and got[2] == want[2] and got[3] == want[3]
+
+    @pytest.mark.parametrize("max_steps", [2, 300])
+    def test_one_bracket_per_call(self, mu_s3, monkeypatch, max_steps):
+        built = []
+        init = BracketTensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BracketTensor, "__init__", counting_init)
+        try:
+            energy_gradient_flow(mu_s3, crit_tol=1e-14, max_steps=max_steps)
+        except MaxStepsExceeded as exc:
+            assert exc.result is not None
+        assert len(built) == 1
+
+
+def _random_beta(rng):
+    """Ascending beta of dimension 1-11 with repeated and 1e-9-perturbed eigenvalues."""
+    n = int(rng.integers(1, 12))
+    levels = rng.standard_normal(int(rng.integers(1, n + 1)))
+    b = rng.choice(levels, n) + 1e-9 * rng.standard_normal(n) * rng.integers(0, 2, n)
+    return np.sort(b)
+
+
+class TestMaskBases:
+    def test_bases_masks_and_levels_match_loop_oracle(self):
+        rng = np.random.default_rng(3303)
+        for _ in range(150):
+            label = label_from_beta(_random_beta(rng))
+            got, want = beta_decomposition(label), beta_decomposition_loop(label)
+            for name in ("mask_g", "mask_u", "mask_ut", "v_weights"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            for name in ("g_basis", "u_basis", "k_u_basis", "k_beta_basis", "h_basis", "sl_basis"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+            assert len(got.v_levels) == len(want.v_levels)
+            for (wa, ma), (wb, mb) in zip(got.v_levels, want.v_levels):
+                assert wa == wb and np.array_equal(ma, mb)
+            # Away from chained gaps the gap rule gives the old spectra.
+            b = label.eigenvalues
+            i, j = np.triu_indices(b.size, 1)
+            assert label.ad_spectrum == clustered_from_first((b[:, None] - b[None, :]).ravel())
+            assert label.v_spectrum == clustered_from_first(label.v_weights[i, j].ravel())
+
+
+class TestOneClusteringRule:
+    def test_chained_gaps_form_one_cluster(self):
+        # Gaps of 0.6e-6 <= EIG_TOL = 1e-6 chain 0, 0.6e-6 and 1.2e-6 past EIG_TOL.
+        b = np.array([-1.0, 0.0, 0.6e-6, 1.2e-6])
+        label = label_from_beta(b)
+        assert [m for _, m in label.ad_spectrum] == [3, 10, 3]
+        assert [v for v, _ in label.ad_spectrum] == [b[0] - b[3], b[1] - b[3], b[1] - b[0]]
+        assert [m for _, m in label.v_spectrum] == [3, 12, 9]
+        # The first-value rule split the same values into more clusters.
+        assert len(clustered_from_first((b[:, None] - b[None, :]).ravel())) > 3
 
 
 class TestStratumLabel:
