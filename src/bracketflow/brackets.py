@@ -9,7 +9,10 @@ the normalized moment map has trace exactly -1.
 
 The coefficient-level kernels `pi_apply` and `jacobi_norm` act on raw
 (n, n, n) arrays by reshapes and BLAS products, without validation; the
-BracketTensor functions wrap them.
+BracketTensor functions wrap them.  Both also take a stack (..., n, n, n) of
+states and return the stack of results, each slice equal to the bits of the
+one-state call; `bracket_stack` validates such a stack slice by slice, as
+BracketTensor and `ensure_lie` validate one array.
 """
 
 import functools
@@ -27,9 +30,38 @@ NILP_TOL = 1e-8
 JSON_COEFF_FLOOR = 1e-14
 
 
+_NOT_FINITE = "structure constants must be finite"
+
+
+def _check_shape(shape, stacked=False):
+    """Raise unless shape is (n, n, n), or (B, n, n, n) if stacked, with 1 <= n <= DIM_CAP."""
+    if len(shape) != 3 + stacked or len(set(shape[-3:])) != 1:
+        want = "(B, n, n, n)" if stacked else "(n, n, n)"
+        raise ValueError(f"expected an {want} array, got shape {shape}")
+    n = shape[-1]
+    if n < 1 or n > DIM_CAP:
+        raise ValueError(f"dimension {n} outside the supported range 1..{DIM_CAP}")
+
+
+def _asym_bound(cmax):
+    """The largest |c + c^T| entry that is projected away without antisymmetrize=True."""
+    return 1e-12 * (1.0 + cmax)
+
+
+def _asym_error(asym):
+    return ValueError(
+        f"coefficients are not antisymmetric (defect {asym:.3e}); "
+        "pass antisymmetrize=True to project"
+    )
+
+
 def jacobi_tolerance(mu):
     """Residual threshold below which a bracket counts as a Lie bracket."""
-    return 1e-10 * (1.0 + mu.norm_sq)
+    return _lie_bound(mu.norm_sq)
+
+
+def _lie_bound(norm_sq):
+    return 1e-10 * (1.0 + norm_sq)
 
 
 class BracketTensor:
@@ -39,25 +71,28 @@ class BracketTensor:
 
     def __init__(self, coeffs, antisymmetrize=False):
         c = np.array(coeffs, dtype=float)
-        if c.ndim != 3 or len(set(c.shape)) != 1:
-            raise ValueError(f"expected an (n, n, n) array, got shape {c.shape}")
-        n = c.shape[0]
-        if n < 1 or n > DIM_CAP:
-            raise ValueError(f"dimension {n} outside the supported range 1..{DIM_CAP}")
+        _check_shape(c.shape)
         if not np.all(np.isfinite(c)):
-            raise ValueError("structure constants must be finite")
+            raise ValueError(_NOT_FINITE)
         asym = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
         if asym > 0.0:
-            if not antisymmetrize and asym > 1e-12 * (1.0 + np.max(np.abs(c))):
-                raise ValueError(
-                    f"coefficients are not antisymmetric (defect {asym:.3e}); "
-                    "pass antisymmetrize=True to project"
-                )
+            if not antisymmetrize and asym > _asym_bound(np.max(np.abs(c))):
+                raise _asym_error(asym)
             c = 0.5 * (c - np.swapaxes(c, 0, 1))
         c.flags.writeable = False
-        self.dim = n
+        self.dim = c.shape[0]
         self.coeffs = c
         self._jacobi = None
+
+    @classmethod
+    def _checked(cls, c, jacobi):
+        """Wrap coefficients that passed BracketTensor's checks, read-only, with
+        their Jacobi residual; nothing is checked or copied again."""
+        mu = cls.__new__(cls)
+        mu.dim = c.shape[0]
+        mu.coeffs = c
+        mu._jacobi = jacobi
+        return mu
 
     @classmethod
     def zero(cls, dim):
@@ -111,12 +146,51 @@ class BracketTensor:
         return f"BracketTensor(dim={self.dim}, norm={self.norm:.6g})"
 
 
+def bracket_stack(coeffs):
+    """Lie brackets BracketTensor(c) of the slices c of a (B, n, n, n) stack, from one pass.
+
+    Each slice is checked as BracketTensor.__init__ checks one array, and
+    projected onto its antisymmetric part where __init__ would project it;
+    then it must pass ensure_lie.  Returns the validated stack,
+    read-only, with any non-finite slice zeroed; the squared norms of its
+    slices, as norm_sq gives them; and one entry per slice: the BracketTensor
+    over that slice, with its Jacobi residual from one stacked sum, or the
+    exception that the checks raise on it, left for the caller to raise when
+    it reaches the slice.
+    """
+    c = np.array(coeffs, dtype=float)
+    _check_shape(c.shape, stacked=True)
+    finite = np.isfinite(c).all(axis=(1, 2, 3))
+    if not finite.all():
+        c[~finite] = 0.0
+    asym = np.abs(c + c.swapaxes(1, 2)).max(axis=(1, 2, 3))
+    too_asym = asym > _asym_bound(np.abs(c).max(axis=(1, 2, 3)))
+    project = asym > 0.0
+    if project.any():
+        part = c[project]
+        c[project] = 0.5 * (part - part.swapaxes(1, 2))
+    c.flags.writeable = False
+    res = jacobi_norm(c).tolist()
+    norm_sq = (c * c).reshape(len(c), -1).sum(axis=1)
+    out = []
+    for j, (r, sq) in enumerate(zip(res, norm_sq.tolist())):
+        if not finite[j]:
+            out.append(ValueError(_NOT_FINITE))
+        elif too_asym[j]:
+            out.append(_asym_error(asym[j]))
+        elif r > _lie_bound(sq):
+            out.append(_lie_error(r))
+        else:
+            out.append(BracketTensor._checked(c[j], r))
+    return c, norm_sq, out
+
+
 def jacobi_residual(mu):
     """Norm of the cyclic sum mu(mu(x,y),z) + mu(mu(y,z),x) + mu(mu(z,x),y).
 
     Evaluated over all basis triples; zero exactly when mu is a Lie bracket.
     """
-    return jacobi_norm(mu.coeffs)
+    return float(jacobi_norm(mu.coeffs))
 
 
 @functools.cache
@@ -137,16 +211,21 @@ def jacobi_norm(c):
     on integrator states, antisymmetric up to round-off, the terms left out
     are round-off too.
     """
-    n = c.shape[0]
-    t = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n**3, n)
+    lead, n = c.shape[:-3], c.shape[-1]
+    t = (c.reshape(lead + (n * n, n)) @ c.reshape(lead + (n, n * n))).reshape(lead + (n**3, n))
     xyz, yzx, zxy = _cyclic_triples(n)
-    return math.sqrt(6.0) * float(np.linalg.norm(t[xyz] + t[yzx] + t[zxy]))
+    cyc = (t[..., xyz, :] + t[..., yzx, :] + t[..., zxy, :]).reshape(lead + (-1,))
+    return math.sqrt(6.0) * np.sqrt(np.vecdot(cyc, cyc))
+
+
+def _lie_error(res):
+    return NotALieBracket(f"Jacobi residual {res:.3e} exceeds tolerance")
 
 
 def ensure_lie(mu):
     res = mu.jacobi_residual()
     if res > jacobi_tolerance(mu):
-        raise NotALieBracket(f"Jacobi residual {res:.3e} exceeds tolerance")
+        raise _lie_error(res)
 
 
 def singular_tolerance(h):
@@ -178,9 +257,11 @@ def pi_apply(a, c):
     """pi(A) on raw structure constants c; no validation, result not antisymmetrized.
 
     (pi(A)c)[i, j, k] = sum A[k, l] c[i, j, l] - A[l, i] c[l, j, k] - A[l, j] c[i, l, k].
+    A stack of c (..., n, n, n) takes the stack of A (..., n, n) of the same leading axes.
     """
-    n = c.shape[0]
-    return c @ a.T - (a.T @ c.reshape(n, n * n)).reshape(n, n, n) - a.T @ c
+    at = a.mT
+    at_each = at[..., None, :, :]
+    return c @ at_each - (at @ c.reshape(c.shape[:-2] + (-1,))).reshape(c.shape) - at_each @ c
 
 
 def pi_action(a, mu):

@@ -119,17 +119,6 @@ def catalog(name, lam=None, dim=None):
     raise UnknownName(f"no catalog entry named {name!r}")
 
 
-CATALOG_NAMES = (
-    "h3",
-    "s3",
-    "s3_lambda",
-    "s3_lambda_prime",
-    "e2",
-    "heisenberg",
-    "abelian",
-)
-
-
 def random_two_step_nilpotent(rng, dim, base_dim=None):
     """Random two-step nilpotent bracket: [W, W] <= Z central, W + Z = R^n."""
     if base_dim is None:

@@ -9,7 +9,9 @@ The formulas live once, on raw (n, n, n) coefficient arrays (`coeff_moment`,
 `coeff_parts`, `coeff_scal_star`), as BLAS products of the reshapes
 C1 = c.reshape(n, n^2) and C2 = c.reshape(n^2, n).  They validate nothing, so
 the integrator and the energy flow call them on their states directly; the
-functions taking a BracketTensor read from the same code.
+functions taking a BracketTensor read from the same code.  All three also take
+a stack (..., n, n, n) of states and return the stack of results, each slice
+equal to the bits of the one-state call.
 """
 
 from dataclasses import dataclass
@@ -19,15 +21,13 @@ import numpy as np
 from .brackets import ensure_lie
 from .errors import ZeroBracket
 
-SYM_TOL = 1e-10
-
 
 def coeff_moment(c):
     """M = -1/2 C1 C1^T + 1/4 C2^T C2 of raw coefficients c, so tr M = -||c||^2 / 4."""
-    n = c.shape[0]
-    c1 = c.reshape(n, n * n)
-    c2 = c.reshape(n * n, n)
-    return -0.5 * (c1 @ c1.T) + 0.25 * (c2.T @ c2)
+    n = c.shape[-1]
+    c1 = c.reshape(c.shape[:-2] + (n * n,))
+    c2 = c.reshape(c.shape[:-3] + (n * n, n))
+    return -0.5 * (c1 @ c1.mT) + 0.25 * (c2.mT @ c2)
 
 
 def coeff_parts(c):
@@ -36,20 +36,20 @@ def coeff_parts(c):
     K[p, q] = sum c[p, a, b] c[q, b, a] = tr(ad e_p ad e_q), H[p] = tr ad e_p,
     and Ric = Ric* - sym(ad H) with ad H built transposed as H C1.
     """
-    n = c.shape[0]
-    c1 = c.reshape(n, n * n)
+    c1 = c.reshape(c.shape[:-2] + (-1,))
     m_part = coeff_moment(c)
-    k = c1 @ np.swapaxes(c, 1, 2).reshape(n, n * n).T
-    h = np.trace(c, axis1=1, axis2=2)
+    k = c1 @ c.mT.reshape(c1.shape).mT
+    h = c.trace(axis1=-2, axis2=-1)
     ric_star = m_part - 0.5 * k
-    ad_h_t = (h @ c1).reshape(n, n)
-    ric = ric_star - 0.5 * (ad_h_t + ad_h_t.T)
+    ad_h_t = np.vecmat(h, c1).reshape(m_part.shape)
+    ric = ric_star - 0.5 * (ad_h_t + ad_h_t.mT)
     return m_part, k, h, ric, ric_star
 
 
 def coeff_scal_star(c):
     """scal* = tr M - tr K / 2 = -||c||^2 / 4 - 1/2 sum c[p, j, i] c[p, i, j]."""
-    return -0.25 * float(np.vdot(c, c)) - 0.5 * float(np.vdot(c, np.swapaxes(c, 1, 2)))
+    flat = c.reshape(c.shape[:-3] + (-1,))
+    return -0.25 * np.vecdot(flat, flat) - 0.5 * np.vecdot(flat, c.mT.reshape(flat.shape))
 
 
 def moment_map_fast(mu):
@@ -138,7 +138,7 @@ def ricci_star(mu):
 
 
 def scal_star(mu):
-    return coeff_scal_star(mu.coeffs)
+    return float(coeff_scal_star(mu.coeffs))
 
 
 def scalstar_first_variation(mu, a):

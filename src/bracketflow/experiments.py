@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .brackets import act
-from .errors import NonConvergence, NotSolvable
+from .errors import GaugeMismatch, NonConvergence, NotSolvable
 from .flows import (
     FlowSpec,
     Variant,
@@ -82,7 +82,9 @@ def run_uniqueness_experiment(
         mu0 = act(h0, entry.bracket)
         gauge = check_gauged(mu0, label)
         if not gauge.in_nonneg:
-            raise AssertionError("parabolic gauge left the nonnegative grading")
+            raise GaugeMismatch(
+                f"parabolic gauge left V>=0: negative-component norm {gauge.neg_norm:.3e}"
+            )
         traj = integrate(
             mu0,
             FlowSpec(

@@ -13,9 +13,10 @@ samples on the recording grid that fall inside an accepted step come from
 the DP5 continuous extension (dense output) of that step's seven stages.
 The stepper works on raw coefficient arrays through the kernels of
 `curvature` and `brackets`; only a recorded sample is validated as a
-BracketTensor.  Each recorded sample carries the monitor quantities used by
-the convergence and collapse criteria; its curvature pack is recomputed on
-demand.
+BracketTensor.  The grid samples of one step are validated and monitored as
+one stack, then appended in time order.  Each recorded sample carries the
+monitor quantities used by the convergence and collapse criteria; its
+curvature pack is recomputed on demand.
 
 Gauged, scalstar and scal runs also carry the gauge h' = -A(mu) h, h(0) = Id,
 for two coefficients: "variant", the A driving the field (so that
@@ -33,7 +34,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import expm
 
-from .brackets import BracketTensor, ensure_lie, jacobi_norm, pi_apply
+from .brackets import BracketTensor, bracket_stack, ensure_lie, jacobi_norm, pi_apply
 from .curvature import coeff_parts, coeff_scal_star, curvature_pack
 from .errors import GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
@@ -149,20 +150,24 @@ _DP_DENSE = np.array((
 ))
 
 
-def _dense_weights(theta):
-    """The continuous-extension weights b(theta), so y(theta) = y + h b(theta) @ k."""
-    return _DP_DENSE @ np.cumprod(np.full(4, theta))
+def _dense_weights(thetas):
+    """The continuous-extension weights b(theta), one row (7,) per theta of thetas (B,),
+    so y(theta) = y + h b(theta) @ k."""
+    powers = np.cumprod(np.repeat(thetas[:, None], 4, axis=1), axis=1)
+    return (powers[:, None, :] @ _DP_DENSE.T)[:, 0]
 
 
 def _endomorphisms(ric, ric_star, variant, dec):
     """The endomorphism A driving mu' = -pi(A)mu, from Ric and Ric*.
 
     Returns (A, R) with R = Ric + ||Ric*||^2 Id, the coefficient of the "ricci"
-    gauge; R is None on raw runs.
+    gauge; R is None on raw runs.  Stacks (..., n, n) of Ric and Ric* give
+    stacks of A and R.
     """
     if variant == Variant.RAW:
         return ric, None
-    shift = float(np.vdot(ric_star, ric_star))
+    flat = ric_star.reshape(ric_star.shape[:-2] + (-1,))
+    shift = np.vecdot(flat, flat)
     a = project_qbeta(ric_star, dec)
     if variant == Variant.SCALSTAR:
         a = _plus_identity(a, shift)
@@ -170,9 +175,13 @@ def _endomorphisms(ric, ric_star, variant, dec):
 
 
 def _plus_identity(m, s):
-    """m + s Id, adding s on the diagonal of a copy."""
+    """m + s Id, adding s on the diagonal of a copy; a stack m (B, n, n) takes s (B,)."""
     out = m.copy()
-    out.flat[:: len(m) + 1] += s
+    n = m.shape[-1]
+    if m.ndim == 2:
+        out.flat[:: n + 1] += s
+    else:
+        out.reshape(len(m), n * n)[:, :: n + 1] += s[:, None]
     return out
 
 
@@ -208,20 +217,25 @@ def _dp_step(stage, y, h, first):
     return yi, h * (_DP_E @ k).reshape(y.shape), k, stages
 
 
-def _magnus_step(gauge, a_stages, weights, d, span, a_end):
-    """Advance h' = -A h from a step's start over span = theta d, 0 < theta <= 1.
+def _magnus_step(gauges, a_stages, weights, d, spans, a_ends):
+    """Advance h' = -A h from a step's start over spans = theta d, 0 < theta <= 1.
 
-    4th-order Magnus step (Iserles & Norsett 1999): the quadrature
-    d weights @ a_stages of the integral of A over the span, with the stage
-    values a_stages (7, n, n) of a step of size d, plus the end-point
-    commutator term (span^2/12)[A(end), A(start)].  The whole step uses
-    weights _DP_B5 and a_end = a_stages[-1]; a partial span uses
-    _dense_weights(theta).  Exact when A is constant.
+    4th-order Magnus step (Iserles & Norsett 1999) for G gauges at once:
+    gauges (G, n, n) are h at the step's start and a_stages (G, 7, n, n) the
+    stage values of A in a step of size d.  Each of the B spans (B,) takes the
+    quadrature d weights[b] @ a_stages of the integral of A over it, with
+    weights (B, 7), plus the end-point commutator term
+    (span^2/12)[A(end), A(start)], with A(end) from a_ends (G, B, n, n).  The
+    whole step uses weights _DP_B5 and A(end) = a_stages[:, -1]; a partial
+    span uses _dense_weights(theta).  Exact when A is constant.  Returns the
+    (G, B, n, n) gauges at the ends of the spans, from one expm call.
     """
-    a_first = a_stages[0]
-    omega = -d * (weights @ a_stages.reshape(len(a_stages), -1)).reshape(a_first.shape)
-    omega += (span * span / 12.0) * (a_end @ a_first - a_first @ a_end)
-    return expm(omega) @ gauge
+    g, _, n, _ = a_stages.shape
+    a_first = a_stages[:, :1]
+    integral = weights[:, None, :] @ a_stages.reshape(g, 1, 7, n * n)
+    omega = -d * integral.reshape(g, len(spans), n, n)
+    omega += (spans * spans / 12.0)[:, None, None] * (a_ends @ a_first - a_first @ a_ends)
+    return expm(omega) @ gauges[:, None]
 
 
 def _error_norm(err, y_old, y_new, rel_tol, abs_tol):
@@ -229,26 +243,82 @@ def _error_norm(err, y_old, y_new, rel_tol, abs_tol):
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _monitors(t, mu, pack, label, field_norm, drift=float("nan")):
+def _sample_stack(ts, cs, variant, dec, label):
+    """The samples of the states cs (B, n, n, n) at times ts, from one pass over the stack.
+
+    Scalstar states may sit up to drift_tol/2 off the scal* = -1 slice between
+    renormalizations; the monitors are defined on the slice, so each one is
+    renormalized exactly here while its drift is kept.  Returns the list of
+    _samples and the endomorphisms (A, R) of _endomorphisms at the states.
+    """
+    drift = [float("nan")] * len(ts)
+    if variant == Variant.SCALSTAR:
+        s = coeff_scal_star(cs).tolist()
+        drift = [abs(v + 1.0) for v in s]
+        cs = cs * np.array([abs(v) ** -0.5 for v in s])[:, None, None, None]
+    coeffs, norm_sq, brackets = bracket_stack(cs)
+    _, _, _, ric, ric_star = coeff_parts(coeffs)
+    ends = _endomorphisms(ric, ric_star, variant, dec)
+    field = pi_apply(ends[0], cs).reshape(len(ts), -1)
+    fnorm = np.sqrt(np.vecdot(field, field)).tolist()
+    samples = _samples(ts, brackets, norm_sq, ric, ric_star, label, fnorm, drift)
+    return samples, ends
+
+
+def _samples(ts, brackets, norm_sq, ric, ric_star, label, field_norm, drift):
+    """FlowSample(ts[j], brackets[j], its Monitors) for each entry of bracket_stack.
+
+    The stacked sums over Ric and Ric* come from one pass; the monitors are
+    then formed per sample.  An exception in brackets stays in its place for
+    the caller to raise.
+    """
+    b = len(ts)
+    ric_flat = ric.reshape(b, -1)
+    ric_norm = np.sqrt(np.vecdot(ric_flat, ric_flat)).tolist()
+    nan = float("nan")
+    rstar, beta_sq = [(nan, nan, nan)] * b, nan
     if label is not None:
-        beta = label.beta
-        rstar_beta = float(np.sum(pack.RicStar * beta))
-        rstar_sq = float(np.sum(pack.RicStar * pack.RicStar))
-        f = rstar_sq - rstar_beta
-        lyap = rstar_sq + pack.scalStar * rstar_beta
-        cs = rstar_beta - abs(pack.scalStar) * label.norm_sq
-    else:
-        f = lyap = cs = float("nan")
-    return Monitors(
-        f=f,
-        lyapunov=lyap,
-        cs=cs,
-        type3=t * pack.normSq,
-        ric_bound=t * float(np.linalg.norm(pack.Ric)),
-        jacobi=mu.jacobi_residual(),
-        field_norm=field_norm,
-        drift=drift,
-    )
+        beta_sq = label.norm_sq
+        rstar = zip(
+            (ric_star * label.beta).reshape(b, -1).sum(axis=1).tolist(),
+            (ric_star * ric_star).reshape(b, -1).sum(axis=1).tolist(),
+            ric_star.trace(axis1=-2, axis2=-1).tolist(),
+        )
+    out = []
+    for t, mu, sq, (rstar_beta, rstar_sq, scal_star), bound, fnorm, drift_j in zip(
+        ts, brackets, norm_sq.tolist(), rstar, ric_norm, field_norm, drift
+    ):
+        if isinstance(mu, Exception):
+            out.append(mu)
+            continue
+        monitors = Monitors(
+            f=rstar_sq - rstar_beta,
+            lyapunov=rstar_sq + scal_star * rstar_beta,
+            cs=rstar_beta - abs(scal_star) * beta_sq,
+            type3=t * sq,
+            ric_bound=t * bound,
+            jacobi=mu.jacobi_residual(),
+            field_norm=fnorm,
+            drift=drift_j,
+        )
+        out.append(FlowSample(t, mu, monitors))
+    return out
+
+
+def _append(traj, samples, conv_tol):
+    """Append _samples in time order until the run converges.
+
+    An exception in samples is raised when it is reached, so only the samples
+    before it are appended.  conv_tol <= 0 checks no convergence.  Returns the
+    number appended and whether the run converged at the last of them.
+    """
+    for count, sample in enumerate(samples, start=1):
+        if isinstance(sample, Exception):
+            raise sample
+        traj.samples.append(sample)
+        if _converged(traj, conv_tol):
+            return count, True
+    return len(samples), False
 
 
 def integrate(mu0, spec):
@@ -256,7 +326,8 @@ def integrate(mu0, spec):
 
     Samples are taken at the multiples of spec.record_every up to spec.t_end,
     and at t_end itself; a grid time inside an accepted step is read off the
-    step's continuous extension, so the grid does not shorten steps.
+    step's continuous extension, so the grid does not shorten steps.  The grid
+    times of one step are sampled as one stack.
     """
     if not (math.isfinite(spec.record_every) and spec.record_every > 0.0):
         raise OutOfRange(f"record_every = {spec.record_every} must be positive and finite")
@@ -289,30 +360,12 @@ def integrate(mu0, spec):
         a, a_ricci = _field_endomorphism(c, core_variant, dec)
         return -pi_apply(a, c), (a, a_ricci)
 
-    # gauges[g] is h for GAUGE_COEFFICIENTS[g]; rows[g] collects it per sample.
-    gauges = [np.eye(mu0.dim) for _ in GAUGE_COEFFICIENTS] if dec is not None else []
-    rows = [[] for _ in gauges]
-
-    def record(t_now, c, gauges_at=None):
-        # The live state may sit up to drift_tol/2 off the scal* = -1 slice
-        # between renormalizations; the monitors are defined on the slice, so
-        # snapshots are renormalized exactly while the drift itself is kept.
-        # gauges_at maps the sample's gauge coefficients to its gauges; by
-        # default the sample sits at the end of the last step.
-        drift = float("nan")
-        if core_variant == Variant.SCALSTAR:
-            s = coeff_scal_star(c)
-            drift = abs(s + 1.0)
-            c = c * abs(s) ** -0.5
-        mu = BracketTensor(c)
-        pack = curvature_pack(mu)
-        ends = _endomorphisms(pack.Ric, pack.RicStar, core_variant, dec)
-        fnorm = float(np.linalg.norm(pi_apply(ends[0], c)))
-        traj.samples.append(FlowSample(t_now, mu, _monitors(t_now, mu, pack, label, fnorm, drift)))
-        for row, g in zip(rows, gauges if gauges_at is None else gauges_at(ends)):
-            row.append(g)
-
-    record(0.0, y)
+    # gauges[g] is h for GAUGE_COEFFICIENTS[g]; rows holds the (G, n, n)
+    # gauges of each recorded sample.  The seed is a stack of one.
+    gauged = dec is not None
+    gauges = np.array([np.eye(mu0.dim)] * len(GAUGE_COEFFICIENTS))
+    _append(traj, _sample_stack([0.0], y[None], core_variant, dec, label)[0], 0.0)
+    rows = [gauges]
     grid_index = 1  # the next sample on the grid is at grid_index * record_every
     h = min(1e-3, spec.t_end)
     err_prev = 1.0
@@ -339,8 +392,10 @@ def integrate(mu0, spec):
                 t = spec.t_end
             y = y_new
             first = stages[-1]
-            a_stages = [np.stack([s[1][g] for s in stages]) for g in range(len(gauges))]
-            gauges = [_magnus_step(g, a, _DP_B5, h, h, a[-1]) for g, a in zip(gauges, a_stages)]
+            if gauged:
+                a_stages = np.stack([s[1] for s in stages], axis=1)
+                gauges = _magnus_step(gauges, a_stages, _DP_B5[None], h, np.array([h]),
+                                      a_stages[:, -1:])[:, 0]
             if core_variant == Variant.SCALSTAR:
                 y, bumped = _renormalize_scalstar(y, only_if_drifted=True)
                 renorms += int(bumped)
@@ -354,23 +409,35 @@ def integrate(mu0, spec):
             if norm > cap:
                 traj.termination = Termination.DIVERGED
                 break
-            # Every grid time in (t_old, t]: the step end itself, or a point of
+            # Every grid time in (t_old, t], as one stack: first the points of
             # the continuous extension from y_old (on scalstar runs, the
-            # renormalized state) to y5, with its gauges by a partial Magnus step.
-            while (t_rec := grid_index * spec.record_every) <= t + 1e-12 * max(1.0, t):
+            # renormalized state) to y5, then any at the step end itself.
+            ts, thetas = [], []
+            while (t_rec := (grid_index + len(ts)) * spec.record_every) <= t + 1e-12 * max(1.0, t):
                 if t - t_rec <= 1e-12 * max(1.0, t_rec):
-                    record(min(t_rec, spec.t_end), y)
+                    ts.append(min(t_rec, spec.t_end))
                 else:
-                    theta = (t_rec - t_old) / h
-                    b = _dense_weights(theta)
-                    record(t_rec, y_old + h * (b @ k).reshape(y.shape), lambda ends: [
-                        _magnus_step(g, a, b, h, theta * h, e)
-                        for g, a, e in zip(gauges_old, a_stages, ends)
-                    ])
-                grid_index += 1
-                converged = _converged(traj, spec.conv_tol)
-                if converged:
-                    break
+                    ts.append(t_rec)
+                    thetas.append((t_rec - t_old) / h)
+            if ts:
+                n_dense = len(thetas)
+                thetas = np.array(thetas)
+                weights = _dense_weights(thetas)
+                cs = np.empty((len(ts), *y.shape))
+                cs[:n_dense] = y_old + h * (weights[:, None, :] @ k)[:, 0].reshape(-1, *y.shape)
+                cs[n_dense:] = y
+                samples, ends = _sample_stack(ts, cs, core_variant, dec, label)
+                count, converged = _append(traj, samples, spec.conv_tol)
+                grid_index += count
+                if gauged:
+                    # The dense samples' gauges by partial Magnus steps from
+                    # the step's start; samples at the step end take its gauges.
+                    m = min(count, n_dense)
+                    if m:
+                        dense = _magnus_step(gauges_old, a_stages, weights[:m], h, thetas[:m] * h,
+                                             np.stack(ends)[:, :m])
+                        rows += [dense[:, j] for j in range(m)]
+                    rows += [gauges] * (count - m)
             if converged:
                 traj.termination = Termination.CONVERGED
                 break
@@ -383,10 +450,13 @@ def integrate(mu0, spec):
         traj.termination = Termination.REACHED_T_END
 
     if not converged and abs(traj.samples[-1].t - t) > 1e-12 * max(1.0, t):
-        record(t, y)
+        _append(traj, _sample_stack([t], y[None], core_variant, dec, label)[0], 0.0)
+        rows.append(gauges)
     traj.steps = steps
     traj.renormalizations = renorms
-    traj.gauges = {name: np.stack(row) for name, row in zip(GAUGE_COEFFICIENTS, rows)}
+    if gauged:
+        stacked = np.stack(rows, axis=1)
+        traj.gauges = dict(zip(GAUGE_COEFFICIENTS, stacked))
     if variant == Variant.SCAL:
         _rescale_to_scal(traj)
     return traj
@@ -414,22 +484,27 @@ def _rescale_to_scal(traj):
     """Convert a scalstar trajectory into the scal-normalized family in place.
 
     mu(t) is scaled by |scal(t)|^-1/2, so the "variant" gauge is scaled by
-    sqrt(|scal(t)| / |scal(0)|) to keep h(t).mu(0) = mu(t).
+    sqrt(|scal(t)| / |scal(0)|) to keep h(t).mu(0) = mu(t).  The samples are
+    rescaled as one stack and keep their field norms and drifts.
     """
-    scal0 = abs(traj.samples[0].pack.scal)
-    factors = []
-    for i, s in enumerate(traj.samples):
-        old = s.pack
-        if abs(old.scal) < 1e-12 * (1.0 + old.normSq):
-            raise OutOfRange(f"scal = {old.scal:.3e} at t = {s.t}; cannot rescale")
-        factors.append(math.sqrt(abs(old.scal) / scal0))
-        mu = s.bracket.scaled(abs(old.scal) ** -0.5)
-        pack = curvature_pack(mu)
-        traj.samples[i] = FlowSample(
-            s.t,
-            mu,
-            _monitors(s.t, mu, pack, traj.label, s.monitors.field_norm, s.monitors.drift),
-        )
+    old = np.array([s.bracket.coeffs for s in traj.samples])
+    norm_sq = (old * old).reshape(len(old), -1).sum(axis=1).tolist()
+    scal = coeff_parts(old)[3].trace(axis1=-2, axis2=-1).tolist()
+    # A zero scal raises below before its scale is used.
+    scales = np.array([abs(v) ** -0.5 if v else 1.0 for v in scal])
+    coeffs, new_sq, brackets = bracket_stack(old * scales[:, None, None, None])
+    _, _, _, ric, ric_star = coeff_parts(coeffs)
+    ts = [s.t for s in traj.samples]
+    field_norm = [s.monitors.field_norm for s in traj.samples]
+    drift = [s.monitors.drift for s in traj.samples]
+    samples = _samples(ts, brackets, new_sq, ric, ric_star, traj.label, field_norm, drift)
+    for i, (t, sample) in enumerate(zip(ts, samples)):
+        if abs(scal[i]) < 1e-12 * (1.0 + norm_sq[i]):
+            raise OutOfRange(f"scal = {scal[i]:.3e} at t = {t}; cannot rescale")
+        if isinstance(sample, Exception):
+            raise sample
+        traj.samples[i] = sample
+    factors = [math.sqrt(abs(v) / abs(scal[0])) for v in scal]
     traj.gauges["variant"] = traj.gauges["variant"] * np.array(factors)[:, None, None]
 
 

@@ -267,9 +267,10 @@ def project_qbeta(a, dec):
     """Projection onto q_beta = g_beta + u_beta along {A - A^t : A in u_beta}.
 
     For symmetric input this is A_g + 2 A_u, with norm between ||A|| and 2||A||.
+    A stack (..., n, n) is projected slice by slice.
     """
     a = np.asarray(a, dtype=float)
-    return a * dec.mask_g + a * dec.mask_u + (a * dec.mask_ut).T
+    return a * dec.mask_g + a * dec.mask_u + (a * dec.mask_ut).mT
 
 
 @dataclass

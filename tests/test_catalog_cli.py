@@ -12,8 +12,9 @@ from bracketflow import (
     soliton_residual,
 )
 from bracketflow.catalog import random_solvable_bracket
-from bracketflow.cli import main
-from bracketflow.errors import ParamOutOfRange, UnknownName
+from bracketflow import experiments
+from bracketflow.cli import EXIT_VALIDATION, main
+from bracketflow.errors import GaugeMismatch, ParamOutOfRange, UnknownName
 from bracketflow.experiments import run_collapse_experiment, run_uniqueness_experiment
 from bracketflow.brackets import is_solvable
 
@@ -118,6 +119,19 @@ class TestExperiments:
         assert all(report.converged)
         assert report.max_fingerprint_distance <= 1e-4
         assert max(report.soliton_residuals) <= 1e-5
+
+    def test_uniqueness_gauge_off_parabolic_is_a_gauge_mismatch(self, monkeypatch, capsys):
+        # An upper unitriangular gauge is not in Q_beta for s3's label and
+        # moves the seed bracket off V>=0.
+        def off_parabolic(rng, dec):
+            return np.eye(dec.dim) + 0.5 * np.triu(np.ones((dec.dim, dec.dim)), 1)
+
+        monkeypatch.setattr(experiments, "random_parabolic_gauge", off_parabolic)
+        with pytest.raises(GaugeMismatch, match="negative-component norm 1.620e"):
+            run_uniqueness_experiment(catalog("s3"), seeds=1, t_end=1.0)
+        code = main(["uniqueness", "--catalog", "s3", "--seeds", "1", "--t-end", "1"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: parabolic gauge left V>=0")
 
     def test_collapse_verdicts(self):
         assert run_collapse_experiment(catalog("h3"), t_end=50.0).non_collapsed

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -22,9 +24,18 @@ from bracketflow import (
     soliton_residual,
     stratum_label,
 )
+from bracketflow import curvature, flows
+from bracketflow.catalog import random_antisymmetric_bracket
 from bracketflow.curvature import curvature_parts
-from bracketflow.errors import GaugeMismatch, OutOfRange
-from bracketflow.flows import flow_field
+from bracketflow.errors import GaugeMismatch, NotALieBracket, OutOfRange
+from bracketflow.flows import (
+    CONV_TOL,
+    CONV_WINDOW,
+    FlowTrajectory,
+    _append,
+    _sample_stack,
+    flow_field,
+)
 from bracketflow.strata import beta_decomposition
 
 
@@ -528,6 +539,85 @@ class TestDenseOutput:
         mu0 = traj.samples[0].bracket
         for h, s in zip(path.mats, traj.samples):
             assert np.linalg.norm(act(h, mu0).coeffs - s.bracket.coeffs) <= 1e-8
+
+
+def _same_sample(got, want):
+    """Bit equality of two FlowSamples: time, bracket, cached Jacobi and monitors."""
+    assert got.t == want.t
+    assert np.array_equal(got.bracket.coeffs, want.bracket.coeffs)
+    assert got.bracket.jacobi_residual() == want.bracket.jacobi_residual()
+    values = [np.array(dataclasses.astuple(s.monitors)).tobytes() for s in (got, want)]
+    assert values[0] == values[1]
+
+
+class TestStackSampler:
+    """A step's grid samples are recorded as one stack (flows._sample_stack)."""
+
+    @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
+    def test_stack_equals_each_slice_alone(self, mu_s3, s3_label, variant):
+        label = None if variant == Variant.RAW else s3_label
+        dec = None if label is None else beta_decomposition(label)
+        spec = FlowSpec(variant=variant, t_end=5.0, label=label, record_every=0.5)
+        traj = integrate(mu_s3, spec)
+        ts = [s.t for s in traj.samples]
+        # Off the scal* = -1 slice and off antisymmetry by round-off, as
+        # integrator states are between renormalizations.
+        rng = np.random.default_rng(3)
+        cs = np.stack([s.bracket.coeffs for s in traj.samples])
+        cs = cs * np.linspace(1.0, 1.001, len(ts))[:, None, None, None]
+        cs += 1e-16 * rng.standard_normal(cs.shape)
+        stacked, ends = _sample_stack(ts, cs, variant, dec, label)
+        for j in range(len(ts)):
+            alone, ends_j = _sample_stack(ts[j : j + 1], cs[j : j + 1], variant, dec, label)
+            _same_sample(stacked[j], alone[0])
+            for got, want in zip(ends, ends_j):
+                assert (got is None and want is None) or np.array_equal(got[j], want[0])
+
+    def test_failed_middle_sample_raises_when_reached(self, mu_s3):
+        bad = random_antisymmetric_bracket(np.random.default_rng(1), 3).coeffs
+        cs = np.stack([mu_s3.coeffs, bad, mu_s3.coeffs])
+        samples, _ = _sample_stack([0.0, 1.0, 2.0], cs, Variant.RAW, None, None)
+        traj = FlowTrajectory(Variant.RAW, None)
+        with pytest.raises(NotALieBracket) as got:
+            _append(traj, samples, CONV_TOL)
+        assert [s.t for s in traj.samples] == [0.0]
+        with pytest.raises(NotALieBracket) as want:
+            curvature_pack(BracketTensor(bad))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("j", [0, 4, 9])
+    def test_stack_converging_at_sample_j_appends_j_plus_one(self, hyp_norm, hyp_label, j):
+        # Every state of the fixed point meets conv_tol, so the run converges
+        # at the sample that fills the window.
+        dec = beta_decomposition(hyp_label)
+
+        def stack(count):
+            cs = np.stack([hyp_norm.coeffs] * count)
+            return _sample_stack([0.0] * count, cs, Variant.SCALSTAR, dec, hyp_label)[0]
+
+        traj = FlowTrajectory(Variant.SCALSTAR, hyp_label)
+        before = CONV_WINDOW - 1 - j
+        if before:
+            assert _append(traj, stack(before), CONV_TOL) == (before, False)
+        assert _append(traj, stack(12), CONV_TOL) == (j + 1, True)
+        assert len(traj.samples) == CONV_WINDOW
+
+    def test_one_curvature_pass_per_stack(self, monkeypatch, mu_e2):
+        # e2's raw flow to t = 200 takes 9 steps for 201 grid samples: six new
+        # stages a step, the first stage, and one pass per recorded stack.
+        calls = []
+        parts = curvature.coeff_parts
+
+        def counting(c):
+            calls.append(c.shape)
+            return parts(c)
+
+        monkeypatch.setattr(curvature, "coeff_parts", counting)
+        monkeypatch.setattr(flows, "coeff_parts", counting)
+        spec = FlowSpec(variant=Variant.RAW, t_end=200.0, record_every=1.0, conv_tol=0.0)
+        traj = integrate(mu_e2, spec)
+        assert (traj.steps, len(traj.samples)) == (9, 201)
+        assert len(calls) <= 7 * traj.steps + 3
 
 
 class TestFlowSpecValidation:

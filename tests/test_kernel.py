@@ -26,15 +26,22 @@ from bracketflow import (
     pi_action,
     stratum_label,
 )
-from bracketflow.brackets import DIM_CAP, derivation_matrix, jacobi_norm, pi_apply
+from bracketflow.brackets import (
+    DIM_CAP,
+    bracket_stack,
+    derivation_matrix,
+    ensure_lie,
+    jacobi_norm,
+    pi_apply,
+)
 from bracketflow.catalog import (
     almost_abelian,
     random_antisymmetric_bracket,
     random_solvable_bracket,
     random_two_step_nilpotent,
 )
-from bracketflow.curvature import coeff_parts, coeff_scal_star
-from bracketflow.errors import SingularGauge
+from bracketflow.curvature import coeff_moment, coeff_parts, coeff_scal_star
+from bracketflow.errors import NotALieBracket, SingularGauge
 from bracketflow.linalg import RANK_TOL, null_space, subspace_distance
 
 from oracles import null_space_full_svd, oracle_ricci, pi_matrix
@@ -164,6 +171,58 @@ class TestKernelProperties:
         _assert_close(coeff_scal_star(mu.coeffs), np.trace(einsum_parts(mu.coeffs)[4]), mu)
 
 
+class TestStackedKernels:
+    """A stack (B, n, n, n) is one more input: each slice of a stacked call
+    equals the one-state call bit for bit."""
+
+    @pytest.mark.parametrize("dim", range(1, DIM_CAP + 1))
+    def test_each_slice_equals_the_single_call(self, dim):
+        rng = np.random.default_rng(dim)
+        for count in (1, int(rng.integers(2, 13))):
+            cs = np.stack([
+                random_antisymmetric_bracket(rng, dim, scale=rng.uniform(0.1, 10.0)).coeffs
+                for _ in range(count)
+            ])
+            a = rng.standard_normal((count, dim, dim))
+            parts, moment = coeff_parts(cs), coeff_moment(cs)
+            scal, jac, pis = coeff_scal_star(cs), jacobi_norm(cs), pi_apply(a, cs)
+            for j, c in enumerate(cs):
+                for got, want in zip(parts, coeff_parts(c)):
+                    assert np.array_equal(got[j], want)
+                assert np.array_equal(moment[j], coeff_moment(c))
+                assert scal[j] == coeff_scal_star(c)
+                assert jac[j] == jacobi_norm(c)
+                assert np.array_equal(pis[j], pi_apply(a[j], c))
+
+    def test_bracket_stack_checks_each_slice_as_bracket_tensor(self):
+        lie = catalog("s3").bracket.coeffs
+        not_lie = random_antisymmetric_bracket(np.random.default_rng(5), 3).coeffs
+        tilted = lie.copy()
+        tilted[0, 1, 2] += 1e-14  # projected onto its antisymmetric part
+        skew = lie.copy()
+        skew[0, 1, 2] += 1e-3
+        nan = lie.copy()
+        nan[1, 2, 0] = np.nan
+        cs = np.stack([lie, not_lie, tilted, skew, nan])
+        coeffs, norm_sq, items = bracket_stack(cs)
+        assert not coeffs.flags.writeable
+        kinds = []
+        for c, sq, got in zip(cs, norm_sq, items):
+            try:
+                want = BracketTensor(c)
+                ensure_lie(want)
+            except (ValueError, NotALieBracket) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                kinds.append(type(exc))
+                continue
+            assert np.array_equal(got.coeffs, want.coeffs) and not got.coeffs.flags.writeable
+            assert got.jacobi_residual() == want.jacobi_residual()
+            assert sq == want.norm_sq
+            kinds.append(BracketTensor)
+        assert kinds == [BracketTensor, NotALieBracket, BracketTensor, ValueError, ValueError]
+        assert not np.array_equal(items[2].coeffs, tilted)
+
+
 @pytest.mark.parametrize("dim", [1, 3, 7])
 def test_zero_bracket_derivations_equal_null_space(dim):
     # The shortcut must return the very basis the null space gives, so that
@@ -255,8 +314,8 @@ def test_act_equals_einsum_planned_per_call(dim):
 
 
 def test_stepper_builds_no_bracket_tensor(monkeypatch):
-    # Only record() validates its sample; stage states, the scal*
-    # renormalization and the per-step Jacobi check stay on raw arrays.
+    # Only the sampler validates its samples, as one stack; stage states, the
+    # scal* renormalization and the per-step Jacobi check stay on raw arrays.
     mu0 = catalog("s3").bracket
     label = stratum_label(mu0)
     spec = FlowSpec(variant=Variant.SCALSTAR, t_end=10.0, label=label, record_every=0.25)
