@@ -28,9 +28,7 @@ from .curvature import (
     CurvaturePack,
     curvature_pack,
     killing_matrix,
-    mean_curvature,
     moment_map_fast,
-    scalstar_first_variation,
 )
 from .errors import BracketFlowError
 from .experiments import run_collapse_experiment, run_uniqueness_experiment
@@ -115,7 +113,6 @@ __all__ = [
     "l_operator",
     "label_from_beta",
     "load_bracket",
-    "mean_curvature",
     "moment_map_fast",
     "nilradical",
     "normalize_soliton",
@@ -131,7 +128,6 @@ __all__ = [
     "same_label",
     "same_orbit_on",
     "save_bracket",
-    "scalstar_first_variation",
     "sigma_a",
     "soliton_label",
     "soliton_residual",

@@ -173,9 +173,3 @@ def random_solvable_bracket(rng, dim, gauge_scale=0.3):
     mu = BracketTensor(c)
     h = sla.expm(gauge_scale * rng.standard_normal((dim, dim)))
     return act(h, mu)
-
-
-def random_antisymmetric_bracket(rng, dim, scale=1.0):
-    """Random antisymmetric tensor; generally not a Lie bracket."""
-    c = scale * rng.standard_normal((dim, dim, dim))
-    return BracketTensor(0.5 * (c - np.swapaxes(c, 0, 1)))

@@ -68,11 +68,6 @@ def killing_matrix(mu):
     return coeff_parts(mu.coeffs)[1]
 
 
-def mean_curvature(mu):
-    """Vector H with <H, X> = tr ad X."""
-    return coeff_parts(mu.coeffs)[2]
-
-
 @dataclass(frozen=True, slots=True)
 class CurvaturePack:
     """All Ricci-level curvature data of one bracket."""
@@ -139,8 +134,3 @@ def ricci_star(mu):
 
 def scal_star(mu):
     return float(coeff_scal_star(mu.coeffs))
-
-
-def scalstar_first_variation(mu, a):
-    """First variation of scal* along exp(tA).mu at t = 0: equals -2 <Ric*, A>."""
-    return -2.0 * float(np.sum(ricci_star(mu) * np.asarray(a, dtype=float)))

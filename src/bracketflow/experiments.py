@@ -6,12 +6,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from .brackets import act
-from .errors import GaugeMismatch, NonConvergence, NotSolvable
+from .errors import GaugeMismatch, NonConvergence, NotSolvable, OutOfRange, SingularGauge
 from .flows import (
     FlowSpec,
     Variant,
     detect_soliton_convergence,
     integrate,
+    integrate_stack,
 )
 from .solitons import fingerprint, fingerprint_distance, soliton_residual
 from .spectral import AlgebraType, classify_type
@@ -67,37 +68,41 @@ def run_uniqueness_experiment(
     """Flow several random parabolic gauges of one group and compare limits.
 
     Each seed bracket is act(h0, mu) for a random h0 in Q_beta; all limits
-    are fingerprinted and the maximal pairwise distance is reported.
+    are fingerprinted and the maximal pairwise distance is reported.  The
+    gauges are drawn in order until one is singular or leaves V>=0, and the
+    ones before it are flowed as one stack by integrate_stack.  The error
+    raised is the one a loop flowing each gauge right after drawing it raises
+    first: the lowest-index flow error, else the error of the gauge that
+    stopped the draws.
     """
+    if seeds < 1:
+        raise OutOfRange(f"seeds = {seeds} must be at least 1")
     kind = classify_type(entry.bracket).kind
     if kind not in (AlgebraType.REAL, AlgebraType.NILPOTENT):
         raise NotSolvable(f"uniqueness experiment requires real type, got {kind.value}")
     label = stratum_label(entry.bracket)
     dec = beta_decomposition(label)
     rng = np.random.default_rng(seed)
-    results = []
-    failing = []
-    for idx in range(seeds):
-        h0 = random_parabolic_gauge(rng, dec)
-        mu0 = act(h0, entry.bracket)
+    mu0s, bad_gauge = [], None
+    for _ in range(seeds):
+        try:
+            mu0 = act(random_parabolic_gauge(rng, dec), entry.bracket)
+        except SingularGauge as exc:
+            bad_gauge = exc
+            break
         gauge = check_gauged(mu0, label)
         if not gauge.in_nonneg:
-            raise GaugeMismatch(
+            bad_gauge = GaugeMismatch(
                 f"parabolic gauge left V>=0: negative-component norm {gauge.neg_norm:.3e}"
             )
-        traj = integrate(
-            mu0,
-            FlowSpec(
-                variant=Variant.SCALSTAR,
-                t_end=t_end,
-                label=label,
-                record_every=record_every,
-            ),
-        )
-        det = detect_soliton_convergence(traj, f_tol=f_tol)
-        if not det.converged:
-            failing.append(idx)
-        results.append((traj, det))
+            break
+        mu0s.append(mu0)
+    spec = FlowSpec(variant=Variant.SCALSTAR, t_end=t_end, label=label, record_every=record_every)
+    trajs = integrate_stack(mu0s, spec) if mu0s else []
+    if bad_gauge is not None:
+        raise bad_gauge
+    results = [(traj, detect_soliton_convergence(traj, f_tol=f_tol)) for traj in trajs]
+    failing = [idx for idx, (_, det) in enumerate(results) if not det.converged]
     if failing and require_convergence:
         raise NonConvergence(
             f"seeds {failing} did not converge by t = {t_end}", failing_seeds=failing
@@ -157,6 +162,8 @@ def run_collapse_experiment(entry, t_end=200.0, record_every=1.0, gauge=None):
     window on [1, t_end] and t ||Ric|| to stay above the collapse floor.
     An optional `gauge` moves the seed off any flat fixed point first.
     """
+    if t_end < 1.0:
+        raise OutOfRange(f"collapse window [1, t_end] = [1, {t_end}] is empty: t_end must be >= 1")
     mu0 = entry.bracket if gauge is None else act(np.asarray(gauge, float), entry.bracket)
     if mu0.is_zero:
         return CollapseReport(

@@ -18,6 +18,19 @@ one stack, then appended in time order.  Each recorded sample carries the
 monitor quantities used by the convergence and collapse criteria; its
 curvature pack is recomputed on demand.
 
+There is one stepper loop, over a stack of B trajectories of one FlowSpec
+(`integrate_stack`); `integrate` is that loop with B = 1.  Each trajectory
+keeps its own time, step size, PI-controller state, grid position, gauges,
+renormalizations, step budget and termination, and drops out of the stack
+when it ends.  Each stage evaluates the field once on the stack of the
+running trajectories; the accepted steps share one exponential for their
+step gauges, one stacked sampling pass and one exponential for their dense
+samples' gauges.  The kernels and scipy's expm work slice by slice, so every
+trajectory is bit for bit the one integrate gives for its seed alone.  When
+trajectory b raises, the ones after it are dropped and the ones before it
+run to their end; the error of the lowest-index trajectory that raised is
+raised, as a loop of integrate calls would raise it first.
+
 Gauged, scalstar and scal runs also carry the gauge h' = -A(mu) h, h(0) = Id,
 for two coefficients: "variant", the A driving the field (so that
 h(t).mu(0) = mu(t)), and "ricci", Ric + ||Ric*||^2 Id.  Each accepted step
@@ -36,7 +49,7 @@ from scipy.linalg import expm
 
 from .brackets import BracketTensor, bracket_stack, ensure_lie, jacobi_norm, pi_apply
 from .curvature import coeff_parts, coeff_scal_star, curvature_pack
-from .errors import GaugeMismatch, OutOfRange
+from .errors import BracketFlowError, GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
 
 DRIFT_TOL = 1e-7
@@ -197,50 +210,63 @@ def flow_field(coeffs, variant, dec):
     return -pi_apply(a, coeffs)
 
 
-def _dp_step(stage, y, h, first):
-    """One Dormand-Prince step from y, given first = stage(y).
+def _dp_step(stage, y, h, k0, a0):
+    """One Dormand-Prince step from each state of the stack y (B, n, n, n), slice b by h[b].
 
-    stage(c) returns (dc/dt, gauge coefficients).  The stage slopes are rows
-    of one (7, n^3) array k, so each tableau row is one matrix-vector product.
-    Returns y5, the error estimate h (b5 - b4) @ k (formed from the weights,
-    not as y5 - y4, which would cancel about five digits), k and all seven
-    stage values: the last row of _DP_A equals _DP_B5, so the last stage is
-    evaluated at y5 and serves as the next step's first stage.
+    stage(c) returns, for a stack c, the slopes dc/dt as rows (B, n^3) and the
+    coefficients (A, R) (B, n, n) of the two gauges, R None on raw runs; k0
+    and a0 (B, 2, n, n), None on raw runs, are those of y.  The stage slopes
+    of slice b are the rows of k[b] (7, n^3), so each tableau row is one
+    vector-matrix product per slice.  Returns y5, the error estimates
+    h (b5 - b4) @ k (formed from the weights, not as y5 - y4, which would
+    cancel about five digits), k and the stage values a (B, 2, 7, n, n) of the
+    gauge coefficients: the last row of _DP_A equals _DP_B5, so the last stage
+    is evaluated at y5 and serves as the next step's first stage.
     """
-    k = np.empty((7, y.size))
-    k[0] = first[0].ravel()
-    stages = [first]
+    b = len(y)
+    k = np.empty((b, 7, y[0].size))
+    k[:, 0] = k0
+    a = None if a0 is None else np.empty(a0.shape[:2] + (7,) + a0.shape[2:])
+    if a is not None:
+        a[:, :, 0] = a0
+    # A stack of one is combined as its one state: the same bits, at less
+    # cost per call than the stacked products.
+    ys, ks, hs = (y[0], k[0], h[0]) if b == 1 else (y, k, h[:, None, None, None])
     for i, row in enumerate(_DP_A, start=1):
-        yi = y + h * (row @ k[:i]).reshape(y.shape)
-        stages.append(stage(yi))
-        k[i] = stages[-1][0].ravel()
-    return yi, h * (_DP_E @ k).reshape(y.shape), k, stages
+        yi = (ys + hs * (row @ ks[..., :i, :]).reshape(ys.shape)).reshape(y.shape)
+        k[:, i], ends = stage(yi)
+        if a is not None:
+            a[:, 0, i], a[:, 1, i] = ends
+    return yi, (hs * (_DP_E @ ks).reshape(ys.shape)).reshape(y.shape), k, a
 
 
 def _magnus_step(gauges, a_stages, weights, d, spans, a_ends):
-    """Advance h' = -A h from a step's start over spans = theta d, 0 < theta <= 1.
+    """Advance h' = -A h over P spans, span p = theta d[p] from the start of a step, 0 < theta <= 1.
 
     4th-order Magnus step (Iserles & Norsett 1999) for G gauges at once:
-    gauges (G, n, n) are h at the step's start and a_stages (G, 7, n, n) the
-    stage values of A in a step of size d.  Each of the B spans (B,) takes the
-    quadrature d weights[b] @ a_stages of the integral of A over it, with
-    weights (B, 7), plus the end-point commutator term
-    (span^2/12)[A(end), A(start)], with A(end) from a_ends (G, B, n, n).  The
-    whole step uses weights _DP_B5 and A(end) = a_stages[:, -1]; a partial
-    span uses _dense_weights(theta).  Exact when A is constant.  Returns the
-    (G, B, n, n) gauges at the ends of the spans, from one expm call.
+    gauges (P, G, n, n) are h at the start of span p's step and a_stages
+    (P, G, 7, n, n) the stage values of A in that step, of size d[p].  Span p
+    takes the quadrature d[p] weights[p] @ a_stages[p] of the integral of A
+    over it, with weights (P, 7) (one row (1, 7) serves all), plus the
+    end-point commutator term (spans[p]^2/12)[A(end), A(start)], with A(end)
+    from a_ends (P, G, n, n).  A whole step uses weights _DP_B5 and
+    A(end) = a_stages[:, :, -1]; a partial span uses _dense_weights(theta).
+    Exact when A is constant.  Returns the (P, G, n, n) gauges at the ends of
+    the spans, from one expm call, which exponentiates slice by slice.
     """
-    g, _, n, _ = a_stages.shape
-    a_first = a_stages[:, :1]
-    integral = weights[:, None, :] @ a_stages.reshape(g, 1, 7, n * n)
-    omega = -d * integral.reshape(g, len(spans), n, n)
-    omega += (spans * spans / 12.0)[:, None, None] * (a_ends @ a_first - a_first @ a_ends)
-    return expm(omega) @ gauges[:, None]
+    p, g, _, n, _ = a_stages.shape
+    a_first = a_stages[:, :, 0]
+    integral = weights[:, None, None, :] @ a_stages.reshape(p, g, 7, n * n)
+    omega = -d[:, None, None, None] * integral.reshape(p, g, n, n)
+    omega += (spans * spans / 12.0)[:, None, None, None] * (a_ends @ a_first - a_first @ a_ends)
+    return expm(omega) @ gauges
 
 
-def _error_norm(err, y_old, y_new, rel_tol, abs_tol):
+def _error_norms(err, y_old, y_new, rel_tol, abs_tol):
+    """The RMS of err scaled by abs_tol + rel_tol max(|y_old|, |y_new|), one float per slice."""
     scale = abs_tol + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    squares = ((err / scale) ** 2).reshape(len(err), -1)
+    return np.sqrt(squares.sum(axis=1) / squares.shape[1]).tolist()
 
 
 def _sample_stack(ts, cs, variant, dec, label):
@@ -327,148 +353,384 @@ def integrate(mu0, spec):
     Samples are taken at the multiples of spec.record_every up to spec.t_end,
     and at t_end itself; a grid time inside an accepted step is read off the
     step's continuous extension, so the grid does not shorten steps.  The grid
-    times of one step are sampled as one stack.
+    times of one step are sampled as one stack.  This is the stepper loop of
+    integrate_stack on a stack of one; a stack of several seeds gives each
+    seed this trajectory bit for bit, and raises the error that a loop of
+    integrate calls over the seeds would raise first.
+    """
+    return integrate_stack([mu0], spec)[0]
+
+
+def integrate_stack(mu0s, spec):
+    """integrate(mu0, spec) for each bracket of mu0s, stepped in lockstep as one stack.
+
+    Each trajectory keeps its own time, step size, step-size controller, grid
+    position, gauges, renormalizations, step budget and termination.  Each
+    Dormand-Prince stage evaluates the field once on the stack of the
+    trajectories still running; their accepted steps share one Magnus
+    exponential for the step gauges, one _sample_stack pass for the grid
+    samples and one exponential for those samples' gauges.  The kernels and
+    expm work slice by slice, so trajectory b is integrate(mu0s[b], spec) bit
+    for bit.
+
+    Errors come out as from a loop of integrate calls: when trajectory b
+    raises, the trajectories after it are dropped, those before it run to
+    their end, and the error of the lowest-index trajectory that raised is
+    raised.  Returns the list of FlowTrajectory.
     """
     if not (math.isfinite(spec.record_every) and spec.record_every > 0.0):
         raise OutOfRange(f"record_every = {spec.record_every} must be positive and finite")
     if not (math.isfinite(spec.t_end) and spec.t_end >= 0.0):
         raise OutOfRange(f"t_end = {spec.t_end} must be non-negative and finite")
-    ensure_lie(mu0)
-    label = spec.label
-    dec = None
-    variant = Variant(spec.variant)
-    core_variant = Variant.SCALSTAR if variant == Variant.SCAL else variant
-    if core_variant in (Variant.GAUGED, Variant.SCALSTAR):
-        if label is None:
-            raise GaugeMismatch(f"variant {variant.value} requires a stratum label")
-        gauge = check_gauged(mu0, label)
-        if not gauge.in_nonneg or gauge.v0_norm == 0.0:
-            raise GaugeMismatch(
-                f"initial bracket is not gauged correctly: negative-component "
-                f"norm {gauge.neg_norm:.3e}, V_0 norm {gauge.v0_norm:.3e}"
-            )
-        dec = beta_decomposition(label)
+    dims = sorted({mu0.dim for mu0 in mu0s})
+    if len(dims) > 1:
+        raise ValueError(f"integrate_stack steps brackets of one dimension, got dimensions {dims}")
+    return _Lockstep(spec).run(mu0s)
 
-    y = mu0.coeffs.copy()
-    if core_variant == Variant.SCALSTAR:
-        y, _ = _renormalize_scalstar(y)
-    t = 0.0
-    cap = BLOWUP_FACTOR * max(mu0.norm, 1.0)
-    traj = FlowTrajectory(variant=variant, label=label)
 
-    def stage(c):
-        a, a_ricci = _field_endomorphism(c, core_variant, dec)
-        return -pi_apply(a, c), (a, a_ricci)
+# The errors one trajectory can raise; integrate_stack holds them until the
+# trajectories before it have run.
+_RUN_ERRORS = (BracketFlowError, ValueError)
 
-    # gauges[g] is h for GAUGE_COEFFICIENTS[g]; rows holds the (G, n, n)
-    # gauges of each recorded sample.  The seed is a stack of one.
-    gauged = dec is not None
-    gauges = np.array([np.eye(mu0.dim)] * len(GAUGE_COEFFICIENTS))
-    _append(traj, _sample_stack([0.0], y[None], core_variant, dec, label)[0], 0.0)
-    rows = [gauges]
-    grid_index = 1  # the next sample on the grid is at grid_index * record_every
-    h = min(1e-3, spec.t_end)
-    err_prev = 1.0
-    renorms = 0
-    steps = 0
-    first = stage(y)
-    converged = False
 
-    while t < spec.t_end - 1e-14 * max(1.0, spec.t_end):
-        if steps >= spec.max_steps:
-            traj.termination = Termination.STEP_FAILURE
-            break
-        h = min(h, spec.t_end - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            traj.termination = Termination.STEP_FAILURE
-            break
-        y_new, err, k, stages = _dp_step(stage, y, h, first)
-        steps += 1
-        err_norm = _error_norm(err, y, y_new, spec.rel_tol, spec.abs_tol)
-        if err_norm <= 1.0:
-            t_old, y_old, gauges_old = t, y, gauges
-            t += h
-            if abs(t - spec.t_end) <= 1e-12 * max(1.0, spec.t_end):
-                t = spec.t_end
-            y = y_new
-            first = stages[-1]
+class _Run:
+    """The scalar state of one trajectory of integrate_stack."""
+
+    __slots__ = ("index", "traj", "cap", "t", "h", "err", "err_prev", "steps", "renorms",
+                 "grid", "rows", "running", "end")
+
+    def __init__(self, index, traj, cap, h):
+        self.index, self.traj, self.cap, self.h = index, traj, cap, h
+        self.t, self.err, self.err_prev = 0.0, 0.0, 1.0
+        self.steps = self.renorms = 0
+        self.grid = 1  # the next sample on the grid is at grid * record_every
+        self.rows = []  # the (G, n, n) gauges of each recorded sample
+        self.running = True
+        self.end = None  # (y, gauges) where the run stopped, for its final sample
+
+
+class _Lockstep:
+    """The stepper loop of integrate_stack.
+
+    live lists the running _Runs in index order.  The stacks y (L, n, n, n) of
+    their states and k0 (L, n^3) of their first-stage slopes, and on gauged
+    runs a0 (L, 2, n, n) of their first-stage gauge coefficients and gauges
+    (L, 2, n, n), follow the same order; a run that stops or is dropped leaves
+    them at the next _compress.  limit is the index of the lowest trajectory
+    that raised, and error its exception; the runs from limit on are dropped.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.variant = Variant(spec.variant)
+        self.core = Variant.SCALSTAR if self.variant == Variant.SCAL else self.variant
+        self.label = spec.label
+        self.dec = None
+        self.limit, self.error = math.inf, None
+        self.changed = False
+
+    def run(self, mu0s):
+        runs, seeds = [], []
+        for index, mu0 in enumerate(mu0s):
+            try:
+                seeds.append(self._seed(mu0))
+            except _RUN_ERRORS as exc:
+                self.limit, self.error = index, exc
+                break
+            traj = FlowTrajectory(variant=self.variant, label=self.label)
+            cap = BLOWUP_FACTOR * max(mu0.norm, 1.0)
+            runs.append(_Run(index, traj, cap, min(1e-3, self.spec.t_end)))
+        self.gauged = self.dec is not None
+        self.runs = runs
+        if runs:
+            self._start(runs, np.stack(seeds))
+            while self.live:
+                self._step()
+            self._finish(runs)
+        if self.error is not None:
+            raise self.error
+        return [run.traj for run in runs]
+
+    def _seed(self, mu0):
+        """The initial state of mu0's trajectory, once mu0 passes integrate's checks."""
+        ensure_lie(mu0)
+        if self.core in (Variant.GAUGED, Variant.SCALSTAR):
+            if self.label is None:
+                raise GaugeMismatch(f"variant {self.variant.value} requires a stratum label")
+            gauge = check_gauged(mu0, self.label)
+            if not gauge.in_nonneg or gauge.v0_norm == 0.0:
+                raise GaugeMismatch(
+                    f"initial bracket is not gauged correctly: negative-component "
+                    f"norm {gauge.neg_norm:.3e}, V_0 norm {gauge.v0_norm:.3e}"
+                )
+            if self.dec is None:
+                self.dec = beta_decomposition(self.label)
+        if self.core == Variant.SCALSTAR:
+            return mu0.coeffs * _scalstar_factor(coeff_scal_star(mu0.coeffs))
+        return mu0.coeffs
+
+    def _fail(self, run, exc):
+        """Hold exc if run is the lowest-index run that raised so far, and drop the runs from it on."""
+        if run.index < self.limit:
+            self.limit, self.error = run.index, exc
+            for dropped in self.runs[run.index:]:
+                dropped.running = False
+            self.changed = True
+
+    def _stop(self, run, termination, y=None, gauges=None):
+        run.traj.termination = termination
+        run.running = False
+        run.end = (y, gauges)
+        self.changed = True
+
+    def _stage(self, c):
+        """The slopes (B, n^3) at a stack c and the endomorphisms (A, R) of the gauges there.
+
+        A stack of one is evaluated as its one state, (A, R) then (n, n): the
+        kernels give each slice the one-state bits, and the one-state calls
+        skip the cost of the stack axis.
+        """
+        one = c[0] if len(c) == 1 else c
+        ends = _field_endomorphism(one, self.core, self.dec)
+        return -pi_apply(ends[0], one).reshape(len(c), -1), ends
+
+    def _start(self, runs, y):
+        """Record each seed as its first sample and evaluate the first stages."""
+        samples, _ = _sample_stack([0.0] * len(runs), y, self.core, self.dec, self.label)
+        for run, sample in zip(runs, samples):
+            try:
+                _append(run.traj, [sample], 0.0)
+            except _RUN_ERRORS as exc:
+                self._fail(run, exc)
+                break
+        self.live = [run for run in runs if run.running]
+        if not self.live:
+            return
+        self.y = y[: len(self.live)]
+        identity = np.array([np.eye(y.shape[-1])] * len(GAUGE_COEFFICIENTS))
+        for run in self.live:
+            run.rows.append(identity)
+        self.k0, ends = self._stage(self.y)
+        self.a0 = self.gauges = None
+        if self.gauged:
+            self.a0 = np.empty(self.y.shape[:1] + (2,) + identity.shape[1:])
+            self.a0[:, 0], self.a0[:, 1] = ends
+            self.gauges = np.array([identity] * len(self.live))
+
+    def _compress(self):
+        """Drop the stopped and dropped runs from live and the stacks."""
+        if self.changed:
+            self.changed = False
+            keep = [j for j, run in enumerate(self.live) if run.running]
+            self.live = [self.live[j] for j in keep]
+            self.y, self.k0 = self.y[keep], self.k0[keep]
+            if self.gauged:
+                self.a0, self.gauges = self.a0[keep], self.gauges[keep]
+
+    def _step(self):
+        """One Dormand-Prince step of every running trajectory, accepted or rejected per run."""
+        spec = self.spec
+        t_stop = spec.t_end - 1e-14 * max(1.0, spec.t_end)
+        for j, run in enumerate(self.live):
+            if not run.t < t_stop:
+                stop = Termination.REACHED_T_END
+            elif run.steps >= spec.max_steps:
+                stop = Termination.STEP_FAILURE
+            else:
+                run.h = min(run.h, spec.t_end - run.t)
+                if run.h >= 1e-14 * max(1.0, abs(run.t)):
+                    continue
+                stop = Termination.STEP_FAILURE
+            self._stop(run, stop, self.y[j], None if self.gauges is None else self.gauges[j])
+        self._compress()
+        if not self.live:
+            return
+        hs = np.array([run.h for run in self.live])
+        y_new, err, k, a = _dp_step(self._stage, self.y, hs, self.k0, self.a0)
+        errs = _error_norms(err, self.y, y_new, spec.rel_tol, spec.abs_tol)
+        accepted = []
+        for j, (run, e) in enumerate(zip(self.live, errs)):
+            run.steps += 1
+            run.err = e
+            if e <= 1.0:
+                accepted.append(j)
+            else:
+                run.h *= max(0.1, 0.9 * e ** (-0.2))
+        if accepted:
+            self._accept(accepted, hs, y_new, k, a)
+        self._compress()
+
+    def _accept(self, acc, hs, y, k, a):
+        """Advance the runs live[acc] over their accepted steps and record their grid samples."""
+        spec, gauged = self.spec, self.gauged
+        runs, y_old, g_old = self.live, self.y, self.gauges
+        whole = len(acc) == len(runs)
+        if not whole:
+            runs, y_old, y, k, hs = [runs[j] for j in acc], y_old[acc], y[acc], k[acc], hs[acc]
             if gauged:
-                a_stages = np.stack([s[1] for s in stages], axis=1)
-                gauges = _magnus_step(gauges, a_stages, _DP_B5[None], h, np.array([h]),
-                                      a_stages[:, -1:])[:, 0]
-            if core_variant == Variant.SCALSTAR:
-                y, bumped = _renormalize_scalstar(y, only_if_drifted=True)
-                renorms += int(bumped)
-                if bumped:
-                    first = stage(y)
-            norm = float(np.linalg.norm(y))
-            jac = jacobi_norm(y)
-            if jac > 1e-8 * (1.0 + norm * norm):
-                traj.termination = Termination.STEP_FAILURE
-                break
-            if norm > cap:
-                traj.termination = Termination.DIVERGED
-                break
-            # Every grid time in (t_old, t], as one stack: first the points of
-            # the continuous extension from y_old (on scalstar runs, the
-            # renormalized state) to y5, then any at the step end itself.
-            ts, thetas = [], []
-            while (t_rec := (grid_index + len(ts)) * spec.record_every) <= t + 1e-12 * max(1.0, t):
+                g_old, a = g_old[acc], a[acc]
+        t_old = [run.t for run in runs]
+        for run in runs:
+            run.t += run.h
+            if abs(run.t - spec.t_end) <= 1e-12 * max(1.0, spec.t_end):
+                run.t = spec.t_end
+        k0 = k[:, -1].copy()
+        a0 = gauges = None
+        if gauged:
+            a0 = a[:, :, -1].copy()
+            gauges = _magnus_step(g_old, a, _DP_B5[None], hs, hs, a[:, :, -1])
+        if self.core == Variant.SCALSTAR:
+            bumped = []
+            for i, (run, s) in enumerate(zip(runs, coeff_scal_star(y))):
+                try:
+                    factor = _scalstar_factor(s, only_if_drifted=True)
+                except OutOfRange as exc:
+                    self._fail(run, exc)
+                    continue
+                if factor is not None:
+                    y[i] = y[i] * factor
+                    run.renorms += 1
+                    bumped.append(i)
+            if bumped:
+                k0[bumped], ends = self._stage(y[bumped])
+                if gauged:
+                    a0[bumped, 0], a0[bumped, 1] = ends
+        # Jacobi drift and blow-up end a run before its samples.
+        ok = [i for i, run in enumerate(runs) if run.running]
+        sampled = []
+        if ok:
+            ys = y if len(ok) == len(runs) else y[ok]
+            flat = ys.reshape(len(ok), -1)
+            # A stack of one is checked as its one state, as in _stage.
+            jacs = [jacobi_norm(ys[0])] if len(ok) == 1 else jacobi_norm(ys).tolist()
+            for i, norm, jac in zip(ok, np.sqrt(np.vecdot(flat, flat)).tolist(), jacs):
+                run = runs[i]
+                if jac > 1e-8 * (1.0 + norm * norm):
+                    stop = Termination.STEP_FAILURE
+                elif norm > run.cap:
+                    stop = Termination.DIVERGED
+                else:
+                    sampled.append(i)
+                    continue
+                self._stop(run, stop, y[i], None if gauges is None else gauges[i])
+        if sampled:
+            self._record(runs, sampled, t_old, y_old, y, k, a, g_old, gauges)
+        for i in sampled:
+            run = runs[i]
+            if run.running:
+                e = run.err
+                fac = 0.9 * e ** (-0.7 / 5.0) * run.err_prev ** (0.4 / 5.0) if e > 0 else 5.0
+                run.err_prev = max(e, 1e-10)
+                run.h *= min(5.0, max(0.2, fac))
+        if whole:
+            self.y, self.k0, self.a0, self.gauges = y, k0, a0, gauges
+        else:
+            self.y[acc], self.k0[acc] = y, k0
+            if gauged:
+                self.a0[acc], self.gauges[acc] = a0, gauges
+
+    def _record(self, runs, sampled, t_old, y_old, y, k, a, g_old, gauges):
+        """Sample every grid time in (t_old, t] of the runs[i], i in sampled, as one stack.
+
+        Each run adds its block of grid times in time order: first the points
+        of the continuous extension from y_old (on scalstar runs, the
+        renormalized state) to y5, then any at the step end itself, y.  The
+        dense samples' gauges come from partial Magnus steps from the step's
+        start, all in one exponential; samples at the step end take the step's
+        gauges.
+        """
+        spec = self.spec
+        ts, blocks, plan = [], [], []
+        for i in sampled:
+            run = runs[i]
+            t, h, t0, first, thetas = run.t, run.h, t_old[i], len(ts), []
+            while (t_rec := (run.grid + len(ts) - first) * spec.record_every) <= t + 1e-12 * max(1.0, t):
                 if t - t_rec <= 1e-12 * max(1.0, t_rec):
                     ts.append(min(t_rec, spec.t_end))
                 else:
                     ts.append(t_rec)
-                    thetas.append((t_rec - t_old) / h)
-            if ts:
-                n_dense = len(thetas)
-                thetas = np.array(thetas)
-                weights = _dense_weights(thetas)
-                cs = np.empty((len(ts), *y.shape))
-                cs[:n_dense] = y_old + h * (weights[:, None, :] @ k)[:, 0].reshape(-1, *y.shape)
-                cs[n_dense:] = y
-                samples, ends = _sample_stack(ts, cs, core_variant, dec, label)
-                count, converged = _append(traj, samples, spec.conv_tol)
-                grid_index += count
-                if gauged:
-                    # The dense samples' gauges by partial Magnus steps from
-                    # the step's start; samples at the step end take its gauges.
-                    m = min(count, n_dense)
-                    if m:
-                        dense = _magnus_step(gauges_old, a_stages, weights[:m], h, thetas[:m] * h,
-                                             np.stack(ends)[:, :m])
-                        rows += [dense[:, j] for j in range(m)]
-                    rows += [gauges] * (count - m)
+                    thetas.append((t_rec - t0) / h)
+            count = len(ts) - first
+            if not count:
+                continue
+            weights = None
+            if thetas:
+                weights = _dense_weights(np.array(thetas))
+                blocks.append(y_old[i] + h * (weights[:, None, :] @ k[i])[:, 0].reshape(-1, *y.shape[1:]))
+            blocks += [y[i: i + 1]] * (count - len(thetas))
+            plan.append((run, i, first, count, thetas, weights))
+        if not plan:
+            return
+        samples, ends = _sample_stack(ts, np.concatenate(blocks), self.core, self.dec, self.label)
+        jobs = []  # (run, i, first, m, count, thetas, weights): m dense samples appended
+        for run, i, first, count, thetas, weights in plan:
+            if not run.running:
+                continue
+            try:
+                count, converged = _append(run.traj, samples[first: first + count], spec.conv_tol)
+            except _RUN_ERRORS as exc:
+                self._fail(run, exc)
+                continue
+            run.grid += count
+            jobs.append((run, i, first, min(count, len(thetas)), count, thetas, weights))
             if converged:
-                traj.termination = Termination.CONVERGED
-                break
-            fac = 0.9 * err_norm ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err_norm > 0 else 5.0
-            err_prev = max(err_norm, 1e-10)
-            h *= min(5.0, max(0.2, fac))
-        else:
-            h *= max(0.1, 0.9 * err_norm ** (-0.2))
-    else:
-        traj.termination = Termination.REACHED_T_END
+                self._stop(run, Termination.CONVERGED)
+        if not self.gauged:
+            return
+        dense = [job for job in jobs if job[3]]
+        dense_gauges = ()
+        if dense:
+            at = [i for _, i, _, m, *_ in dense for _ in range(m)]
+            rows = [r for _, _, first, m, *_ in dense for r in range(first, first + m)]
+            spans = np.concatenate([np.array(thetas[:m]) * runs[i].h for _, i, _, m, _, thetas, _ in dense])
+            weights = np.concatenate([weights[:m] for *_, m, _, _, weights in dense])
+            d = np.array([runs[i].h for i in at])
+            dense_gauges = _magnus_step(g_old[at], a[at], weights, d, spans, np.stack(ends, axis=1)[rows])
+        q = 0
+        for run, i, _, m, count, _, _ in jobs:
+            run.rows += [*dense_gauges[q: q + m], *[gauges[i]] * (count - m)]
+            q += m
 
-    if not converged and abs(traj.samples[-1].t - t) > 1e-12 * max(1.0, t):
-        _append(traj, _sample_stack([t], y[None], core_variant, dec, label)[0], 0.0)
-        rows.append(gauges)
-    traj.steps = steps
-    traj.renormalizations = renorms
-    if gauged:
-        stacked = np.stack(rows, axis=1)
-        traj.gauges = dict(zip(GAUGE_COEFFICIENTS, stacked))
-    if variant == Variant.SCAL:
-        _rescale_to_scal(traj)
-    return traj
+    def _finish(self, runs):
+        """Append each run's final sample where it stopped off the grid, and fill its trajectory."""
+        final = [
+            run for run in runs[: min(len(runs), self.limit)]
+            if run.traj.termination != Termination.CONVERGED
+            and abs(run.traj.samples[-1].t - run.t) > 1e-12 * max(1.0, run.t)
+        ]
+        if final:
+            cs = np.stack([run.end[0] for run in final])
+            samples, _ = _sample_stack([run.t for run in final], cs, self.core, self.dec, self.label)
+            for run, sample in zip(final, samples):
+                try:
+                    _append(run.traj, [sample], 0.0)
+                except _RUN_ERRORS as exc:
+                    self._fail(run, exc)
+                    break
+                run.rows.append(run.end[1])
+        for run in runs[: min(len(runs), self.limit)]:
+            traj = run.traj
+            traj.steps, traj.renormalizations = run.steps, run.renorms
+            if self.gauged:
+                traj.gauges = dict(zip(GAUGE_COEFFICIENTS, np.stack(run.rows, axis=1)))
+            if self.variant == Variant.SCAL:
+                try:
+                    _rescale_to_scal(traj)
+                except _RUN_ERRORS as exc:
+                    self._fail(run, exc)
+                    break
 
 
-def _renormalize_scalstar(coeffs, only_if_drifted=False):
-    s = coeff_scal_star(coeffs)
+def _scalstar_factor(s, only_if_drifted=False):
+    """|s|^-1/2, which moves a state of scal* = s onto the scal* = -1 slice.
+
+    None when only_if_drifted and s lies within DRIFT_TOL/2 of -1.
+    """
     if s >= 0.0:
         raise OutOfRange(f"scal* = {s:.3e} is not negative; cannot normalize")
     if only_if_drifted and abs(s + 1.0) <= DRIFT_TOL / 2.0:
-        return coeffs, False
-    return coeffs * abs(s) ** -0.5, True
+        return None
+    return abs(s) ** -0.5
 
 
 def _converged(traj, conv_tol):

@@ -72,9 +72,3 @@ def symmetric_sqrt(mat, tol=1e-12):
             f"matrix has eigenvalue {np.min(w):.3e}, not positive definite"
         )
     return (v * np.sqrt(w)) @ v.T
-
-
-def random_orthogonal(rng, n):
-    """Haar-ish random orthogonal matrix from a QR factorization."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))

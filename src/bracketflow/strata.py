@@ -297,9 +297,3 @@ def check_gauged(mu, label):
     neg_norm = float(np.linalg.norm(neg))
     v0_norm = float(np.linalg.norm(zero))
     return GaugeCheck(neg_norm <= GAUGE_TOL * max(mu.norm, 1e-300), v0_norm, neg_norm)
-
-
-def grading_components(mu, dec):
-    """Norm of each pi(beta+)-eigencomponent of mu, keyed by eigenvalue."""
-    c = mu.coeffs
-    return [(w, float(np.linalg.norm(np.where(mask, c, 0.0)))) for w, mask in dec.v_levels]

@@ -17,12 +17,15 @@ index, basis element or matrix entry at a time:
   double loop;
 - `clustered_from_first`: spectra clustered within EIG_TOL of each cluster's
   first value, the rule before the gap rule of `strata._gap_clusters`.
+
+The test-only helpers `random_antisymmetric_bracket`, `random_orthogonal`,
+`scalstar_first_variation` and `grading_components` live here too.
 """
 
 import numpy as np
 
 from bracketflow.brackets import BracketTensor, ensure_lie, pi_action
-from bracketflow.curvature import killing_matrix, moment_map_fast
+from bracketflow.curvature import killing_matrix, moment_map_fast, ricci_star
 from bracketflow.errors import MaxStepsExceeded, ZeroBracket
 from bracketflow.linalg import RANK_TOL, orthonormal_basis
 from bracketflow.linearize import delta_matrix
@@ -309,3 +312,26 @@ def beta_decomposition_loop(label):
         v_weights=v_weights,
         v_levels=levels,
     )
+
+
+def random_antisymmetric_bracket(rng, dim, scale=1.0):
+    """Random antisymmetric tensor; generally not a Lie bracket."""
+    c = scale * rng.standard_normal((dim, dim, dim))
+    return BracketTensor(0.5 * (c - np.swapaxes(c, 0, 1)))
+
+
+def random_orthogonal(rng, n):
+    """Haar-ish random orthogonal matrix from a QR factorization."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def scalstar_first_variation(mu, a):
+    """First variation of scal* along exp(tA).mu at t = 0: equals -2 <Ric*, A>."""
+    return -2.0 * float(np.sum(ricci_star(mu) * np.asarray(a, dtype=float)))
+
+
+def grading_components(mu, dec):
+    """Norm of each pi(beta+)-eigencomponent of mu, keyed by eigenvalue."""
+    c = mu.coeffs
+    return [(w, float(np.linalg.norm(np.where(mask, c, 0.0)))) for w, mask in dec.v_levels]

@@ -35,12 +35,17 @@ from bracketflow import (
     soliton_residual,
     stratum_label,
 )
-from bracketflow.catalog import random_antisymmetric_bracket, random_solvable_bracket
+from bracketflow.catalog import random_solvable_bracket
 from bracketflow.experiments import random_parabolic_gauge
-from bracketflow.linalg import random_orthogonal
 from bracketflow.solitons import SolitonKind
 
-from oracles import moment_map, oracle_ricci, pi_matrix
+from oracles import (
+    moment_map,
+    oracle_ricci,
+    pi_matrix,
+    random_antisymmetric_bracket,
+    random_orthogonal,
+)
 
 
 def _report(criterion, passed, detail):

@@ -19,10 +19,9 @@ from bracketflow import (
     save_bracket,
 )
 from bracketflow.errors import NotSolvable, SingularGauge
-from bracketflow.catalog import random_antisymmetric_bracket, random_solvable_bracket
-from bracketflow.linalg import random_orthogonal
+from bracketflow.catalog import random_solvable_bracket
 
-from oracles import pi_matrix
+from oracles import pi_matrix, random_antisymmetric_bracket, random_orthogonal
 
 
 def brute_force_jacobi(mu):

@@ -14,9 +14,18 @@ from bracketflow import (
 from bracketflow.catalog import random_solvable_bracket
 from bracketflow import experiments
 from bracketflow.cli import EXIT_VALIDATION, main
-from bracketflow.errors import GaugeMismatch, ParamOutOfRange, UnknownName
+from bracketflow.errors import (
+    GaugeMismatch,
+    NotALieBracket,
+    OutOfRange,
+    ParamOutOfRange,
+    UnknownName,
+)
 from bracketflow.experiments import run_collapse_experiment, run_uniqueness_experiment
-from bracketflow.brackets import is_solvable
+from bracketflow.brackets import ensure_lie, is_solvable
+from bracketflow.strata import GaugeCheck
+
+from oracles import random_antisymmetric_bracket
 
 
 class TestCatalog:
@@ -133,6 +142,48 @@ class TestExperiments:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: parabolic gauge left V>=0")
 
+    def test_uniqueness_raises_the_first_error_of_a_gauge_by_gauge_loop(self, monkeypatch):
+        # Gauge 1's seed is not a Lie bracket, so its flow raises; gauge 3
+        # leaves V>=0.  Flowing each gauge as it is drawn raises gauge 1's
+        # error, and draws no gauge after gauge 3.
+        bad = random_antisymmetric_bracket(np.random.default_rng(1), 3)
+        with pytest.raises(NotALieBracket) as want:
+            ensure_lie(bad)
+        seeds, checks = [], []
+        act, check_gauged = experiments.act, experiments.check_gauged
+
+        def acting(h, mu):
+            seeds.append(h)
+            return bad if len(seeds) == 2 else act(h, mu)
+
+        def checking(mu, label):
+            checks.append(mu)
+            if len(checks) == 4:
+                return GaugeCheck(in_nonneg=False, v0_norm=1.0, neg_norm=0.5)
+            return check_gauged(mu, label) if mu is not bad else GaugeCheck(True, 1.0, 0.0)
+
+        monkeypatch.setattr(experiments, "act", acting)
+        monkeypatch.setattr(experiments, "check_gauged", checking)
+        with pytest.raises(NotALieBracket) as got:
+            run_uniqueness_experiment(catalog("s3_lambda", lam=0.5), seeds=5, t_end=1.0)
+        assert str(got.value) == str(want.value)
+        assert len(seeds) == len(checks) == 4
+
+    @pytest.mark.parametrize("seeds", [0, -2])
+    def test_uniqueness_needs_a_seed(self, seeds, capsys):
+        with pytest.raises(OutOfRange, match=f"seeds = {seeds} must be at least 1"):
+            run_uniqueness_experiment(catalog("h3"), seeds=seeds)
+        code = main(["uniqueness", "--catalog", "h3", "--seeds", str(seeds)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: seeds = {seeds} must be at least 1")
+
+    def test_collapse_window_must_not_be_empty(self, capsys):
+        message = r"collapse window \[1, t_end\] = \[1, 0.5\] is empty"
+        with pytest.raises(OutOfRange, match=message):
+            run_collapse_experiment(catalog("h3"), t_end=0.5)
+        assert main(["collapse", "--catalog", "h3", "--t-end", "0.5"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: collapse window [1, t_end] = [1, 0.5]")
+
     def test_collapse_verdicts(self):
         assert run_collapse_experiment(catalog("h3"), t_end=50.0).non_collapsed
         gauged = run_collapse_experiment(
@@ -202,7 +253,7 @@ class TestCli:
 
     def test_compare(self, tmp_path, capsys, rng):
         from bracketflow import act
-        from bracketflow.linalg import random_orthogonal
+        from oracles import random_orthogonal
 
         mu = catalog("h3").bracket
         a, b = tmp_path / "a.json", tmp_path / "b.json"

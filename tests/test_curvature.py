@@ -8,13 +8,17 @@ from bracketflow import (
     curvature_pack,
     moment_map_fast,
     pi_action,
+)
+from bracketflow.catalog import random_solvable_bracket
+from bracketflow.errors import NotALieBracket, ZeroBracket
+
+from oracles import (
+    moment_map,
+    oracle_ricci,
+    random_antisymmetric_bracket,
+    random_orthogonal,
     scalstar_first_variation,
 )
-from bracketflow.catalog import random_antisymmetric_bracket, random_solvable_bracket
-from bracketflow.errors import NotALieBracket, ZeroBracket
-from bracketflow.linalg import random_orthogonal
-
-from oracles import moment_map, oracle_ricci
 
 
 class TestMomentMap:

@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bracketflow import (
     BracketTensor,
@@ -25,9 +28,10 @@ from bracketflow import (
     stratum_label,
 )
 from bracketflow import curvature, flows
-from bracketflow.catalog import random_antisymmetric_bracket
+from bracketflow.catalog import almost_abelian
 from bracketflow.curvature import curvature_parts
-from bracketflow.errors import GaugeMismatch, NotALieBracket, OutOfRange
+from bracketflow.errors import BracketFlowError, GaugeMismatch, NotALieBracket, OutOfRange
+from bracketflow.experiments import random_parabolic_gauge
 from bracketflow.flows import (
     CONV_TOL,
     CONV_WINDOW,
@@ -35,8 +39,11 @@ from bracketflow.flows import (
     _append,
     _sample_stack,
     flow_field,
+    integrate_stack,
 )
 from bracketflow.strata import beta_decomposition
+
+from oracles import random_antisymmetric_bracket
 
 
 def estimate_cubic_bound(dim, samples=2000, seed=0):
@@ -618,6 +625,139 @@ class TestStackSampler:
         traj = integrate(mu_e2, spec)
         assert (traj.steps, len(traj.samples)) == (9, 201)
         assert len(calls) <= 7 * traj.steps + 3
+
+
+def _same_trajectory(got, want):
+    """Bit equality of two FlowTrajectories: every sample, both gauge stacks, the
+    termination, steps and renormalizations."""
+    assert len(got.samples) == len(want.samples)
+    for g, w in zip(got.samples, want.samples):
+        _same_sample(g, w)
+    assert got.gauges.keys() == want.gauges.keys()
+    for key, mats in want.gauges.items():
+        assert got.gauges[key].shape == mats.shape
+        assert got.gauges[key].tobytes() == mats.tobytes()
+    assert (got.termination, got.steps, got.renormalizations) == (
+        want.termination, want.steps, want.renormalizations)
+
+
+def _integrate_each(mu0s, spec):
+    """integrate on each seed in turn: the trajectories, or the first error raised."""
+    out = []
+    for mu0 in mu0s:
+        try:
+            out.append(integrate(mu0, spec))
+        except (BracketFlowError, ValueError) as exc:
+            return exc
+    return out
+
+
+@functools.cache
+def _stack_base(n):
+    """A solitonic bracket of dimension n, its stratum label and beta-decomposition."""
+    bases = {
+        2: lambda: almost_abelian(np.array([[1.0]])),
+        3: lambda: normalize_soliton(catalog("s3_lambda", lam=1.0).bracket,
+                                     soliton_residual(catalog("s3_lambda", lam=1.0).bracket)),
+        4: lambda: almost_abelian(np.diag([1.0, 2.0, 3.0])),
+        5: lambda: catalog("heisenberg", dim=5).bracket,
+    }
+    mu = bases[n]()
+    label = stratum_label(mu)
+    return mu, label, beta_decomposition(label)
+
+
+class TestLockstep:
+    """integrate_stack steps B trajectories as one stack; each equals integrate alone."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 5),
+        size=st.integers(1, 5),
+        variant=st.sampled_from(list(Variant)),
+        seed=st.integers(0, 2**32 - 1),
+        fixed_at=st.integers(0, 4),
+        bad_at=st.none() | st.integers(0, 4),
+        max_steps=st.sampled_from([6, 2_000_000]),
+    )
+    def test_each_trajectory_equals_integrate_alone(
+        self, n, size, variant, seed, fixed_at, bad_at, max_steps
+    ):
+        # Parabolic gauges of a soliton: the soliton itself (fixed_at) is a
+        # fixed point of the gauged and scalstar flows, so its slice converges
+        # while the others run on.  A seed that is not a Lie bracket (n >= 3),
+        # or the zero bracket (n = 2, not gauged correctly), raises.
+        mu, label, dec = _stack_base(n)
+        rng = np.random.default_rng(seed)
+        mu0s = [act(random_parabolic_gauge(rng, dec), mu) for _ in range(size)]
+        mu0s[fixed_at % size] = mu
+        if bad_at is not None and bad_at < size:
+            mu0s[bad_at] = (random_antisymmetric_bracket(rng, n) if n >= 3
+                            else BracketTensor.zero(n))
+        spec = FlowSpec(variant=variant, t_end=3.0, record_every=0.25, max_steps=max_steps,
+                        label=None if variant == Variant.RAW else label)
+        want = _integrate_each(mu0s, spec)
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as got:
+                integrate_stack(mu0s, spec)
+            assert str(got.value) == str(want)
+            return
+        got = integrate_stack(mu0s, spec)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_trajectory(g, w)
+
+    def test_mid_flow_error_comes_from_the_lowest_failing_trajectory(self):
+        # Of these five parabolic gauges of s3_lambda(0.5), the third records a
+        # sample whose Jacobi residual exceeds the tolerance before t = 20;
+        # the fourth and fifth run clean.
+        entry = catalog("s3_lambda", lam=0.5)
+        label = stratum_label(entry.bracket)
+        rng = np.random.default_rng(2140869028)
+        mu0s = [act(random_parabolic_gauge(rng, beta_decomposition(label)), entry.bracket)
+                for _ in range(5)]
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label, record_every=0.5)
+        want = _integrate_each(mu0s, spec)
+        assert isinstance(want, NotALieBracket)
+        with pytest.raises(NotALieBracket) as got:
+            integrate_stack(mu0s, spec)
+        assert str(got.value) == str(want) == "Jacobi residual 3.135e-10 exceeds tolerance"
+        for g, w in zip(integrate_stack(mu0s[:2], spec), _integrate_each(mu0s[:2], spec)):
+            _same_trajectory(g, w)
+        for g, w in zip(integrate_stack(mu0s[3:], spec), _integrate_each(mu0s[3:], spec)):
+            _same_trajectory(g, w)
+
+    def test_a_run_that_fails_before_its_first_step_raises_its_own_error(self, monkeypatch, mu_s3):
+        sample_stack = flows._sample_stack
+
+        def seed_sample_fails(ts, *args):
+            samples, ends = sample_stack(ts, *args)
+            return [NotALieBracket("seed sample")] * len(ts), ends
+
+        monkeypatch.setattr(flows, "_sample_stack", seed_sample_fails)
+        with pytest.raises(NotALieBracket, match="seed sample"):
+            integrate(mu_s3, FlowSpec(variant=Variant.RAW, t_end=1.0))
+
+    def test_a_failed_renormalization_raises_its_own_error(self, monkeypatch, mu_s3, s3_label):
+        factor = flows._scalstar_factor
+
+        def no_renormalization(s, only_if_drifted=False):
+            if only_if_drifted:
+                raise OutOfRange("renormalization")
+            return factor(s)
+
+        monkeypatch.setattr(flows, "_scalstar_factor", no_renormalization)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=1.0, label=s3_label)
+        with pytest.raises(OutOfRange, match="renormalization"):
+            integrate(mu_s3, spec)
+        with pytest.raises(OutOfRange, match="renormalization"):
+            integrate_stack([mu_s3, mu_s3], spec)
+
+    def test_empty_stack_and_one_dimension(self, mu_h3):
+        spec = FlowSpec(variant=Variant.RAW, t_end=1.0)
+        assert integrate_stack([], spec) == []
+        with pytest.raises(ValueError, match=r"one dimension, got dimensions \[3, 5\]"):
+            integrate_stack([mu_h3, catalog("heisenberg", dim=5).bracket], spec)
 
 
 class TestFlowSpecValidation:

@@ -36,7 +36,6 @@ from bracketflow.brackets import (
 )
 from bracketflow.catalog import (
     almost_abelian,
-    random_antisymmetric_bracket,
     random_solvable_bracket,
     random_two_step_nilpotent,
 )
@@ -44,7 +43,7 @@ from bracketflow.curvature import coeff_moment, coeff_parts, coeff_scal_star
 from bracketflow.errors import NotALieBracket, SingularGauge
 from bracketflow.linalg import RANK_TOL, null_space, subspace_distance
 
-from oracles import null_space_full_svd, oracle_ricci, pi_matrix
+from oracles import null_space_full_svd, oracle_ricci, pi_matrix, random_antisymmetric_bracket
 
 KERNEL_TOL = 1e-12
 PI_MATRIX_MAX_DIM = 10  # pi_matrix is a dense n^6 array: 134 MB at n = 16

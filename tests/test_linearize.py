@@ -19,9 +19,14 @@ from bracketflow import (
 from bracketflow.catalog import almost_abelian
 from bracketflow.errors import GaugeMismatch
 from bracketflow.linearize import _ad_beta_plus_matrix, _rows, delta_matrix
-from bracketflow.strata import grading_components
 
-from oracles import ad_beta_plus_loop, delta_apply, l_matrix_loop, p_matrix_loop
+from oracles import (
+    ad_beta_plus_loop,
+    delta_apply,
+    grading_components,
+    l_matrix_loop,
+    p_matrix_loop,
+)
 
 
 def _normalized(name, lam=None, dim=None):

@@ -21,8 +21,9 @@ from bracketflow import (
     stratum_label,
 )
 from bracketflow.errors import IdentityViolation, ZeroBracket
-from bracketflow.linalg import random_orthogonal
 from bracketflow.solitons import SolitonKind
+
+from oracles import random_orthogonal
 
 
 class TestCertificates:

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from oracles import beta_decomposition_loop, clustered_from_first, energy_gradient_flow_tensor
+from oracles import (
+    beta_decomposition_loop,
+    clustered_from_first,
+    energy_gradient_flow_tensor,
+    grading_components,
+    random_orthogonal,
+)
 
 from bracketflow import (
     BracketTensor,
@@ -21,8 +27,6 @@ from bracketflow import (
 )
 from bracketflow.curvature import moment_map_fast
 from bracketflow.errors import MaxStepsExceeded, NonCanonicalBeta, ZeroBracket
-from bracketflow.linalg import random_orthogonal
-from bracketflow.strata import grading_components
 
 
 class TestEnergyFlow:
