@@ -213,8 +213,9 @@ def jacobi_norm(c):
     """
     lead, n = c.shape[:-3], c.shape[-1]
     t = (c.reshape(lead + (n * n, n)) @ c.reshape(lead + (n, n * n))).reshape(lead + (n**3, n))
-    xyz, yzx, zxy = _cyclic_triples(n)
-    cyc = (t[..., xyz, :] + t[..., yzx, :] + t[..., zxy, :]).reshape(lead + (-1,))
+    # One gather of the three cyclic index sets: g[..., 0], g[..., 1], g[..., 2].
+    g = np.take(t, _cyclic_triples(n), axis=-2)
+    cyc = (g[..., 0, :, :] + g[..., 1, :, :] + g[..., 2, :, :]).reshape(lead + (-1,))
     return math.sqrt(6.0) * np.sqrt(np.vecdot(cyc, cyc))
 
 

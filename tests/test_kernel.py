@@ -39,8 +39,9 @@ from bracketflow.catalog import (
     random_solvable_bracket,
     random_two_step_nilpotent,
 )
-from bracketflow.curvature import coeff_moment, coeff_parts, coeff_scal_star
+from bracketflow.curvature import coeff_moment, coeff_parts, coeff_scal_star, moment_map_fast
 from bracketflow.errors import NotALieBracket, SingularGauge
+from bracketflow.flows import flow_field
 from bracketflow.linalg import RANK_TOL, null_space, subspace_distance
 
 from oracles import null_space_full_svd, oracle_ricci, pi_matrix, random_antisymmetric_bracket
@@ -168,6 +169,22 @@ class TestKernelProperties:
         if mu is None:
             return
         _assert_close(coeff_scal_star(mu.coeffs), np.trace(einsum_parts(mu.coeffs)[4]), mu)
+
+    @_PROPERTY
+    @given(seed=_SEED, dim=_DIM, scale=st.floats(1e-3, 1e3))
+    def test_normalized_moment_map_has_trace_minus_one(self, seed, dim, scale):
+        mu = random_antisymmetric_bracket(np.random.default_rng(seed), dim, scale=scale)
+        assert abs(np.trace(moment_map_fast(mu)) + 1.0) <= KERNEL_TOL
+
+    @_PROPERTY
+    @given(seed=_SEED, dim=_DIM, t=st.floats(0.1, 10.0), k=st.integers(-8, 8))
+    def test_raw_field_is_homogeneous_of_degree_three(self, seed, dim, t, k):
+        c = random_antisymmetric_bracket(np.random.default_rng(seed), dim).coeffs
+        field = flow_field(c, Variant.RAW, None)
+        # Scaling by a power of two is exact in every product and sum.
+        assert np.array_equal(flow_field(2.0**k * c, Variant.RAW, None), 2.0 ** (3 * k) * field)
+        bound = KERNEL_TOL * t**3 * (1.0 + float(np.sum(c * c))) ** 1.5
+        assert np.max(np.abs(flow_field(t * c, Variant.RAW, None) - t**3 * field)) <= bound
 
 
 class TestStackedKernels:

@@ -5,8 +5,10 @@ import scipy.linalg as sla
 from oracles import (
     beta_decomposition_loop,
     clustered_from_first,
+    criticality_direction_tensor,
     energy_gradient_flow_tensor,
     grading_components,
+    random_antisymmetric_bracket,
     random_orthogonal,
 )
 
@@ -25,8 +27,10 @@ from bracketflow import (
     same_label,
     stratum_label,
 )
+from bracketflow import strata
+from bracketflow.brackets import DIM_CAP
 from bracketflow.curvature import moment_map_fast
-from bracketflow.errors import MaxStepsExceeded, NonCanonicalBeta, ZeroBracket
+from bracketflow.errors import MaxStepsExceeded, NonCanonicalBeta, OutOfRange, ZeroBracket
 
 
 class TestEnergyFlow:
@@ -63,12 +67,35 @@ class TestEnergyFlow:
             energy_gradient_flow(BracketTensor.zero(3))
 
     def test_step_budget_carries_partial_result(self, mu_s3):
-        from bracketflow.errors import MaxStepsExceeded
-
-        with pytest.raises(MaxStepsExceeded) as info:
+        with pytest.raises(MaxStepsExceeded, match="max_steps = 2 iterations") as info:
             energy_gradient_flow(mu_s3, crit_tol=1e-14, max_steps=2)
         assert info.value.result is not None
         assert info.value.residual > 0.0
+        assert f"residual {info.value.residual:.3e}" in str(info.value)
+
+    def test_stall_names_the_step_floor(self):
+        # At round-off from a critical point no step size above the floor is accepted.
+        with pytest.raises(MaxStepsExceeded, match="stalled after 10 iterations: no step") as info:
+            energy_gradient_flow(_rotated_heisenberg5(), crit_tol=0.0, max_steps=300)
+        assert "max_steps" not in str(info.value)
+        assert f"residual {info.value.residual:.3e}" in str(info.value)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_steps": -1}, {"crit_tol": -1e-9}, {"crit_tol": float("nan")},
+        {"crit_tol": float("inf")},
+    ])
+    def test_out_of_range_arguments_rejected(self, mu_s3, kwargs):
+        with pytest.raises(OutOfRange, match=next(iter(kwargs))):
+            energy_gradient_flow(mu_s3, **kwargs)
+
+    def test_non_integer_budget_rejected(self, mu_s3):
+        with pytest.raises(TypeError):
+            energy_gradient_flow(mu_s3, max_steps=2.5)
+
+    def test_zero_tolerance_and_budget_accepted(self, mu_h3, mu_s3):
+        assert energy_gradient_flow(mu_h3, crit_tol=0.0)[1] == 0.0
+        with pytest.raises(MaxStepsExceeded, match="max_steps = 0 iterations"):
+            energy_gradient_flow(mu_s3, max_steps=0)
 
 
 def _flow_record(flow, mu, **kwargs):
@@ -85,6 +112,16 @@ def _draw(seed, n):
     return random_solvable_bracket(np.random.default_rng(seed), n)
 
 
+def _rotated_heisenberg5():
+    """heisenberg(5) in a rotated basis: critical up to round-off."""
+    return act(random_orthogonal(np.random.default_rng(0), 5), catalog("heisenberg", dim=5).bracket)
+
+
+def _gauged(name, seed, **params):
+    h = sla.expm(0.4 * np.random.default_rng(seed).standard_normal((3, 3)))
+    return act(h, catalog(name, **params).bracket)
+
+
 _FLOW_CASES = [(f"random{n}", lambda n=n: _draw(4100 + n, n)) for n in range(3, 10)] + [
     ("s3", lambda: catalog("s3").bracket),
     ("h3", lambda: catalog("h3").bracket),
@@ -92,9 +129,24 @@ _FLOW_CASES = [(f"random{n}", lambda n=n: _draw(4100 + n, n)) for n in range(3, 
     ("s3_lambda0.5", lambda: catalog("s3_lambda", lam=0.5).bracket),
     ("s3_lambda_prime0.7", lambda: catalog("s3_lambda_prime", lam=0.7).bracket),
     ("heisenberg5", lambda: catalog("heisenberg", dim=5).bracket),
-    ("gauged_h3", lambda: act(sla.expm(0.4 * np.random.default_rng(4199).standard_normal((3, 3))),
-                              catalog("h3").bracket)),
+    ("heisenberg7", lambda: catalog("heisenberg", dim=7).bracket),
+    ("gauged_h3", lambda: _gauged("h3", 4199)),
+    ("gauged_s3_lambda0.5", lambda: _gauged("s3_lambda", 4198, lam=0.5)),
+    ("random10", lambda: _draw(4110, 10)),
 ]
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of the strata-level kernel `name` from here on."""
+    calls = []
+    kernel = getattr(strata, name)
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(strata, name, counted)
+    return calls
 
 
 class TestRawArrayEnergyFlow:
@@ -109,6 +161,28 @@ class TestRawArrayEnergyFlow:
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2]
         assert np.array_equal(got[3], want[3])
+
+    def test_ladders_past_the_first_bit_identical(self, monkeypatch):
+        # A stall at the step floor rejects every trial of about 20 ladders per
+        # iteration; the random draw needs a second ladder in some iterations.
+        for mu, kwargs in ((_rotated_heisenberg5(), {"crit_tol": 0.0}), (_draw(4106, 6), {})):
+            calls = _counting(monkeypatch, "coeff_moment")
+            got = _flow_record(energy_gradient_flow, mu, max_steps=300, **kwargs)
+            accepted = len(got[3]) - 1
+            assert len(calls) > accepted + 1
+            want = _flow_record(energy_gradient_flow_tensor, mu, max_steps=300, **kwargs)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1]) and got[2] == want[2] and got[3] == want[3]
+
+    def test_one_kernel_call_per_accepted_iteration(self, monkeypatch):
+        # One-at-a-time backtracking evaluates about 2 trials per accepted
+        # iteration; the ladder evaluates its trials in one call.
+        calls = _counting(monkeypatch, "coeff_moment")
+        history = []
+        with pytest.raises(MaxStepsExceeded):
+            energy_gradient_flow(_draw(4106, 6), crit_tol=0.0, max_steps=300, history=history)
+        assert len(history) == 301
+        assert len(calls) <= 1.25 * len(history)
 
     def test_stalled_result_bit_identical(self, mu_s3):
         got = _flow_record(energy_gradient_flow, mu_s3, crit_tol=1e-14, max_steps=5)
@@ -131,6 +205,22 @@ class TestRawArrayEnergyFlow:
         except MaxStepsExceeded as exc:
             assert exc.result is not None
         assert len(built) == 1
+
+
+class TestCriticalityStack:
+    @pytest.mark.parametrize("dim", range(2, DIM_CAP + 1))
+    def test_each_slice_equals_the_one_state_formulas(self, dim):
+        rng = np.random.default_rng(4400 + dim)
+        for count in range(1, 5):
+            mus = [random_antisymmetric_bracket(rng, dim, scale=rng.uniform(0.1, 10.0))
+                   for _ in range(count)]
+            energies, tangents, resids, norms_sq = strata._criticality_direction(
+                np.stack([mu.coeffs for mu in mus]))
+            for j, mu in enumerate(mus):
+                m, tangent, resid = criticality_direction_tensor(mu)
+                assert energies[j] == float(np.sum(m * m))
+                assert np.array_equal(tangents[j], tangent)
+                assert resids[j] == resid and norms_sq[j] == mu.norm_sq
 
 
 def _random_beta(rng):
@@ -260,6 +350,13 @@ class TestQBetaProjection:
         a = rng.standard_normal((3, 3))
         once = project_qbeta(a, dec)
         np.testing.assert_allclose(project_qbeta(once, dec), once, atol=1e-13)
+
+    def test_float_masks_keep_the_boolean_mask_bits(self, rng):
+        dec = beta_decomposition(label_from_beta([-0.6, -0.3, -0.3, 0.1, 0.8]))
+        a = rng.standard_normal((4, 5, 5))
+        want = a * dec.mask_g + a * dec.mask_u + (a * dec.mask_ut).mT
+        assert np.array_equal(project_qbeta(a, dec), want)
+        assert np.array_equal(project_qbeta(a[0], dec), want[0])
 
     def test_norm_bounds_symmetric(self, dec, rng):
         for _ in range(20):
