@@ -11,6 +11,9 @@ index, basis element or matrix entry at a time:
 - `p_matrix_loop`, `ad_beta_plus_loop`, `l_matrix_loop`: the linearization
   operators on the sl_beta basis, one basis element or tangent column at a
   time;
+- `p_group_path_fd`, `flow_field_fd`: P and L from their definitions by
+  central differences, P along the group path exp(tA).mu one sl_beta element
+  at a time, L along one tangent column at a time;
 - `energy_gradient_flow_tensor`: the moment-map energy flow stepping
   BracketTensors, one per trial and one per pi(m)mu;
 - `beta_decomposition_loop`: the beta-adapted bases built E_ij by E_ij in a
@@ -19,14 +22,21 @@ index, basis element or matrix entry at a time:
   first value, the rule before the gap rule of `strata._gap_clusters`.
 
 The test-only helpers `random_antisymmetric_bracket`, `random_orthogonal`,
-`scalstar_first_variation` and `grading_components` live here too.
+`scalstar_first_variation` and `grading_components` live here too, and so do
+the property-test draws: the hypothesis settings `PROPERTY`, the strategies
+`SEED` and `DIM` (n = 2 to DIM_CAP), and `lie_bracket` and `draw_bracket`.
 """
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from bracketflow.brackets import BracketTensor, ensure_lie, pi_action
+from bracketflow.brackets import DIM_CAP, BracketTensor, act, ensure_lie, pi_action
+from bracketflow.catalog import almost_abelian, random_solvable_bracket, random_two_step_nilpotent
 from bracketflow.curvature import killing_matrix, moment_map_fast, ricci_star
-from bracketflow.errors import MaxStepsExceeded, ZeroBracket
+from bracketflow.errors import MaxStepsExceeded, SingularGauge, ZeroBracket
+from bracketflow.flows import Variant, flow_field
 from bracketflow.linalg import RANK_TOL, orthonormal_basis
 from bracketflow.linearize import delta_matrix
 from bracketflow.strata import (
@@ -37,6 +47,7 @@ from bracketflow.strata import (
     BetaDecomposition,
     _gap_clusters,
     _require_canonical,
+    project_qbeta,
 )
 
 
@@ -174,6 +185,29 @@ def l_matrix_loop(mu, dec, tangent):
         lv = -pi_action(pa + (bp @ a - a @ bp), mu).coeffs.ravel()
         l_mat[:, j] = tangent.T @ lv
     return l_mat
+
+
+def p_group_path_fd(mu, dec, step=1e-6):
+    """P(A) for each sl_beta element A, as the central difference at `step` of the
+    q_beta-projected Ric* along the group path exp(tA).mu; a stack (m, n, n)."""
+    out = []
+    for a in dec.sl_basis:
+        plus = project_qbeta(ricci_star(act(expm(step * a), mu)), dec)
+        minus = project_qbeta(ricci_star(act(expm(-step * a), mu)), dec)
+        out.append((plus - minus) / (2.0 * step))
+    return np.array(out)
+
+
+def flow_field_fd(mu, dec, tangent, step=1e-5):
+    """L on each tangent column v, as the central difference at `step` of the scalstar
+    flow field along mu + tv; the columns (n^3, r)."""
+    cols = np.zeros(tangent.shape)
+    for j in range(tangent.shape[1]):
+        v = tangent[:, j].reshape(mu.coeffs.shape)
+        fp = flow_field(mu.coeffs + step * v, Variant.SCALSTAR, dec)
+        fm = flow_field(mu.coeffs - step * v, Variant.SCALSTAR, dec)
+        cols[:, j] = ((fp - fm) / (2.0 * step)).ravel()
+    return cols
 
 
 def criticality_direction_tensor(mu):
@@ -318,6 +352,36 @@ def random_antisymmetric_bracket(rng, dim, scale=1.0):
     """Random antisymmetric tensor; generally not a Lie bracket."""
     c = scale * rng.standard_normal((dim, dim, dim))
     return BracketTensor(0.5 * (c - np.swapaxes(c, 0, 1)))
+
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
+SEED = st.integers(0, 2**32 - 1)
+DIM = st.integers(2, DIM_CAP)
+
+
+def lie_bracket(rng, dim):
+    """A gauged solvable or nilpotent Lie bracket; None when the gauge is singular.
+
+    random_solvable_bracket solves for the derivations of its ideal, which
+    costs about 0.4 s at n = 16, so dimensions above 8 use the cheaper
+    almost-abelian and two-step nilpotent families.
+    """
+    try:
+        if dim <= 8:
+            return random_solvable_bracket(rng, dim)
+        if rng.integers(2):
+            mu = almost_abelian(rng.standard_normal((dim - 1, dim - 1)))
+        else:
+            mu = random_two_step_nilpotent(rng, dim)
+        return act(expm(0.3 * rng.standard_normal((dim, dim))), mu)
+    except SingularGauge:
+        return None
+
+
+def draw_bracket(seed, dim, lie):
+    """A seeded lie_bracket, or a random antisymmetric tensor when lie is False."""
+    rng = np.random.default_rng(seed)
+    return lie_bracket(rng, dim) if lie else random_antisymmetric_bracket(rng, dim)
 
 
 def random_orthogonal(rng, n):

@@ -249,6 +249,7 @@ class TestCli:
         assert main(["linearize", "--catalog", "s3_lambda", "--lam", "0.5"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["tangent_dim"] == 2
+        assert data["P_fd_discrepancy"] <= 1e-12 and data["flow_fd_discrepancy"] <= 1e-12
         assert main(["linearize", "--catalog", "s3"]) == 2
 
     def test_compare(self, tmp_path, capsys, rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given
 
 from bracketflow import (
     BracketTensor,
@@ -13,6 +14,10 @@ from bracketflow.catalog import random_solvable_bracket
 from bracketflow.errors import NotALieBracket, ZeroBracket
 
 from oracles import (
+    DIM,
+    PROPERTY,
+    SEED,
+    lie_bracket,
     moment_map,
     oracle_ricci,
     random_antisymmetric_bracket,
@@ -30,9 +35,12 @@ class TestMomentMap:
             moment_map(mu_h3.scaled(2.0)), moment_map(mu_h3), atol=1e-13
         )
 
-    def test_orthogonal_equivariance(self, rng):
-        mu = random_antisymmetric_bracket(rng, 4)
-        k = random_orthogonal(rng, 4)
+    @PROPERTY
+    @given(seed=SEED, dim=DIM)
+    def test_orthogonal_equivariance(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        mu = random_antisymmetric_bracket(rng, dim)
+        k = random_orthogonal(rng, dim)
         lhs = moment_map(act(k, mu))
         rhs = k @ moment_map(mu) @ k.T
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
@@ -107,10 +115,16 @@ class TestCurvaturePack:
             np.testing.assert_allclose(p.K, c**2 * base.K, rtol=1e-10)
             np.testing.assert_allclose(p.RicStar, c**2 * base.RicStar, rtol=1e-10)
 
-    def test_orthogonal_equivariance(self, mu_s3, rng):
-        k = random_orthogonal(rng, 3)
-        p0 = curvature_pack(mu_s3)
-        p1 = curvature_pack(act(k, mu_s3))
+    @PROPERTY
+    @given(seed=SEED, dim=DIM)
+    def test_orthogonal_equivariance(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        mu = lie_bracket(rng, dim)
+        if mu is None:
+            return
+        k = random_orthogonal(rng, dim)
+        p0 = curvature_pack(mu)
+        p1 = curvature_pack(act(k, mu))
         for a, b in ((p1.Ric, p0.Ric), (p1.K, p0.K), (p1.M, p0.M), (p1.RicStar, p0.RicStar)):
             np.testing.assert_allclose(a, k @ b @ k.T, atol=1e-10)
 

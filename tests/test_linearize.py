@@ -23,8 +23,10 @@ from bracketflow.linearize import _ad_beta_plus_matrix, _rows, delta_matrix
 from oracles import (
     ad_beta_plus_loop,
     delta_apply,
+    flow_field_fd,
     grading_components,
     l_matrix_loop,
+    p_group_path_fd,
     p_matrix_loop,
 )
 
@@ -50,6 +52,14 @@ def hyp_setup():
 @pytest.fixture(scope="module")
 def s3l_setup():
     aligned, label = _normalized("s3_lambda", lam=0.5)
+    return aligned, label, beta_decomposition(label)
+
+
+@pytest.fixture(scope="module")
+def two_dim_setup():
+    # (e1, e2) = e2: sl_beta consists of derivations, so the tangent space is empty.
+    mu = BracketTensor.from_entries(2, [(1, 2, 2, 1.0)])
+    aligned, label = soliton_label(normalize_soliton(mu, soliton_residual(mu)))
     return aligned, label, beta_decomposition(label)
 
 
@@ -125,10 +135,12 @@ class TestPOperator:
 
 
 class TestLOperator:
-    def test_rigid_solitons_have_trivial_tangent(self, h3_setup, hyp_setup):
-        for mu, _, dec in (h3_setup, hyp_setup):
+    def test_rigid_solitons_have_trivial_tangent(self, h3_setup, hyp_setup, two_dim_setup):
+        for mu, _, dec in (h3_setup, hyp_setup, two_dim_setup):
             rep = l_operator(mu, dec)
             assert rep.tangent_dim == 0
+            # An empty tangent makes no flow_field call (an empty stack would not reshape).
+            assert rep.flow_fd_discrepancy == 0.0
             assert rep.kernel_dim == 0 == rep.kbeta_orbit_dim
             assert rep.kernel_matches_kbeta_orbit
             # P vanishes identically: sl_beta consists of derivations.
@@ -233,6 +245,44 @@ def _ad_diagonals(draw):
 
 def _assert_matches(got, want):
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * (1.0 + np.linalg.norm(want))
+
+
+_CHECK_INPUTS = [("heisenberg", None, 3), ("heisenberg", None, 5), ("heisenberg", None, 7),
+                 ("s3_lambda", 0.5, None)]
+
+
+@pytest.fixture(scope="module", params=_CHECK_INPUTS, ids=lambda p: f"{p[0]}-{p[1] or p[2]}")
+def check_setup(request):
+    name, lam, dim = request.param
+    mu, label = _normalized(name, lam=lam, dim=dim)
+    dec = beta_decomposition(label)
+    return mu, dec, l_operator(mu, dec)
+
+
+class TestExactChecks:
+    """P and L check themselves exactly: Ric* is quadratic, and the scalstar flow field is
+    a polynomial of degree 5 along a line.  The central differences they replaced, along
+    the group path exp(tA).mu and along each tangent column, stay here as oracles."""
+
+    def test_both_discrepancies_are_round_off(self, check_setup):
+        _, _, rep = check_setup
+        assert rep.P_fd_discrepancy <= 1e-12
+        assert rep.flow_fd_discrepancy <= 1e-12
+
+    def test_p_matches_group_path_oracle(self, check_setup):
+        # P(b_j) = sum_i P[i, j] b_i; the exact check holds it to the definition
+        # within P_fd_discrepancy, the oracle to within its truncation error.
+        mu, dec, rep = check_setup
+        pop = p_operator(mu, dec)
+        images = np.tensordot(pop.matrix.T, np.array(dec.sl_basis), axes=1)
+        assert pop.fd_discrepancy == rep.P_fd_discrepancy
+        assert np.max(np.linalg.norm(p_group_path_fd(mu, dec) - images, axis=(1, 2))) <= 1e-8
+
+    def test_l_matches_flow_field_oracle(self, check_setup):
+        mu, dec, rep = check_setup
+        want = flow_field_fd(mu, dec, rep.tangent_basis)
+        got = rep.tangent_basis @ rep.L_matrix
+        assert np.max(np.linalg.norm(got - want, axis=0), initial=0.0) <= 1e-8
 
 
 class TestMatrixForm:
