@@ -12,11 +12,13 @@ and first-same-as-last stage reuse.  Only t_end cuts a step short: the
 samples on the recording grid that fall inside an accepted step come from
 the DP5 continuous extension (dense output) of that step's seven stages.
 The stepper works on raw coefficient arrays through the kernels of
-`curvature` and `brackets`; only a recorded sample is validated as a
-BracketTensor.  The grid samples of one step are validated and monitored as
-one stack, then appended in time order.  Each recorded sample carries the
-monitor quantities used by the convergence and collapse criteria; its
-curvature pack is recomputed on demand.
+`curvature` and `brackets`; only a recorded sample (seed, grid or final) is
+validated as a BracketTensor.  That is the flow's one Jacobi check: DOPRI5
+does not keep the Jacobi identity, and a record past jacobi_tolerance raises
+NotALieBracket.  The grid samples of one step are validated and monitored as
+one stack, then appended in time order as seeds and final samples are.  Each
+recorded sample carries the monitor quantities used by the convergence and
+collapse criteria; its curvature pack is recomputed on demand.
 
 There is one stepper loop, over a stack of B trajectories of one FlowSpec
 (`integrate_stack`); `integrate` is that loop with B = 1.  Each trajectory
@@ -41,13 +43,14 @@ depend on it.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 from scipy.linalg import expm
 
-from .brackets import BracketTensor, bracket_stack, ensure_lie, jacobi_norm, pi_apply
+from .brackets import BracketTensor, bracket_stack, ensure_lie, pi_apply
 from .curvature import coeff_parts, coeff_scal_star, curvature_pack
 from .errors import BracketFlowError, GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
@@ -71,7 +74,7 @@ class Termination(str, Enum):
     REACHED_T_END = "ReachedTEnd"
     CONVERGED = "Converged"
     DIVERGED = "Diverged"
-    STEP_FAILURE = "StepFailure"
+    STEP_FAILURE = "StepFailure"  # the step budget ran out or the step size underflowed
 
 
 @dataclass(slots=True)
@@ -382,6 +385,15 @@ def integrate_stack(mu0s, spec):
         raise OutOfRange(f"record_every = {spec.record_every} must be positive and finite")
     if not (math.isfinite(spec.t_end) and spec.t_end >= 0.0):
         raise OutOfRange(f"t_end = {spec.t_end} must be non-negative and finite")
+    for name, tol in (("rel_tol", spec.rel_tol), ("abs_tol", spec.abs_tol)):
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise OutOfRange(f"{name} = {tol} must be non-negative and finite")
+    if spec.rel_tol == spec.abs_tol == 0.0:
+        raise OutOfRange("rel_tol = 0.0 and abs_tol = 0.0: one of them must be positive")
+    if operator.index(spec.max_steps) < 0:
+        raise OutOfRange(f"max_steps = {spec.max_steps} must be >= 0")
+    if not math.isfinite(spec.conv_tol):
+        raise OutOfRange(f"conv_tol = {spec.conv_tol} must be finite; <= 0 checks no convergence")
     dims = sorted({mu0.dim for mu0 in mu0s})
     if len(dims) > 1:
         raise ValueError(f"integrate_stack steps brackets of one dimension, got dimensions {dims}")
@@ -396,14 +408,13 @@ _RUN_ERRORS = (BracketFlowError, ValueError)
 class _Run:
     """The scalar state of one trajectory of integrate_stack."""
 
-    __slots__ = ("index", "traj", "cap", "t", "h", "err", "err_prev", "steps", "renorms",
-                 "grid", "rows", "running", "end")
+    __slots__ = ("index", "traj", "cap", "t", "h", "err", "err_prev", "steps", "renorms", "rows",
+                 "running", "end")
 
     def __init__(self, index, traj, cap, h):
         self.index, self.traj, self.cap, self.h = index, traj, cap, h
         self.t, self.err, self.err_prev = 0.0, 0.0, 1.0
         self.steps = self.renorms = 0
-        self.grid = 1  # the next sample on the grid is at grid * record_every
         self.rows = []  # the (G, n, n) gauges of each recorded sample
         self.running = True
         self.end = None  # (y, gauges) where the run stopped, for its final sample
@@ -427,7 +438,6 @@ class _Lockstep:
         self.label = spec.label
         self.dec = None
         self.limit, self.error = math.inf, None
-        self.changed = False
 
     def run(self, mu0s):
         runs, seeds = [], []
@@ -475,13 +485,11 @@ class _Lockstep:
             self.limit, self.error = run.index, exc
             for dropped in self.runs[run.index:]:
                 dropped.running = False
-            self.changed = True
 
     def _stop(self, run, termination, y=None, gauges=None):
         run.traj.termination = termination
         run.running = False
         run.end = (y, gauges)
-        self.changed = True
 
     def _stage(self, c):
         """The slopes (B, n^3) at a stack c and the endomorphisms (A, R) of the gauges there.
@@ -496,20 +504,14 @@ class _Lockstep:
 
     def _start(self, runs, y):
         """Record each seed as its first sample and evaluate the first stages."""
+        identity = np.array([np.eye(y.shape[-1])] * len(GAUGE_COEFFICIENTS))
         samples, _ = _sample_stack([0.0] * len(runs), y, self.core, self.dec, self.label)
-        for run, sample in zip(runs, samples):
-            try:
-                _append(run.traj, [sample], 0.0)
-            except _RUN_ERRORS as exc:
-                self._fail(run, exc)
-                break
+        blocks = [(run, j, 1) for j, run in enumerate(runs)]
+        self._append_blocks(samples, [identity] * len(runs), blocks, 0.0)
         self.live = [run for run in runs if run.running]
         if not self.live:
             return
         self.y = y[: len(self.live)]
-        identity = np.array([np.eye(y.shape[-1])] * len(GAUGE_COEFFICIENTS))
-        for run in self.live:
-            run.rows.append(identity)
         self.k0, ends = self._stage(self.y)
         self.a0 = self.gauges = None
         if self.gauged:
@@ -517,11 +519,31 @@ class _Lockstep:
             self.a0[:, 0], self.a0[:, 1] = ends
             self.gauges = np.array([identity] * len(self.live))
 
+    def _append_blocks(self, samples, rows, blocks, conv_tol):
+        """Append the samples to their runs, one block (run, first, count) per run.
+
+        run takes samples[first: first + count] through _append and, on gauged
+        runs, the (G, n, n) gauges rows[j] of each sample j it appends.  Runs
+        from the lowest index that raised on are skipped; a run whose sample
+        raises fails, and a run that converges stops.
+        """
+        for run, first, count in blocks:
+            if run.index >= self.limit:
+                continue
+            try:
+                count, converged = _append(run.traj, samples[first: first + count], conv_tol)
+            except _RUN_ERRORS as exc:
+                self._fail(run, exc)
+                continue
+            if self.gauged:
+                run.rows.extend(rows[first: first + count])
+            if converged:
+                self._stop(run, Termination.CONVERGED)
+
     def _compress(self):
         """Drop the stopped and dropped runs from live and the stacks."""
-        if self.changed:
-            self.changed = False
-            keep = [j for j, run in enumerate(self.live) if run.running]
+        keep = [j for j, run in enumerate(self.live) if run.running]
+        if len(keep) < len(self.live):
             self.live = [self.live[j] for j in keep]
             self.y, self.k0 = self.y[keep], self.k0[keep]
             if self.gauged:
@@ -595,24 +617,16 @@ class _Lockstep:
                 k0[bumped], ends = self._stage(y[bumped])
                 if gauged:
                     a0[bumped, 0], a0[bumped, 1] = ends
-        # Jacobi drift and blow-up end a run before its samples.
-        ok = [i for i, run in enumerate(runs) if run.running]
+        # Blow-up ends a run before its samples.
+        flat = y.reshape(len(runs), -1)
         sampled = []
-        if ok:
-            ys = y if len(ok) == len(runs) else y[ok]
-            flat = ys.reshape(len(ok), -1)
-            # A stack of one is checked as its one state, as in _stage.
-            jacs = [jacobi_norm(ys[0])] if len(ok) == 1 else jacobi_norm(ys).tolist()
-            for i, norm, jac in zip(ok, np.sqrt(np.vecdot(flat, flat)).tolist(), jacs):
-                run = runs[i]
-                if jac > 1e-8 * (1.0 + norm * norm):
-                    stop = Termination.STEP_FAILURE
-                elif norm > run.cap:
-                    stop = Termination.DIVERGED
-                else:
-                    sampled.append(i)
-                    continue
-                self._stop(run, stop, y[i], None if gauges is None else gauges[i])
+        for i, (run, norm) in enumerate(zip(runs, np.sqrt(np.vecdot(flat, flat)).tolist())):
+            if not run.running:
+                continue
+            if norm > run.cap:
+                self._stop(run, Termination.DIVERGED, y[i], None if gauges is None else gauges[i])
+            else:
+                sampled.append(i)
         if sampled:
             self._record(runs, sampled, t_old, y_old, y, k, a, g_old, gauges)
         for i in sampled:
@@ -640,56 +654,43 @@ class _Lockstep:
         gauges.
         """
         spec = self.spec
-        ts, blocks, plan = [], [], []
+        ts, states, blocks = [], [], []
+        # owner: each sample's run row; dense: the dense samples; spans, weights: per run.
+        owner, dense, spans, weights = [], [], [], []
         for i in sampled:
             run = runs[i]
-            t, h, t0, first, thetas = run.t, run.h, t_old[i], len(ts), []
-            while (t_rec := (run.grid + len(ts) - first) * spec.record_every) <= t + 1e-12 * max(1.0, t):
+            t, h, first, thetas = run.t, run.h, len(ts), []
+            grid = len(run.traj.samples)  # the seed is grid point 0
+            while (t_rec := (grid + len(ts) - first) * spec.record_every) <= t + 1e-12 * max(1.0, t):
                 if t - t_rec <= 1e-12 * max(1.0, t_rec):
                     ts.append(min(t_rec, spec.t_end))
                 else:
                     ts.append(t_rec)
-                    thetas.append((t_rec - t0) / h)
+                    thetas.append((t_rec - t_old[i]) / h)
             count = len(ts) - first
             if not count:
                 continue
-            weights = None
             if thetas:
-                weights = _dense_weights(np.array(thetas))
-                blocks.append(y_old[i] + h * (weights[:, None, :] @ k[i])[:, 0].reshape(-1, *y.shape[1:]))
-            blocks += [y[i: i + 1]] * (count - len(thetas))
-            plan.append((run, i, first, count, thetas, weights))
-        if not plan:
+                w = _dense_weights(np.array(thetas))
+                states.append(y_old[i] + h * (w[:, None, :] @ k[i])[:, 0].reshape(-1, *y.shape[1:]))
+                dense += range(first, first + len(thetas))
+                spans.append(np.array(thetas) * h)
+                weights.append(w)
+            states += [y[i: i + 1]] * (count - len(thetas))
+            owner += [i] * count
+            blocks.append((run, first, count))
+        if not blocks:
             return
-        samples, ends = _sample_stack(ts, np.concatenate(blocks), self.core, self.dec, self.label)
-        jobs = []  # (run, i, first, m, count, thetas, weights): m dense samples appended
-        for run, i, first, count, thetas, weights in plan:
-            if not run.running:
-                continue
-            try:
-                count, converged = _append(run.traj, samples[first: first + count], spec.conv_tol)
-            except _RUN_ERRORS as exc:
-                self._fail(run, exc)
-                continue
-            run.grid += count
-            jobs.append((run, i, first, min(count, len(thetas)), count, thetas, weights))
-            if converged:
-                self._stop(run, Termination.CONVERGED)
-        if not self.gauged:
-            return
-        dense = [job for job in jobs if job[3]]
-        dense_gauges = ()
-        if dense:
-            at = [i for _, i, _, m, *_ in dense for _ in range(m)]
-            rows = [r for _, _, first, m, *_ in dense for r in range(first, first + m)]
-            spans = np.concatenate([np.array(thetas[:m]) * runs[i].h for _, i, _, m, _, thetas, _ in dense])
-            weights = np.concatenate([weights[:m] for *_, m, _, _, weights in dense])
-            d = np.array([runs[i].h for i in at])
-            dense_gauges = _magnus_step(g_old[at], a[at], weights, d, spans, np.stack(ends, axis=1)[rows])
-        q = 0
-        for run, i, _, m, count, _, _ in jobs:
-            run.rows += [*dense_gauges[q: q + m], *[gauges[i]] * (count - m)]
-            q += m
+        samples, ends = _sample_stack(ts, np.concatenate(states), self.core, self.dec, self.label)
+        rows = None
+        if self.gauged:
+            rows = gauges[owner]
+            if dense:
+                at = [owner[j] for j in dense]
+                d = np.array([runs[i].h for i in at])
+                rows[dense] = _magnus_step(g_old[at], a[at], np.concatenate(weights), d,
+                                           np.concatenate(spans), np.stack(ends, axis=1)[dense])
+        self._append_blocks(samples, rows, blocks, spec.conv_tol)
 
     def _finish(self, runs):
         """Append each run's final sample where it stopped off the grid, and fill its trajectory."""
@@ -701,13 +702,8 @@ class _Lockstep:
         if final:
             cs = np.stack([run.end[0] for run in final])
             samples, _ = _sample_stack([run.t for run in final], cs, self.core, self.dec, self.label)
-            for run, sample in zip(final, samples):
-                try:
-                    _append(run.traj, [sample], 0.0)
-                except _RUN_ERRORS as exc:
-                    self._fail(run, exc)
-                    break
-                run.rows.append(run.end[1])
+            rows = [run.end[1] for run in final]
+            self._append_blocks(samples, rows, [(run, j, 1) for j, run in enumerate(final)], 0.0)
         for run in runs[: min(len(runs), self.limit)]:
             traj = run.traj
             traj.steps, traj.renormalizations = run.steps, run.renorms

@@ -240,6 +240,11 @@ class TestCli:
         first = json.loads(lines[0])
         assert first["t"] == 0.0 and first["bracket"]["dim"] == 3
 
+    def test_flow_tolerances_are_validated(self, capsys):
+        code = main(["flow", "--catalog", "s3", "--t-end", "1", "--rel-tol", "nan"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: rel_tol = nan must be")
+
     def test_soliton_check(self, capsys):
         assert main(["soliton-check", "--catalog", "s3_lambda", "--lam", "1.0"]) == 0
         data = json.loads(capsys.readouterr().out)

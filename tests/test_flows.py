@@ -261,11 +261,29 @@ class TestNormalizedFlow:
         # the modified scalar curvature of the shape collapses to zero.
         seed = act(np.diag([1.0, 1.0, 1.5]), mu_e2)
         label = stratum_label(mu_e2)
-        traj = integrate(
-            seed, FlowSpec(variant=Variant.SCALSTAR, t_end=50.0, label=label, record_every=0.02)
-        )
-        assert traj.termination in (Termination.DIVERGED, Termination.STEP_FAILURE)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=50.0, label=label, record_every=0.02)
+        traj = integrate(seed, spec)
+        # The step size underflows before the step budget runs out.
+        assert traj.termination == Termination.STEP_FAILURE
+        assert traj.steps < spec.max_steps
         assert traj.final.bracket.norm >= 100.0 * seed.norm
+
+    def test_step_budget_ends_the_run(self, mu_s3, s3_label):
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=10.0, label=s3_label, max_steps=6)
+        traj = integrate(mu_s3, spec)
+        assert traj.termination == Termination.STEP_FAILURE
+        assert traj.steps == 6
+
+    def test_jacobi_drift_raises_at_the_final_record(self):
+        # DOPRI5 does not keep the Jacobi identity; on this heisenberg(9) gauge
+        # the drift passes the record tolerance before t = 20, and the only
+        # records are the seed and the final sample.
+        heis = catalog("heisenberg", dim=9).bracket
+        label = stratum_label(heis)
+        mu0 = act(random_parabolic_gauge(np.random.default_rng(3), beta_decomposition(label)), heis)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label, record_every=20.0)
+        with pytest.raises(NotALieBracket):
+            integrate(mu0, spec)
 
     def test_e2_raw_flow_scal_to_zero(self, mu_e2):
         seed = act(np.diag([1.0, 1.0, 1.5]), mu_e2)
@@ -771,6 +789,33 @@ class TestFlowSpecValidation:
     def test_t_end_must_be_nonnegative_and_finite(self, mu_h3, t_end):
         with pytest.raises(OutOfRange, match=f"t_end = {t_end}"):
             integrate(mu_h3, FlowSpec(variant=Variant.RAW, t_end=t_end))
+
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_tolerances_must_be_nonnegative_and_finite(self, mu_h3, field, tol):
+        spec = FlowSpec(variant=Variant.RAW, t_end=1.0, **{field: tol})
+        with pytest.raises(OutOfRange, match=f"{field} = {tol}"):
+            integrate(mu_h3, spec)
+
+    def test_tolerances_must_not_both_be_zero(self, mu_h3):
+        spec = FlowSpec(variant=Variant.RAW, t_end=1.0, rel_tol=0.0, abs_tol=0.0)
+        with pytest.raises(OutOfRange, match="rel_tol = 0.0 and abs_tol = 0.0"):
+            integrate(mu_h3, spec)
+
+    @pytest.mark.parametrize("max_steps, error", [(-1, OutOfRange), (2.5, TypeError)])
+    def test_max_steps_must_be_a_nonnegative_integer(self, mu_h3, max_steps, error):
+        with pytest.raises(error):
+            integrate(mu_h3, FlowSpec(variant=Variant.RAW, t_end=1.0, max_steps=max_steps))
+
+    @pytest.mark.parametrize("conv_tol", [float("nan"), float("inf"), -float("inf")])
+    def test_conv_tol_must_be_finite(self, mu_h3, conv_tol):
+        with pytest.raises(OutOfRange, match=f"conv_tol = {conv_tol}"):
+            integrate(mu_h3, FlowSpec(variant=Variant.RAW, t_end=1.0, conv_tol=conv_tol))
+
+    @pytest.mark.parametrize("conv_tol", [0.0, -1.0])
+    def test_nonpositive_conv_tol_checks_no_convergence(self, mu_h3, conv_tol):
+        traj = integrate(mu_h3, FlowSpec(variant=Variant.RAW, t_end=1.0, conv_tol=conv_tol))
+        assert traj.termination == Termination.REACHED_T_END
 
     def test_zero_t_end_records_the_seed(self, mu_h3):
         traj = integrate(mu_h3, FlowSpec(variant=Variant.RAW, t_end=0.0))
