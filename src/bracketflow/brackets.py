@@ -13,12 +13,17 @@ BracketTensor functions wrap them.  Both also take a stack (..., n, n, n) of
 states and return the stack of results, each slice equal to the bits of the
 one-state call; `bracket_stack` validates such a stack slice by slice, as
 BracketTensor and `ensure_lie` validate one array.
+
+The JSON wire format is decided here: `bracket_to_dict` and
+`bracket_from_dict` for brackets, `report_to_dict` for the report dataclasses.
 """
 
 import functools
 import itertools
 import json
 import math
+from dataclasses import fields
+from enum import Enum
 
 import numpy as np
 
@@ -70,18 +75,11 @@ class BracketTensor:
     __slots__ = ("dim", "coeffs", "_jacobi")
 
     def __init__(self, coeffs, antisymmetrize=False):
-        c = np.array(coeffs, dtype=float)
-        _check_shape(c.shape)
-        if not np.all(np.isfinite(c)):
-            raise ValueError(_NOT_FINITE)
-        asym = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
-        if asym > 0.0:
-            if not antisymmetrize and asym > _asym_bound(np.max(np.abs(c))):
-                raise _asym_error(asym)
-            c = 0.5 * (c - np.swapaxes(c, 0, 1))
-        c.flags.writeable = False
-        self.dim = c.shape[0]
-        self.coeffs = c
+        c, errors = _validated(coeffs, stacked=False, antisymmetrize=antisymmetrize)
+        if errors[0] is not None:
+            raise errors[0]
+        self.dim = c.shape[-1]
+        self.coeffs = c[0]
         self._jacobi = None
 
     @classmethod
@@ -96,19 +94,19 @@ class BracketTensor:
 
     @classmethod
     def zero(cls, dim):
+        _check_shape((dim,) * 3)
         return cls(np.zeros((dim, dim, dim)))
 
     @classmethod
-    def from_entries(cls, dim, entries, one_based=True):
-        """Build from (i, j, k, value) tuples with i < j; antisymmetry is filled in."""
+    def from_entries(cls, dim, entries):
+        """Build from 1-based (i, j, k, value) tuples with i < j; antisymmetry is filled in."""
+        _check_shape((dim,) * 3)
         c = np.zeros((dim, dim, dim))
-        off = 1 if one_based else 0
         for i, j, k, v in entries:
-            i, j, k = i - off, j - off, k - off
-            if not (0 <= i < j < dim and 0 <= k < dim):
-                raise ValueError(f"entry ({i + off},{j + off},{k + off}) out of range")
-            c[i, j, k] += v
-            c[j, i, k] -= v
+            if not (1 <= i < j <= dim and 1 <= k <= dim):
+                raise ValueError(f"entry ({i},{j},{k}) out of range")
+            c[i - 1, j - 1, k - 1] += v
+            c[j - 1, i - 1, k - 1] -= v
         return cls(c)
 
     @property
@@ -146,42 +144,55 @@ class BracketTensor:
         return f"BracketTensor(dim={self.dim}, norm={self.norm:.6g})"
 
 
+def _validated(coeffs, stacked, antisymmetrize):
+    """BracketTensor's checks on one (n, n, n) array, or slice by slice on a (B, n, n, n) stack.
+
+    Returns the float stack, one array as B = 1, read-only, with any
+    non-finite slice zeroed and every slice with a symmetric part projected
+    onto its antisymmetric part; and per slice the ValueError its checks
+    raise, or None.  A symmetric part above _asym_bound is an error unless
+    antisymmetrize is set.
+    """
+    c = np.array(coeffs, dtype=float)
+    _check_shape(c.shape, stacked)
+    if not stacked:
+        c = c[None]
+    finite = np.isfinite(c).all(axis=(1, 2, 3))
+    errors = [None if ok else ValueError(_NOT_FINITE) for ok in finite.tolist()]
+    if not finite.all():
+        c[~finite] = 0.0
+    asym = np.abs(c + c.swapaxes(1, 2)).max(axis=(1, 2, 3))
+    project = asym > 0.0
+    if project.any():
+        if not antisymmetrize:
+            too_asym = asym > _asym_bound(np.abs(c).max(axis=(1, 2, 3)))
+            for j in np.flatnonzero(too_asym):
+                errors[j] = _asym_error(asym[j])
+        part = c[project]
+        c[project] = 0.5 * (part - part.swapaxes(1, 2))
+    c.flags.writeable = False
+    return c, errors
+
+
 def bracket_stack(coeffs):
     """Lie brackets BracketTensor(c) of the slices c of a (B, n, n, n) stack, from one pass.
 
-    Each slice is checked as BracketTensor.__init__ checks one array, and
-    projected onto its antisymmetric part where __init__ would project it;
-    then it must pass ensure_lie.  Returns the validated stack,
+    Each slice is checked and projected as BracketTensor.__init__ does one
+    array; then it must pass ensure_lie.  Returns the validated stack,
     read-only, with any non-finite slice zeroed; the squared norms of its
     slices, as norm_sq gives them; and one entry per slice: the BracketTensor
     over that slice, with its Jacobi residual from one stacked sum, or the
     exception that the checks raise on it, left for the caller to raise when
     it reaches the slice.
     """
-    c = np.array(coeffs, dtype=float)
-    _check_shape(c.shape, stacked=True)
-    finite = np.isfinite(c).all(axis=(1, 2, 3))
-    if not finite.all():
-        c[~finite] = 0.0
-    asym = np.abs(c + c.swapaxes(1, 2)).max(axis=(1, 2, 3))
-    too_asym = asym > _asym_bound(np.abs(c).max(axis=(1, 2, 3)))
-    project = asym > 0.0
-    if project.any():
-        part = c[project]
-        c[project] = 0.5 * (part - part.swapaxes(1, 2))
-    c.flags.writeable = False
+    c, errors = _validated(coeffs, stacked=True, antisymmetrize=False)
     res = jacobi_norm(c).tolist()
     norm_sq = (c * c).reshape(len(c), -1).sum(axis=1)
     out = []
-    for j, (r, sq) in enumerate(zip(res, norm_sq.tolist())):
-        if not finite[j]:
-            out.append(ValueError(_NOT_FINITE))
-        elif too_asym[j]:
-            out.append(_asym_error(asym[j]))
-        elif r > _lie_bound(sq):
-            out.append(_lie_error(r))
-        else:
-            out.append(BracketTensor._checked(c[j], r))
+    for j, (err, r, sq) in enumerate(zip(errors, res, norm_sq.tolist())):
+        if err is None and r > _lie_bound(sq):
+            err = _lie_error(r)
+        out.append(BracketTensor._checked(c[j], r) if err is None else err)
     return c, norm_sq, out
 
 
@@ -330,7 +341,7 @@ def is_nilpotent(mu):
     return lower_central_series(mu)[-1] == 0
 
 
-def is_nilpotent_matrix(a, tol=NILP_TOL, floor=0.0):
+def is_nilpotent_matrix(a, floor=0.0):
     """Nilpotency test by the n-th power norm, robust for defective matrices.
 
     Matrices with norm at or below `floor` count as (roundoff) zero; without
@@ -340,7 +351,7 @@ def is_nilpotent_matrix(a, tol=NILP_TOL, floor=0.0):
     norm = np.linalg.norm(a, 2)
     if norm <= floor:
         return True
-    return np.linalg.norm(np.linalg.matrix_power(a, a.shape[0]), 2) <= tol * norm ** a.shape[0]
+    return np.linalg.norm(np.linalg.matrix_power(a, a.shape[0]), 2) <= NILP_TOL * norm ** a.shape[0]
 
 
 def root_energy_gram(mu, basis):
@@ -424,6 +435,20 @@ def derivation_space(mu):
     return [ker[:, i].reshape(n, n) for i in range(ker.shape[1])]
 
 
+def _wire_value(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
+
+
+def report_to_dict(report):
+    """Wire format of a report dataclass: the fields shown in its repr, with arrays
+    and tuples written as lists and enums as their values."""
+    return {f.name: _wire_value(getattr(report, f.name)) for f in fields(report) if f.repr}
+
+
 def bracket_to_dict(mu):
     """Wire format: 1-based entries with i < j and |v| above the floor."""
     entries = []
@@ -438,14 +463,22 @@ def bracket_to_dict(mu):
     return {"dim": n, "entries": entries}
 
 
+def _field(obj, key, kind, where):
+    """kind(obj[key]), or a ValueError naming the field when it is missing or ill-typed."""
+    try:
+        return kind(obj[key])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: missing or ill-typed field {key!r} ({kind.__name__})") from None
+
+
 def bracket_from_dict(data):
-    dim = int(data["dim"])
+    """Inverse of bracket_to_dict; a missing or ill-typed field raises ValueError."""
+    dim = _field(data, "dim", int, "bracket")
     entries = []
-    for e in data["entries"]:
-        i, j, k, v = int(e["i"]), int(e["j"]), int(e["k"]), float(e["v"])
-        if not (1 <= i < j <= dim):
-            raise ValueError(f"entry ({i},{j},{k}) must have 1 <= i < j <= dim")
-        entries.append((i, j, k, v))
+    for n, e in enumerate(_field(data, "entries", list, "bracket"), 1):
+        where = f"entry {n}"
+        entries.append(tuple(_field(e, key, kind, where) for key, kind in
+                             (("i", int), ("j", int), ("k", int), ("v", float))))
     return BracketTensor.from_entries(dim, entries)
 
 

@@ -134,7 +134,7 @@ def random_two_step_nilpotent(rng, dim, base_dim=None):
     return BracketTensor(c)
 
 
-def random_solvable_bracket(rng, dim, gauge_scale=0.3):
+def random_solvable_bracket(rng, dim):
     """Random solvable Lie bracket of the given dimension.
 
     Built as a rank-one extension of a random nilpotent (abelian or two-step)
@@ -171,5 +171,5 @@ def random_solvable_bracket(rng, dim, gauge_scale=0.3):
                 c[0, 1 + j, 1 + k] += d[k, j]
                 c[1 + j, 0, 1 + k] -= d[k, j]
     mu = BracketTensor(c)
-    h = sla.expm(gauge_scale * rng.standard_normal((dim, dim)))
+    h = sla.expm(0.3 * rng.standard_normal((dim, dim)))
     return act(h, mu)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import ensure_lie
+from .brackets import ensure_lie, report_to_dict
 from .errors import ZeroBracket
 
 
@@ -81,17 +81,7 @@ class CurvaturePack:
     scalStar: float
     normSq: float
 
-    def to_dict(self):
-        return {
-            "M": self.M.tolist(),
-            "K": self.K.tolist(),
-            "H": self.H.tolist(),
-            "Ric": self.Ric.tolist(),
-            "RicStar": self.RicStar.tolist(),
-            "scal": self.scal,
-            "scalStar": self.scalStar,
-            "normSq": self.normSq,
-        }
+    to_dict = report_to_dict
 
 
 def curvature_parts(mu):

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .brackets import act
+from .brackets import act, report_to_dict
 from .errors import GaugeMismatch, NonConvergence, NotSolvable, OutOfRange, SingularGauge
 from .flows import (
     FlowSpec,
@@ -22,10 +22,10 @@ TYPE3_RATIO_CAP = 50.0
 COLLAPSE_FLOOR = 1e-3
 
 
-def random_parabolic_gauge(rng, dec, scale=0.35):
+def random_parabolic_gauge(rng, dec):
     """Random element of Q_beta: exponential of a random q_beta matrix."""
     n = dec.dim
-    a = scale * rng.standard_normal((n, n))
+    a = 0.35 * rng.standard_normal((n, n))
     return sla.expm(a * dec.mask_g + a * dec.mask_u)
 
 
@@ -42,29 +42,10 @@ class UniquenessReport:
     soliton_residuals: list
     fingerprints: list = field(repr=False, default_factory=list)
 
-    def to_dict(self):
-        return {
-            "group": self.group,
-            "seeds": self.seeds,
-            "seed_value": self.seed_value,
-            "t_end": self.t_end,
-            "converged": self.converged,
-            "f_tails": self.f_tails,
-            "max_fingerprint_distance": self.max_fingerprint_distance,
-            "ric_eig_spread": self.ric_eig_spread,
-            "soliton_residuals": self.soliton_residuals,
-        }
+    to_dict = report_to_dict
 
 
-def run_uniqueness_experiment(
-    entry,
-    seeds,
-    t_end=100.0,
-    seed=0,
-    record_every=0.5,
-    f_tol=1e-8,
-    require_convergence=True,
-):
+def run_uniqueness_experiment(entry, seeds, t_end=100.0, seed=0, require_convergence=True):
     """Flow several random parabolic gauges of one group and compare limits.
 
     Each seed bracket is act(h0, mu) for a random h0 in Q_beta; all limits
@@ -97,11 +78,11 @@ def run_uniqueness_experiment(
             )
             break
         mu0s.append(mu0)
-    spec = FlowSpec(variant=Variant.SCALSTAR, t_end=t_end, label=label, record_every=record_every)
+    spec = FlowSpec(variant=Variant.SCALSTAR, t_end=t_end, label=label, record_every=0.5)
     trajs = integrate_stack(mu0s, spec) if mu0s else []
     if bad_gauge is not None:
         raise bad_gauge
-    results = [(traj, detect_soliton_convergence(traj, f_tol=f_tol)) for traj in trajs]
+    results = [(traj, detect_soliton_convergence(traj)) for traj in trajs]
     failing = [idx for idx, (_, det) in enumerate(results) if not det.converged]
     if failing and require_convergence:
         raise NonConvergence(
@@ -155,7 +136,7 @@ class CollapseReport:
         }
 
 
-def run_collapse_experiment(entry, t_end=200.0, record_every=1.0, gauge=None):
+def run_collapse_experiment(entry, t_end=200.0, gauge=None):
     """Raw-flow one bracket and report the Type-III and Ricci-decay monitors.
 
     Verdict "non-collapsed" requires t ||mu||^2 to stay inside a bounded
@@ -181,7 +162,7 @@ def run_collapse_experiment(entry, t_end=200.0, record_every=1.0, gauge=None):
         FlowSpec(
             variant=Variant.RAW,
             t_end=t_end,
-            record_every=record_every,
+            record_every=1.0,
             conv_tol=0.0,
         ),
     )

@@ -50,7 +50,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import expm
 
-from .brackets import BracketTensor, bracket_stack, ensure_lie, pi_apply
+from .brackets import BracketTensor, bracket_stack, ensure_lie, pi_apply, report_to_dict
 from .curvature import coeff_parts, coeff_scal_star, curvature_pack
 from .errors import BracketFlowError, GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
@@ -775,10 +775,6 @@ class GaugePath:
     coefficient: str
 
     @property
-    def norms(self):
-        return np.linalg.norm(self.mats, axis=(1, 2))
-
-    @property
     def dets(self):
         return np.linalg.det(self.mats)
 
@@ -851,18 +847,13 @@ def blowdown_check(traj, s):
 class SolitonDetection:
     converged: bool
     f_tail: float
-    limit: BracketTensor
+    limit: BracketTensor = field(repr=False)
     bracket_gap: float
 
-    def to_dict(self):
-        return {
-            "converged": self.converged,
-            "f_tail": self.f_tail,
-            "bracket_gap": self.bracket_gap,
-        }
+    to_dict = report_to_dict
 
 
-def detect_soliton_convergence(traj, f_tol=F_TOL, cauchy_tol=1e-6):
+def detect_soliton_convergence(traj, cauchy_tol=1e-6):
     """Convergence test for scalstar runs: trailing f below tolerance and
     a Cauchy trailing window of brackets."""
     if Variant(traj.variant) != Variant.SCALSTAR or traj.label is None:
@@ -874,7 +865,7 @@ def detect_soliton_convergence(traj, f_tol=F_TOL, cauchy_tol=1e-6):
     )
     converged = (
         len(traj.samples) >= CONV_WINDOW
-        and f_tail <= f_tol
+        and f_tail <= F_TOL
         and gap <= cauchy_tol * (1.0 + window[-1].bracket.norm)
     )
     return SolitonDetection(converged, f_tail, traj.final.bracket, gap)

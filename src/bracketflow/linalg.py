@@ -7,10 +7,10 @@ from .errors import NotPositiveDefinite
 RANK_TOL = 1e-8
 
 
-def orthonormal_basis(vectors, rtol=RANK_TOL, floor=0.0):
+def orthonormal_basis(vectors, floor=0.0):
     """Orthonormal basis (columns) of the span of the given row vectors.
 
-    Rank is decided by singular values relative to the largest one; `floor`
+    Rank is decided by singular values above RANK_TOL times the largest one; `floor`
     additionally discards singular values below an absolute scale (useful
     when the input may be numerically zero).
     """
@@ -18,7 +18,7 @@ def orthonormal_basis(vectors, rtol=RANK_TOL, floor=0.0):
     if arr.size == 0 or not np.any(arr):
         return np.zeros((arr.shape[1] if arr.ndim == 2 else 0, 0))
     u, s, _ = np.linalg.svd(arr.T, full_matrices=False)
-    rank = int(np.sum(s > max(rtol * s[0], floor)))
+    rank = int(np.sum(s > max(RANK_TOL * s[0], floor)))
     return u[:, :rank]
 
 
@@ -49,25 +49,25 @@ def subspace_distance(basis_a, basis_b):
     return float(np.linalg.norm(basis_a - basis_b @ (basis_b.T @ basis_a), 2))
 
 
-def subspace_intersection(basis_a, basis_b, rtol=RANK_TOL):
+def subspace_intersection(basis_a, basis_b):
     """Orthonormal basis of the intersection of two column-spanned subspaces."""
     if basis_a.shape[1] == 0 or basis_b.shape[1] == 0:
         return np.zeros((basis_a.shape[0], 0))
     stacked = np.hstack([basis_a, -basis_b])
-    ker = null_space(stacked, rtol)
+    ker = null_space(stacked)
     if ker.shape[1] == 0:
         return np.zeros((basis_a.shape[0], 0))
     vectors = (basis_a @ ker[: basis_a.shape[1]]).T
-    return orthonormal_basis(vectors, rtol)
+    return orthonormal_basis(vectors)
 
 
-def symmetric_sqrt(mat, tol=1e-12):
+def symmetric_sqrt(mat):
     """Symmetric positive-definite square root via eigendecomposition."""
     mat = np.asarray(mat, dtype=float)
     sym = 0.5 * (mat + mat.T)
     w, v = np.linalg.eigh(sym)
     scale = max(1.0, float(np.max(np.abs(w))))
-    if np.min(w) <= tol * scale:
+    if np.min(w) <= 1e-12 * scale:
         raise NotPositiveDefinite(
             f"matrix has eigenvalue {np.min(w):.3e}, not positive definite"
         )

@@ -20,11 +20,11 @@ is quadratic and the flow field is a polynomial of degree 5 along a line.
 """
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import derivation_matrix, derivation_space, pi_action, pi_apply
+from .brackets import derivation_matrix, derivation_space, pi_action, pi_apply, report_to_dict
 from .curvature import coeff_parts, killing_matrix
 from .errors import GaugeMismatch
 from .flows import Variant, flow_field
@@ -125,10 +125,7 @@ class LinearizationReport:
     tangent_basis: np.ndarray = field(repr=False, default=None)
     L_matrix: np.ndarray = field(repr=False, default=None)
 
-    def to_dict(self):
-        """Every field but the arrays kept out of repr (tangent basis, L matrix)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
+    to_dict = report_to_dict
 
 
 def _ad_beta_plus_matrix(s, dec):

@@ -21,6 +21,7 @@ from .brackets import (
     ensure_lie,
     nilradical,
     pi_action,
+    report_to_dict,
 )
 from .curvature import curvature_pack, killing_matrix, moment_map_fast
 from .errors import IdentityViolation, NotPositiveDefinite, ZeroBracket
@@ -46,14 +47,7 @@ class SolitonCertificate:
     kind: SolitonKind
     normalized: bool
 
-    def to_dict(self):
-        return {
-            "c": self.c,
-            "D": self.D.tolist(),
-            "residual": self.residual,
-            "kind": self.kind.value,
-            "normalized": self.normalized,
-        }
+    to_dict = report_to_dict
 
 
 def soliton_residual(mu):
@@ -99,7 +93,7 @@ def _check(condition, clause):
         raise IdentityViolation(clause)
 
 
-def normalize_soliton(mu, cert, tol=IDENTITY_TOL):
+def normalize_soliton(mu, cert):
     """Rescale a certified soliton to scal* = -1 and verify its identities.
 
     Checks that beta+ = Ric* + ||Ric*||^2 Id is a positive semidefinite
@@ -120,26 +114,26 @@ def normalize_soliton(mu, cert, tol=IDENTITY_TOL):
     rstar_sq = float(np.sum(rstar * rstar))
     beta_plus = rstar + rstar_sq * np.eye(mu.dim)
     _check(
-        float(np.linalg.norm(pi_action(beta_plus, normalized).coeffs)) <= tol,
+        float(np.linalg.norm(pi_action(beta_plus, normalized).coeffs)) <= IDENTITY_TOL,
         "beta+ is not a derivation of the normalized bracket",
     )
     w, v = np.linalg.eigh(0.5 * (beta_plus + beta_plus.T))
-    _check(float(w.min()) >= -tol, "beta+ is not positive semidefinite")
+    _check(float(w.min()) >= -IDENTITY_TOL, "beta+ is not positive semidefinite")
     # Image of beta+ via its spectral decomposition.
-    image = v[:, w > tol]
+    image = v[:, w > IDENTITY_TOL]
     n_basis, _, _ = nilradical(normalized)
     _check(
         subspace_distance(image, n_basis) <= 1e-6,
         "image of beta+ does not match the nilradical",
     )
     _check(
-        float(np.linalg.norm(rstar - (-rstar_sq * np.eye(mu.dim) + beta_plus))) <= tol,
+        float(np.linalg.norm(rstar - (-rstar_sq * np.eye(mu.dim) + beta_plus))) <= IDENTITY_TOL,
         "Ric* does not decompose as c Id + beta+ with c = -||Ric*||^2",
     )
     return normalized
 
 
-def construct_critical(mu_norm, label, crit_tol=1e-8):
+def construct_critical(mu_norm, label):
     """Move a normalized soliton to a critical point of the moment-map energy.
 
     Solves h^t h = Id - K / (2 ||beta||^2); the right-hand side is the
@@ -160,7 +154,7 @@ def construct_critical(mu_norm, label, crit_tol=1e-8):
         ) from exc
     moved = act(h, mu_norm)
     m = moment_map_fast(moved)
-    if float(np.linalg.norm(m - beta)) > crit_tol:
+    if float(np.linalg.norm(m - beta)) > 1e-8:
         raise IdentityViolation(
             f"moment map of the transformed bracket misses beta by "
             f"{np.linalg.norm(m - beta):.3e}"
@@ -220,17 +214,7 @@ class OrbitFingerprint:
             ]
         )
 
-    def to_dict(self):
-        return {
-            "ric_eigs": self.ric_eigs.tolist(),
-            "ricstar_eigs": self.ricstar_eigs.tolist(),
-            "moment_eigs": self.moment_eigs.tolist(),
-            "scal": self.scal,
-            "scal_star": self.scal_star,
-            "norm": self.norm,
-            "nilradical_dim": self.nilradical_dim,
-            "derived_dims": list(self.derived_dims),
-        }
+    to_dict = report_to_dict
 
 
 def fingerprint(mu):
@@ -262,6 +246,6 @@ def fingerprint_distance(fp_a, fp_b):
     return float(np.max(np.abs(fp_a.as_vector() - fp_b.as_vector())))
 
 
-def same_orbit_on(fp_a, fp_b, tol=FP_TOL):
+def same_orbit_on(fp_a, fp_b):
     """Necessary (not sufficient) test for lying in one orthogonal orbit."""
-    return fingerprint_distance(fp_a, fp_b) <= tol * (1.0 + abs(fp_a.norm))
+    return fingerprint_distance(fp_a, fp_b) <= FP_TOL * (1.0 + abs(fp_a.norm))

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .brackets import ad_map, ensure_lie, is_solvable, nilradical, root_energy_gram
+from .brackets import ad_map, ensure_lie, is_solvable, nilradical, report_to_dict, root_energy_gram
 from .curvature import killing_matrix, ricci
 from .errors import NilpotentInput, NotSolvable
 
@@ -43,15 +43,7 @@ class TypeReport:
     confidence: str = "exact"
     notes: str = ""
 
-    def to_dict(self):
-        return {
-            "kind": self.kind.value,
-            "sigma_a": self.sigma_a,
-            "witness": self.witness.tolist(),
-            "rank": self.rank,
-            "confidence": self.confidence,
-            "notes": self.notes,
-        }
+    to_dict = report_to_dict
 
 
 def phi(mu, x):

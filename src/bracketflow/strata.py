@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import BracketTensor, act, pi_apply
+from .brackets import BracketTensor, act, pi_apply, report_to_dict
 from .curvature import coeff_moment, moment_map_fast
 from .errors import MaxStepsExceeded, NonCanonicalBeta, OutOfRange, ZeroBracket
 from .linalg import orthonormal_basis
@@ -236,10 +236,10 @@ def stratum_label(mu0, crit_tol=CRIT_TOL, max_steps=MAX_FLOW_STEPS):
     return label_from_beta(_cluster_snap(w), canonical, resid)
 
 
-def same_label(label_a, label_b, tol=LABEL_TOL):
+def same_label(label_a, label_b):
     if label_a.dim != label_b.dim:
         return False
-    return bool(np.all(np.abs(label_a.eigenvalues - label_b.eigenvalues) <= tol))
+    return bool(np.all(np.abs(label_a.eigenvalues - label_b.eigenvalues) <= LABEL_TOL))
 
 
 def _require_canonical(label):
@@ -341,12 +341,7 @@ class GaugeCheck:
     v0_norm: float
     neg_norm: float
 
-    def to_dict(self):
-        return {
-            "in_nonneg": self.in_nonneg,
-            "v0_norm": self.v0_norm,
-            "neg_norm": self.neg_norm,
-        }
+    to_dict = report_to_dict
 
 
 def check_gauged(mu, label):

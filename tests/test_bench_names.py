@@ -6,11 +6,15 @@ probe needs; a name that no longer resolves makes its metric absent instead
 of failing the run.  This reads the benchmark's sources and resolves every
 such name, the attributes read off a looked-up name (`lib("flows.Variant").RAW`)
 and the `from bracketflow.module import name` imports, without importing
-bench/ itself.
+bench/ itself.  It also checks that the resolved name accepts every keyword
+the benchmark passes to it, at `lib("m.f")(...)`, at `*.call(..., lib("m.f"), ...)`
+and at the same calls through a name bound to `lib("m.f")`, so that removing an
+option fails here rather than as a failed benchmark op.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -44,10 +48,44 @@ def _probe_needs(tree):
         yield from (ast.literal_eval(name) for name in entry.elts[1].elts)
 
 
+def _keywords(tree):
+    """(path, keyword) for each keyword passed to a looked-up name: called directly, through
+    a name it was assigned to, or as the function argument of a .call."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and _is_lookup(node.value):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    aliases.setdefault(target.id, set()).add(node.value.args[0].value)
+
+    def paths(expr):
+        if _is_lookup(expr):
+            return {expr.args[0].value}
+        return aliases.get(expr.id, set()) if isinstance(expr, ast.Name) else set()
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fns = [node.func]
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "call":
+            # The function is the first argument of a Stopwatch call, the second of a tracer's.
+            fns = node.args[:2]
+        for path in set().union(*map(paths, fns)):
+            yield from ((path, kw.arg) for kw in node.keywords if kw.arg)
+
+
+def _trees():
+    for path in sorted(BENCH.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _bench_keywords():
+    return sorted({pair for _, tree in _trees() for pair in _keywords(tree)})
+
+
 def _bench_names():
     names = set()
-    for path in sorted(BENCH.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _trees():
         names.update(_lookups(tree))
         if path.name == "micro.py":
             names.update(_probe_needs(tree))
@@ -61,10 +99,30 @@ def test_names_are_found():
         assert expected in names
 
 
-@pytest.mark.parametrize("path", _bench_names())
-def test_bench_name_resolves(path):
+def _resolve(path):
     module, *names = path.split(".")
     obj = importlib.import_module("bracketflow." + module)
     for name in names:
         assert hasattr(obj, name), path
         obj = getattr(obj, name)
+    return obj
+
+
+@pytest.mark.parametrize("path", _bench_names())
+def test_bench_name_resolves(path):
+    _resolve(path)
+
+
+def test_keywords_are_found():
+    pairs = _bench_keywords()
+    for expected in (("flows.FlowSpec", "record_every"), ("strata.stratum_label", "max_steps"),
+                     ("experiments.run_uniqueness_experiment", "require_convergence"),
+                     ("experiments.run_collapse_experiment", "gauge"),
+                     ("flows.recover_gauge", "coefficient"), ("catalog.catalog", "dim"),
+                     ("catalog.catalog", "lam")):
+        assert expected in pairs
+
+
+@pytest.mark.parametrize("path, keyword", _bench_keywords())
+def test_bench_keyword_is_accepted(path, keyword):
+    inspect.signature(_resolve(path)).bind_partial(**{keyword: None})

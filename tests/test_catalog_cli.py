@@ -272,6 +272,25 @@ class TestCli:
     def test_unknown_catalog_exit_code(self, capsys):
         assert main(["classify", "--catalog", "nope"]) == 2
 
+    @pytest.mark.parametrize("payload", [
+        {"entries": []},
+        {"dim": 3},
+        [1, 2],
+        {"dim": 3, "entries": [{"i": 1, "j": 2}]},
+        {"dim": 3, "entries": [[1, 2, 3, 1.0]]},
+        {"dim": 100000, "entries": []},
+    ])
+    def test_malformed_input_exit_code(self, payload, tmp_path, capsys):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(payload))
+        assert main(["classify", "--input", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name, dim", [("abelian", "100000"), ("heisenberg", "100001")])
+    def test_oversized_catalog_dim_exit_code(self, name, dim, capsys):
+        assert main(["catalog", name, "--dim", dim]) == EXIT_VALIDATION
+        assert "outside the supported range" in capsys.readouterr().err
+
     def test_uniqueness_command(self, capsys):
         assert main(["uniqueness", "--catalog", "h3", "--seeds", "2", "--t-end", "20"]) == 0
         data = json.loads(capsys.readouterr().out)
