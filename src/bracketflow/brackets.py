@@ -22,6 +22,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import fields
 from enum import Enum
 
@@ -463,11 +464,19 @@ def bracket_to_dict(mu):
     return {"dim": n, "entries": entries}
 
 
+# The values each wire type takes; a bool is no number, and nothing is parsed
+# or truncated.
+_WIRE_TYPES = {int: numbers.Integral, float: numbers.Real, list: list}
+
+
 def _field(obj, key, kind, where):
     """kind(obj[key]), or a ValueError naming the field when it is missing or ill-typed."""
     try:
-        return kind(obj[key])
-    except (KeyError, TypeError, ValueError, OverflowError):
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, _WIRE_TYPES[kind]):
+            raise TypeError
+        return kind(value)
+    except (KeyError, TypeError, OverflowError):
         raise ValueError(f"{where}: missing or ill-typed field {key!r} ({kind.__name__})") from None
 
 

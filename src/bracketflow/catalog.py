@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .brackets import BracketTensor, act
+from .brackets import BracketTensor, act, bracket_to_dict, derivation_space
 from .errors import ParamOutOfRange, UnknownName
 
 
@@ -29,8 +29,6 @@ class CatalogEntry:
     expected: dict = field(default_factory=dict)
 
     def to_dict(self):
-        from .brackets import bracket_to_dict
-
         return {
             "name": self.name,
             "dim": self.dim,
@@ -141,8 +139,6 @@ def random_solvable_bracket(rng, dim):
     ideal by a random derivation, then moved by a random change of basis.
     The Jacobi identity holds by construction.
     """
-    from .brackets import derivation_space
-
     if dim < 2:
         raise ParamOutOfRange("random solvable brackets need dim >= 2")
     m = dim - 1

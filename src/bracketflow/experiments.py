@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .brackets import act, report_to_dict
-from .errors import GaugeMismatch, NonConvergence, NotSolvable, OutOfRange, SingularGauge
+from .errors import GaugeMismatch, NonConvergence, NotSolvable, OutOfRange
 from .flows import (
     FlowSpec,
     Variant,
@@ -49,12 +49,10 @@ def run_uniqueness_experiment(entry, seeds, t_end=100.0, seed=0, require_converg
     """Flow several random parabolic gauges of one group and compare limits.
 
     Each seed bracket is act(h0, mu) for a random h0 in Q_beta; all limits
-    are fingerprinted and the maximal pairwise distance is reported.  The
-    gauges are drawn in order until one is singular or leaves V>=0, and the
-    ones before it are flowed as one stack by integrate_stack.  The error
-    raised is the one a loop flowing each gauge right after drawing it raises
-    first: the lowest-index flow error, else the error of the gauge that
-    stopped the draws.
+    are fingerprinted and the maximal pairwise distance is reported.  Every
+    gauge is drawn before any flow, and a singular gauge or one that leaves
+    V>=0 raises at once.  The seeds are then flowed as one stack by
+    integrate_stack, and the first error its loop meets is raised.
     """
     if seeds < 1:
         raise OutOfRange(f"seeds = {seeds} must be at least 1")
@@ -64,24 +62,17 @@ def run_uniqueness_experiment(entry, seeds, t_end=100.0, seed=0, require_converg
     label = stratum_label(entry.bracket)
     dec = beta_decomposition(label)
     rng = np.random.default_rng(seed)
-    mu0s, bad_gauge = [], None
+    mu0s = []
     for _ in range(seeds):
-        try:
-            mu0 = act(random_parabolic_gauge(rng, dec), entry.bracket)
-        except SingularGauge as exc:
-            bad_gauge = exc
-            break
+        mu0 = act(random_parabolic_gauge(rng, dec), entry.bracket)
         gauge = check_gauged(mu0, label)
         if not gauge.in_nonneg:
-            bad_gauge = GaugeMismatch(
+            raise GaugeMismatch(
                 f"parabolic gauge left V>=0: negative-component norm {gauge.neg_norm:.3e}"
             )
-            break
         mu0s.append(mu0)
     spec = FlowSpec(variant=Variant.SCALSTAR, t_end=t_end, label=label, record_every=0.5)
-    trajs = integrate_stack(mu0s, spec) if mu0s else []
-    if bad_gauge is not None:
-        raise bad_gauge
+    trajs = integrate_stack(mu0s, spec)
     results = [(traj, detect_soliton_convergence(traj)) for traj in trajs]
     failing = [idx for idx, (_, det) in enumerate(results) if not det.converged]
     if failing and require_convergence:

@@ -28,10 +28,9 @@ when it ends.  Each stage evaluates the field once on the stack of the
 running trajectories; the accepted steps share one exponential for their
 step gauges, one stacked sampling pass and one exponential for their dense
 samples' gauges.  The kernels and scipy's expm work slice by slice, so every
-trajectory is bit for bit the one integrate gives for its seed alone.  When
-trajectory b raises, the ones after it are dropped and the ones before it
-run to their end; the error of the lowest-index trajectory that raised is
-raised, as a loop of integrate calls would raise it first.
+trajectory is bit for bit the one integrate gives for its seed alone.  One
+error rule: every seed is checked before the first step, and then the first
+error the loop meets ends the stack.
 
 Gauged, scalstar and scal runs also carry the gauge h' = -A(mu) h, h(0) = Id,
 for two coefficients: "variant", the A driving the field (so that
@@ -52,7 +51,7 @@ from scipy.linalg import expm
 
 from .brackets import BracketTensor, bracket_stack, ensure_lie, pi_apply, report_to_dict
 from .curvature import coeff_parts, coeff_scal_star, curvature_pack
-from .errors import BracketFlowError, GaugeMismatch, OutOfRange
+from .errors import GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
 
 DRIFT_TOL = 1e-7
@@ -358,8 +357,8 @@ def integrate(mu0, spec):
     step's continuous extension, so the grid does not shorten steps.  The grid
     times of one step are sampled as one stack.  This is the stepper loop of
     integrate_stack on a stack of one; a stack of several seeds gives each
-    seed this trajectory bit for bit, and raises the error that a loop of
-    integrate calls over the seeds would raise first.
+    seed this trajectory bit for bit.  The stack checks every seed before the
+    first step and then raises the first error its loop meets.
     """
     return integrate_stack([mu0], spec)[0]
 
@@ -376,10 +375,9 @@ def integrate_stack(mu0s, spec):
     expm work slice by slice, so trajectory b is integrate(mu0s[b], spec) bit
     for bit.
 
-    Errors come out as from a loop of integrate calls: when trajectory b
-    raises, the trajectories after it are dropped, those before it run to
-    their end, and the error of the lowest-index trajectory that raised is
-    raised.  Returns the list of FlowTrajectory.
+    Every seed is checked before the first step, in order, and the first
+    error the loop meets then ends the stack; so an error raised is one that
+    integrate raises on that seed alone.  Returns the list of FlowTrajectory.
     """
     if not (math.isfinite(spec.record_every) and spec.record_every > 0.0):
         raise OutOfRange(f"record_every = {spec.record_every} must be positive and finite")
@@ -400,19 +398,14 @@ def integrate_stack(mu0s, spec):
     return _Lockstep(spec).run(mu0s)
 
 
-# The errors one trajectory can raise; integrate_stack holds them until the
-# trajectories before it have run.
-_RUN_ERRORS = (BracketFlowError, ValueError)
-
-
 class _Run:
     """The scalar state of one trajectory of integrate_stack."""
 
-    __slots__ = ("index", "traj", "cap", "t", "h", "err", "err_prev", "steps", "renorms", "rows",
+    __slots__ = ("traj", "cap", "t", "h", "err", "err_prev", "steps", "renorms", "rows",
                  "running", "end")
 
-    def __init__(self, index, traj, cap, h):
-        self.index, self.traj, self.cap, self.h = index, traj, cap, h
+    def __init__(self, traj, cap, h):
+        self.traj, self.cap, self.h = traj, cap, h
         self.t, self.err, self.err_prev = 0.0, 0.0, 1.0
         self.steps = self.renorms = 0
         self.rows = []  # the (G, n, n) gauges of each recorded sample
@@ -423,12 +416,12 @@ class _Run:
 class _Lockstep:
     """The stepper loop of integrate_stack.
 
-    live lists the running _Runs in index order.  The stacks y (L, n, n, n) of
+    live lists the running _Runs in seed order.  The stacks y (L, n, n, n) of
     their states and k0 (L, n^3) of their first-stage slopes, and on gauged
     runs a0 (L, 2, n, n) of their first-stage gauge coefficients and gauges
-    (L, 2, n, n), follow the same order; a run that stops or is dropped leaves
-    them at the next _compress.  limit is the index of the lowest trajectory
-    that raised, and error its exception; the runs from limit on are dropped.
+    (L, 2, n, n), follow the same order; a run that stops leaves them at the
+    next _compress.  run checks every seed before the first step; after that
+    an error propagates from where it occurs and ends the whole stack.
     """
 
     def __init__(self, spec):
@@ -437,28 +430,18 @@ class _Lockstep:
         self.core = Variant.SCALSTAR if self.variant == Variant.SCAL else self.variant
         self.label = spec.label
         self.dec = None
-        self.limit, self.error = math.inf, None
 
     def run(self, mu0s):
-        runs, seeds = [], []
-        for index, mu0 in enumerate(mu0s):
-            try:
-                seeds.append(self._seed(mu0))
-            except _RUN_ERRORS as exc:
-                self.limit, self.error = index, exc
-                break
-            traj = FlowTrajectory(variant=self.variant, label=self.label)
-            cap = BLOWUP_FACTOR * max(mu0.norm, 1.0)
-            runs.append(_Run(index, traj, cap, min(1e-3, self.spec.t_end)))
+        seeds = [self._seed(mu0) for mu0 in mu0s]
         self.gauged = self.dec is not None
-        self.runs = runs
+        runs = [_Run(FlowTrajectory(variant=self.variant, label=self.label),
+                     BLOWUP_FACTOR * max(mu0.norm, 1.0), min(1e-3, self.spec.t_end))
+                for mu0 in mu0s]
         if runs:
             self._start(runs, np.stack(seeds))
             while self.live:
                 self._step()
             self._finish(runs)
-        if self.error is not None:
-            raise self.error
         return [run.traj for run in runs]
 
     def _seed(self, mu0):
@@ -478,13 +461,6 @@ class _Lockstep:
         if self.core == Variant.SCALSTAR:
             return mu0.coeffs * _scalstar_factor(coeff_scal_star(mu0.coeffs))
         return mu0.coeffs
-
-    def _fail(self, run, exc):
-        """Hold exc if run is the lowest-index run that raised so far, and drop the runs from it on."""
-        if run.index < self.limit:
-            self.limit, self.error = run.index, exc
-            for dropped in self.runs[run.index:]:
-                dropped.running = False
 
     def _stop(self, run, termination, y=None, gauges=None):
         run.traj.termination = termination
@@ -508,11 +484,8 @@ class _Lockstep:
         samples, _ = _sample_stack([0.0] * len(runs), y, self.core, self.dec, self.label)
         blocks = [(run, j, 1) for j, run in enumerate(runs)]
         self._append_blocks(samples, [identity] * len(runs), blocks, 0.0)
-        self.live = [run for run in runs if run.running]
-        if not self.live:
-            return
-        self.y = y[: len(self.live)]
-        self.k0, ends = self._stage(self.y)
+        self.live, self.y = list(runs), y
+        self.k0, ends = self._stage(y)
         self.a0 = self.gauges = None
         if self.gauged:
             self.a0 = np.empty(self.y.shape[:1] + (2,) + identity.shape[1:])
@@ -523,25 +496,19 @@ class _Lockstep:
         """Append the samples to their runs, one block (run, first, count) per run.
 
         run takes samples[first: first + count] through _append and, on gauged
-        runs, the (G, n, n) gauges rows[j] of each sample j it appends.  Runs
-        from the lowest index that raised on are skipped; a run whose sample
-        raises fails, and a run that converges stops.
+        runs, the (G, n, n) gauges rows[j] of each sample j it appends.  A
+        sample that failed raises when its run reaches it; a run that
+        converges stops.
         """
         for run, first, count in blocks:
-            if run.index >= self.limit:
-                continue
-            try:
-                count, converged = _append(run.traj, samples[first: first + count], conv_tol)
-            except _RUN_ERRORS as exc:
-                self._fail(run, exc)
-                continue
+            count, converged = _append(run.traj, samples[first: first + count], conv_tol)
             if self.gauged:
                 run.rows.extend(rows[first: first + count])
             if converged:
                 self._stop(run, Termination.CONVERGED)
 
     def _compress(self):
-        """Drop the stopped and dropped runs from live and the stacks."""
+        """Drop the stopped runs from live and the stacks."""
         keep = [j for j, run in enumerate(self.live) if run.running]
         if len(keep) < len(self.live):
             self.live = [self.live[j] for j in keep]
@@ -604,11 +571,7 @@ class _Lockstep:
         if self.core == Variant.SCALSTAR:
             bumped = []
             for i, (run, s) in enumerate(zip(runs, coeff_scal_star(y))):
-                try:
-                    factor = _scalstar_factor(s, only_if_drifted=True)
-                except OutOfRange as exc:
-                    self._fail(run, exc)
-                    continue
+                factor = _scalstar_factor(s, only_if_drifted=True)
                 if factor is not None:
                     y[i] = y[i] * factor
                     run.renorms += 1
@@ -621,8 +584,6 @@ class _Lockstep:
         flat = y.reshape(len(runs), -1)
         sampled = []
         for i, (run, norm) in enumerate(zip(runs, np.sqrt(np.vecdot(flat, flat)).tolist())):
-            if not run.running:
-                continue
             if norm > run.cap:
                 self._stop(run, Termination.DIVERGED, y[i], None if gauges is None else gauges[i])
             else:
@@ -695,7 +656,7 @@ class _Lockstep:
     def _finish(self, runs):
         """Append each run's final sample where it stopped off the grid, and fill its trajectory."""
         final = [
-            run for run in runs[: min(len(runs), self.limit)]
+            run for run in runs
             if run.traj.termination != Termination.CONVERGED
             and abs(run.traj.samples[-1].t - run.t) > 1e-12 * max(1.0, run.t)
         ]
@@ -704,17 +665,13 @@ class _Lockstep:
             samples, _ = _sample_stack([run.t for run in final], cs, self.core, self.dec, self.label)
             rows = [run.end[1] for run in final]
             self._append_blocks(samples, rows, [(run, j, 1) for j, run in enumerate(final)], 0.0)
-        for run in runs[: min(len(runs), self.limit)]:
+        for run in runs:
             traj = run.traj
             traj.steps, traj.renormalizations = run.steps, run.renorms
             if self.gauged:
                 traj.gauges = dict(zip(GAUGE_COEFFICIENTS, np.stack(run.rows, axis=1)))
             if self.variant == Variant.SCAL:
-                try:
-                    _rescale_to_scal(traj)
-                except _RUN_ERRORS as exc:
-                    self._fail(run, exc)
-                    break
+                _rescale_to_scal(traj)
 
 
 def _scalstar_factor(s, only_if_drifted=False):

@@ -26,6 +26,7 @@ from .brackets import (
 from .curvature import curvature_pack, killing_matrix, moment_map_fast
 from .errors import IdentityViolation, NotPositiveDefinite, ZeroBracket
 from .linalg import subspace_distance, symmetric_sqrt
+from .strata import label_from_beta
 
 SOL_TOL_FACTOR = 1e-8
 EINS_TOL_FACTOR = 1e-8
@@ -180,8 +181,6 @@ def soliton_label(mu_norm):
     into that eigenbasis puts everything in canonical gauge without running
     the energy flow.  Returns (aligned bracket, label).
     """
-    from .strata import label_from_beta
-
     pack = curvature_pack(mu_norm)
     if abs(pack.scalStar + 1.0) > 1e-9:
         raise IdentityViolation("soliton_label expects a scal* = -1 bracket")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -275,6 +277,9 @@ class TestDerivations:
             assert np.linalg.norm(pi_action(d, mu).coeffs) <= 1e-7 * (1.0 + mu.norm)
 
 
+ENTRY = {"i": 1, "j": 2, "k": 3, "v": 1}
+
+
 class TestJsonFormat:
     @PROPERTY
     @given(seed=SEED, dim=DIM, lie=st.booleans())
@@ -298,6 +303,27 @@ class TestJsonFormat:
     def test_reader_rejects_bad_order(self):
         with pytest.raises(ValueError):
             bracket_from_dict({"dim": 3, "entries": [{"i": 2, "j": 1, "k": 3, "v": 1.0}]})
+
+    def test_reader_takes_integral_values(self):
+        mu = bracket_from_dict({"dim": 3, "entries": [ENTRY]})
+        assert np.array_equal(mu.coeffs, bracket_from_dict(
+            {"dim": 3, "entries": [{**ENTRY, "v": 1.0}]}).coeffs)
+
+    @pytest.mark.parametrize("data, key", [
+        ({"dim": 3.7, "entries": [{"i": 1.9, "j": "2", "k": True, "v": 1}]}, "dim"),
+        ({"dim": 3.0, "entries": [ENTRY]}, "dim"),
+        ({"dim": True, "entries": [ENTRY]}, "dim"),
+        ({"dim": 3, "entries": [{**ENTRY, "i": 1.9}]}, "i"),
+        ({"dim": 3, "entries": [{**ENTRY, "j": "2"}]}, "j"),
+        ({"dim": 3, "entries": [{**ENTRY, "k": True}]}, "k"),
+        ({"dim": 3, "entries": [{**ENTRY, "v": "1.0"}]}, "v"),
+        ({"dim": 3, "entries": [{**ENTRY, "v": False}]}, "v"),
+    ])
+    def test_reader_coerces_no_field(self, tmp_path, data, key):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"ill-typed field '{key}'"):
+            load_bracket(path)
 
     def test_small_values_dropped(self):
         mu = BracketTensor.from_entries(3, [(1, 2, 3, 1.0), (1, 3, 2, 1e-15)])

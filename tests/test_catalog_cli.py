@@ -16,13 +16,13 @@ from bracketflow import experiments
 from bracketflow.cli import EXIT_VALIDATION, main
 from bracketflow.errors import (
     GaugeMismatch,
-    NotALieBracket,
     OutOfRange,
     ParamOutOfRange,
+    SingularGauge,
     UnknownName,
 )
 from bracketflow.experiments import run_collapse_experiment, run_uniqueness_experiment
-from bracketflow.brackets import ensure_lie, is_solvable
+from bracketflow.brackets import is_solvable
 from bracketflow.strata import GaugeCheck
 
 from oracles import random_antisymmetric_bracket
@@ -142,14 +142,12 @@ class TestExperiments:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: parabolic gauge left V>=0")
 
-    def test_uniqueness_raises_the_first_error_of_a_gauge_by_gauge_loop(self, monkeypatch):
-        # Gauge 1's seed is not a Lie bracket, so its flow raises; gauge 3
-        # leaves V>=0.  Flowing each gauge as it is drawn raises gauge 1's
-        # error, and draws no gauge after gauge 3.
+    def test_uniqueness_raises_a_gauge_off_v_nonneg_before_any_flow(self, monkeypatch):
+        # Gauge 1's seed is not a Lie bracket and gauge 3 leaves V>=0.  All
+        # gauges are drawn before any flow, so gauge 3's error is raised and
+        # nothing is flowed.
         bad = random_antisymmetric_bracket(np.random.default_rng(1), 3)
-        with pytest.raises(NotALieBracket) as want:
-            ensure_lie(bad)
-        seeds, checks = [], []
+        seeds, checks, flows = [], [], []
         act, check_gauged = experiments.act, experiments.check_gauged
 
         def acting(h, mu):
@@ -164,10 +162,27 @@ class TestExperiments:
 
         monkeypatch.setattr(experiments, "act", acting)
         monkeypatch.setattr(experiments, "check_gauged", checking)
-        with pytest.raises(NotALieBracket) as got:
+        monkeypatch.setattr(experiments, "integrate_stack", lambda *args: flows.append(args))
+        with pytest.raises(GaugeMismatch, match="parabolic gauge left V>=0: negative-component "
+                                                "norm 5.000e-01"):
             run_uniqueness_experiment(catalog("s3_lambda", lam=0.5), seeds=5, t_end=1.0)
-        assert str(got.value) == str(want.value)
         assert len(seeds) == len(checks) == 4
+        assert flows == []
+
+    def test_uniqueness_raises_a_singular_gauge_before_any_flow(self, monkeypatch):
+        draws, flows = [], []
+        gauge = experiments.random_parabolic_gauge
+
+        def drawing(rng, dec):
+            draws.append(gauge(rng, dec))
+            return np.zeros((dec.dim, dec.dim)) if len(draws) == 3 else draws[-1]
+
+        monkeypatch.setattr(experiments, "random_parabolic_gauge", drawing)
+        monkeypatch.setattr(experiments, "integrate_stack", lambda *args: flows.append(args))
+        with pytest.raises(SingularGauge, match=r"\|det h\| = 0.000e\+00 below tolerance"):
+            run_uniqueness_experiment(catalog("s3_lambda", lam=0.5), seeds=5, t_end=1.0)
+        assert len(draws) == 3
+        assert flows == []
 
     @pytest.mark.parametrize("seeds", [0, -2])
     def test_uniqueness_needs_a_seed(self, seeds, capsys):
@@ -279,6 +294,7 @@ class TestCli:
         {"dim": 3, "entries": [{"i": 1, "j": 2}]},
         {"dim": 3, "entries": [[1, 2, 3, 1.0]]},
         {"dim": 100000, "entries": []},
+        {"dim": 3.7, "entries": [{"i": 1.9, "j": "2", "k": True, "v": 1}]},
     ])
     def test_malformed_input_exit_code(self, payload, tmp_path, capsys):
         path = tmp_path / "mu.json"

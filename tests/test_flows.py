@@ -660,14 +660,23 @@ def _same_trajectory(got, want):
 
 
 def _integrate_each(mu0s, spec):
-    """integrate on each seed in turn: the trajectories, or the first error raised."""
+    """integrate on each seed alone: its trajectory, or the error it raises."""
     out = []
     for mu0 in mu0s:
         try:
             out.append(integrate(mu0, spec))
         except (BracketFlowError, ValueError) as exc:
-            return exc
+            out.append(exc)
     return out
+
+
+def _s3_lambda_gauge(seed, draw):
+    """act(h, s3_lambda(0.5)) for the draw-th parabolic gauge h of a generator seeded with seed."""
+    entry = catalog("s3_lambda", lam=0.5)
+    dec = beta_decomposition(stratum_label(entry.bracket))
+    rng = np.random.default_rng(seed)
+    gauges = [random_parabolic_gauge(rng, dec) for _ in range(draw + 1)]
+    return act(gauges[-1], entry.bracket)
 
 
 @functools.cache
@@ -686,7 +695,11 @@ def _stack_base(n):
 
 
 class TestLockstep:
-    """integrate_stack steps B trajectories as one stack; each equals integrate alone."""
+    """integrate_stack steps B trajectories as one stack; each equals integrate alone.
+
+    It checks every seed before the first step, then raises the first error
+    its loop meets.
+    """
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(
@@ -715,10 +728,11 @@ class TestLockstep:
         spec = FlowSpec(variant=variant, t_end=3.0, record_every=0.25, max_steps=max_steps,
                         label=None if variant == Variant.RAW else label)
         want = _integrate_each(mu0s, spec)
-        if isinstance(want, Exception):
-            with pytest.raises(type(want)) as got:
+        errors = [(type(w), str(w)) for w in want if isinstance(w, Exception)]
+        if errors:
+            with pytest.raises((BracketFlowError, ValueError)) as got:
                 integrate_stack(mu0s, spec)
-            assert str(got.value) == str(want)
+            assert (type(got.value), str(got.value)) in errors
             return
         got = integrate_stack(mu0s, spec)
         assert len(got) == len(want)
@@ -736,14 +750,44 @@ class TestLockstep:
                 for _ in range(5)]
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label, record_every=0.5)
         want = _integrate_each(mu0s, spec)
-        assert isinstance(want, NotALieBracket)
+        assert [isinstance(w, NotALieBracket) for w in want] == [False, False, True, False, False]
         with pytest.raises(NotALieBracket) as got:
             integrate_stack(mu0s, spec)
-        assert str(got.value) == str(want) == "Jacobi residual 3.135e-10 exceeds tolerance"
-        for g, w in zip(integrate_stack(mu0s[:2], spec), _integrate_each(mu0s[:2], spec)):
+        assert str(got.value) == str(want[2]) == "Jacobi residual 3.135e-10 exceeds tolerance"
+        for g, w in zip(integrate_stack(mu0s[:2], spec), want[:2]):
             _same_trajectory(g, w)
-        for g, w in zip(integrate_stack(mu0s[3:], spec), _integrate_each(mu0s[3:], spec)):
+        for g, w in zip(integrate_stack(mu0s[3:], spec), want[3:]):
             _same_trajectory(g, w)
+
+    def test_the_error_met_first_wins_over_the_lower_index(self):
+        # Alone, the first seed records a Jacobi residual past the tolerance
+        # at its 80th step and the second at its 43rd, so the stack meets the
+        # second one's error first.
+        mu0s = [_s3_lambda_gauge(2, 0), _s3_lambda_gauge(3, 4)]
+        label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label, record_every=0.5)
+        want = [str(w) for w in _integrate_each(mu0s, spec)]
+        assert want == ["Jacobi residual 4.044e-10 exceeds tolerance",
+                        "Jacobi residual 4.025e-10 exceeds tolerance"]
+        with pytest.raises(NotALieBracket) as got:
+            integrate_stack(mu0s, spec)
+        assert str(got.value) == want[1]
+
+    def test_a_bad_seed_raises_before_the_first_step(self, monkeypatch, mu_s3):
+        calls = []
+        step = flows._dp_step
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return step(*args)
+
+        monkeypatch.setattr(flows, "_dp_step", counting)
+        bad = random_antisymmetric_bracket(np.random.default_rng(1), 3)
+        want = _integrate_each([bad], FlowSpec(variant=Variant.RAW, t_end=1.0))[0]
+        assert isinstance(want, NotALieBracket) and calls == []
+        with pytest.raises(NotALieBracket) as got:
+            integrate_stack([mu_s3, mu_s3, bad], FlowSpec(variant=Variant.RAW, t_end=1.0))
+        assert str(got.value) == str(want) and calls == []
 
     def test_a_run_that_fails_before_its_first_step_raises_its_own_error(self, monkeypatch, mu_s3):
         sample_stack = flows._sample_stack
