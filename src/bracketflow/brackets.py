@@ -7,12 +7,12 @@ ALL ordered pairs (i, j) and all k; with this pair-counting convention the
 3-dimensional Heisenberg bracket mu(e1, e2) = e3 has squared norm 2, and
 the normalized moment map has trace exactly -1.
 
-The coefficient-level kernels `pi_apply` and `jacobi_norm` act on raw
-(n, n, n) arrays by reshapes and BLAS products, without validation; the
-BracketTensor functions wrap them.  Both also take a stack (..., n, n, n) of
-states and return the stack of results, each slice equal to the bits of the
-one-state call; `bracket_stack` validates such a stack slice by slice, as
-BracketTensor and `ensure_lie` validate one array.
+The coefficient-level kernels `act_apply`, `pi_apply` and `jacobi_norm` act
+on raw (n, n, n) arrays by reshapes and BLAS products, without validation;
+the BracketTensor functions wrap them.  All three also take a stack
+(..., n, n, n) of states and return the stack of results, each slice equal to
+the bits of the one-state call; `bracket_stack` validates such a stack slice
+by slice, as BracketTensor and `ensure_lie` validate one array.
 
 The JSON wire format is decided here: `bracket_to_dict` and
 `bracket_from_dict` for brackets, `report_to_dict` for the report dataclasses.
@@ -36,7 +36,19 @@ NILP_TOL = 1e-8
 JSON_COEFF_FLOOR = 1e-14
 
 
-_NOT_FINITE = "structure constants must be finite"
+# The largest |c| accepted.  With M = max |c| and n <= DIM_CAP, Ric and Ric* have
+# entries <= 3 n^2 M^2 (sums of 3 n^2 products c c), so ||Ric*||^2 <= 9 n^6 M^4,
+# and the degree-5 scalstar field -pi(q_beta(Ric*) + ||Ric*||^2 Id)c has entries
+# <= 3 n M (3 n^2 M^2 + 9 n^6 M^4) <= 36 n^7 M^5 (n M >= 1): 9.7e134 at n = 16,
+# M = 1e25, and a squared norm over its n^3 entries of 3.8e273 < 1.8e308.  The
+# Jacobi sum's n^4 cyclic terms, each <= 3 n M^2, square to <= 9 n^6 M^4 = 1.5e108.
+COEFF_CAP = 1e25
+
+
+def _size_error(cmax):
+    if not math.isfinite(cmax):
+        return ValueError("structure constants must be finite")
+    return ValueError(f"largest |coefficient| {cmax:.3e} exceeds the cap {COEFF_CAP:.0e}")
 
 
 def _check_shape(shape, stacked=False):
@@ -52,13 +64,6 @@ def _check_shape(shape, stacked=False):
 def _asym_bound(cmax):
     """The largest |c + c^T| entry that is projected away without antisymmetrize=True."""
     return 1e-12 * (1.0 + cmax)
-
-
-def _asym_error(asym):
-    return ValueError(
-        f"coefficients are not antisymmetric (defect {asym:.3e}); "
-        "pass antisymmetrize=True to project"
-    )
 
 
 def jacobi_tolerance(mu):
@@ -137,10 +142,6 @@ class BracketTensor:
             self._jacobi = jacobi_residual(self)
         return self._jacobi
 
-    @property
-    def is_lie(self):
-        return self.jacobi_residual() <= jacobi_tolerance(self)
-
     def __repr__(self):
         return f"BracketTensor(dim={self.dim}, norm={self.norm:.6g})"
 
@@ -149,26 +150,27 @@ def _validated(coeffs, stacked, antisymmetrize):
     """BracketTensor's checks on one (n, n, n) array, or slice by slice on a (B, n, n, n) stack.
 
     Returns the float stack, one array as B = 1, read-only, with any
-    non-finite slice zeroed and every slice with a symmetric part projected
-    onto its antisymmetric part; and per slice the ValueError its checks
-    raise, or None.  A symmetric part above _asym_bound is an error unless
-    antisymmetrize is set.
+    non-finite or over-cap slice zeroed and every slice with a symmetric part
+    projected onto its antisymmetric part; and per slice the ValueError its
+    checks raise, or None.  A slice whose largest |c| is not at most
+    COEFF_CAP (NaN and inf included) is an error, and so is a symmetric part
+    above _asym_bound unless antisymmetrize is set.
     """
     c = np.array(coeffs, dtype=float)
     _check_shape(c.shape, stacked)
     if not stacked:
         c = c[None]
-    finite = np.isfinite(c).all(axis=(1, 2, 3))
-    errors = [None if ok else ValueError(_NOT_FINITE) for ok in finite.tolist()]
-    if not finite.all():
-        c[~finite] = 0.0
+    cmax = np.abs(c).max(axis=(1, 2, 3))
+    errors = [None if m <= COEFF_CAP else _size_error(m) for m in cmax.tolist()]
+    c[~(cmax <= COEFF_CAP)] = 0.0  # NaN compares False
     asym = np.abs(c + c.swapaxes(1, 2)).max(axis=(1, 2, 3))
     project = asym > 0.0
     if project.any():
         if not antisymmetrize:
-            too_asym = asym > _asym_bound(np.abs(c).max(axis=(1, 2, 3)))
+            too_asym = asym > _asym_bound(cmax)
             for j in np.flatnonzero(too_asym):
-                errors[j] = _asym_error(asym[j])
+                errors[j] = ValueError(f"coefficients are not antisymmetric (defect {asym[j]:.3e}); "
+                                       "pass antisymmetrize=True to project")
         part = c[project]
         c[project] = 0.5 * (part - part.swapaxes(1, 2))
     c.flags.writeable = False
@@ -246,35 +248,42 @@ def singular_tolerance(h):
     return 1e-12 * np.linalg.norm(h, 2) ** n
 
 
-_ACT_SUBSCRIPTS = "ai,bj,kc,abc->ijk"
+def act_apply(h, c):
+    """h.c on raw structure constants c; no validation, result not antisymmetrized.
 
-
-@functools.cache
-def _act_path(n):
-    """The contraction order einsum(optimize=True) plans for `act` at dimension n."""
-    eye = np.eye(n)
-    return np.einsum_path(_ACT_SUBSCRIPTS, eye, eye, eye, np.zeros((n, n, n)), optimize=True)[0]
+    (h.c)[i, j, k] = sum h^-1[a, i] h^-1[b, j] h[k, l] c[a, b, l], contracted
+    one index at a time by three products of reshapes, first index first.
+    A stack of c (..., n, n, n) takes the stack of h (..., n, n) of the same leading axes.
+    """
+    lead, n = c.shape[:-3], c.shape[-1]
+    hinv = np.linalg.inv(h)
+    t = c.reshape(lead + (n, n * n)).mT @ hinv
+    t = t.reshape(lead + (n, n * n)).mT @ hinv
+    return (t.reshape(lead + (n, n * n)).mT @ h.mT).reshape(c.shape)
 
 
 def act(h, mu):
     """Change-of-basis action (h.mu)(x, y) = h mu(h^-1 x, h^-1 y)."""
     h = np.asarray(h, dtype=float)
-    if abs(np.linalg.det(h)) <= singular_tolerance(h):
-        raise SingularGauge(f"|det h| = {abs(np.linalg.det(h)):.3e} below tolerance")
-    hinv = np.linalg.inv(h)
-    c = np.einsum(_ACT_SUBSCRIPTS, hinv, hinv, h, mu.coeffs, optimize=_act_path(mu.dim))
-    return BracketTensor(c, antisymmetrize=True)
+    det = abs(np.linalg.det(h))
+    if det <= singular_tolerance(h):
+        raise SingularGauge(f"|det h| = {det:.3e} below tolerance")
+    return BracketTensor(act_apply(h, mu.coeffs), antisymmetrize=True)
 
 
 def pi_apply(a, c):
     """pi(A) on raw structure constants c; no validation, result not antisymmetrized.
 
     (pi(A)c)[i, j, k] = sum A[k, l] c[i, j, l] - A[l, i] c[l, j, k] - A[l, j] c[i, l, k].
-    A stack of c (..., n, n, n) takes the stack of A (..., n, n) of the same leading axes.
+    A stack of c (..., n, n, n) takes the stack of A (..., n, n) of the same leading axes;
+    one c takes any stack of A.
     """
     at = a.mT
     at_each = at[..., None, :, :]
-    return c @ at_each - (at @ c.reshape(c.shape[:-2] + (-1,))).reshape(c.shape) - at_each @ c
+    out = c @ at_each
+    out -= (at @ c.reshape(c.shape[:-2] + (-1,))).reshape(out.shape)
+    out -= at_each @ c
+    return out
 
 
 def pi_action(a, mu):
@@ -305,33 +314,31 @@ def _span_floor(mu):
 
 
 def _descending_series(mu, central):
-    """Dimensions of g_0 = g, g_{i+1} = [left_i, g_i] until the series vanishes or stalls.
+    """Orthonormal bases of g_0 = g, g_{i+1} = [left_i, g_i] until the series vanishes or stalls.
 
     The left factor is g_i itself for the derived series and all of g for the
     lower central series.
     """
     ensure_lie(mu)
-    dims = [mu.dim]
     full = np.eye(mu.dim)
-    basis = full
-    while dims[-1] > 0:
+    series = [full]
+    while series[-1].shape[1] > 0:
+        basis = series[-1]
         left = full if central else basis
-        span = orthonormal_basis(_pairwise_products(mu, left, basis), floor=_span_floor(mu))
-        dims.append(span.shape[1])
-        if span.shape[1] >= dims[-2]:
+        series.append(orthonormal_basis(_pairwise_products(mu, left, basis), floor=_span_floor(mu)))
+        if series[-1].shape[1] >= basis.shape[1]:
             break
-        basis = span
-    return dims
+    return series
 
 
 def derived_series(mu):
     """Dimensions [n, dim g', dim g'', ...] until the series vanishes or stalls."""
-    return _descending_series(mu, central=False)
+    return [basis.shape[1] for basis in _descending_series(mu, central=False)]
 
 
 def lower_central_series(mu):
     """Dimensions of the lower central series g >= [g,g] >= [g,[g,g]] >= ..."""
-    return _descending_series(mu, central=True)
+    return [basis.shape[1] for basis in _descending_series(mu, central=True)]
 
 
 def is_solvable(mu):
@@ -381,13 +388,14 @@ def nilradical(mu):
 
     Returns (n_basis, a_basis, rank) where the columns of n_basis span the
     nilradical, a_basis spans the orthogonal complement, and rank = dim a.
+    Solvability and [g, g] both come from one derived series.
     """
-    if not is_solvable(mu):
-        raise NotSolvable("nilradical computation requires a solvable bracket")
+    series = _descending_series(mu, central=False)
+    if series[-1].shape[1]:
+        raise NotSolvable("nilradical requires a solvable bracket; the derived series "
+                          f"stalls at dimension {series[-1].shape[1]}")
     n = mu.dim
-    derived = orthonormal_basis(
-        _pairwise_products(mu, np.eye(n), np.eye(n)), floor=_span_floor(mu)
-    )
+    derived = series[1]
     comp = null_space(derived.T) if derived.shape[1] else np.eye(n)
     if comp.shape[1]:
         w, v = np.linalg.eigh(root_energy_gram(mu, comp))
@@ -413,13 +421,10 @@ def nilradical(mu):
 def derivation_matrix(mu):
     """Matrix of A -> pi(A)mu from flattened gl(n) to flattened brackets.
 
-    Column p n + q is pi(E_pq)mu, one pi_apply on the raw coefficients each.
+    Column p n + q is pi(E_pq)mu: one pi_apply on the stack of the n^2 unit matrices.
     """
     n = mu.dim
-    cols = np.empty((n**3, n * n))
-    for i, e in enumerate(np.eye(n * n).reshape(n * n, n, n)):
-        cols[:, i] = pi_apply(e, mu.coeffs).ravel()
-    return cols
+    return pi_apply(np.eye(n * n).reshape(n * n, n, n), mu.coeffs).reshape(n * n, n**3).T
 
 
 def derivation_space(mu):

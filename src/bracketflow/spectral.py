@@ -82,9 +82,6 @@ def sigma_a(mu):
     The value is exact at rank 1 (the unit sphere of a is +-v) and for
     non-real types (Q_R(v) = 0 forces phi(v) = 0).
     """
-    ensure_lie(mu)
-    if not is_solvable(mu):
-        raise NotSolvable("sigma_a requires a solvable bracket")
     _, a_basis, rank = nilradical(mu)
     if rank == 0:
         raise NilpotentInput("sigma_a requires a non-nilpotent bracket (rank >= 1)")
@@ -103,11 +100,8 @@ def classify_type(mu):
     those of sigma_a(mu), except that a mixed report's witness is the top
     eigenvector of Q_R.
     """
-    ensure_lie(mu)
     if mu.is_zero:
         return TypeReport(AlgebraType.ABELIAN, 0.0, np.zeros(mu.dim), 0)
-    if not is_solvable(mu):
-        raise NotSolvable("classification covers solvable brackets only")
     _, a_basis, rank = nilradical(mu)
     if rank == 0:
         return TypeReport(AlgebraType.NILPOTENT, 0.0, np.zeros(mu.dim), 0)

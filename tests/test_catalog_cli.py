@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,19 @@ class TestCli:
         path.write_text(json.dumps(payload))
         assert main(["classify", "--input", str(path)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_overflowing_input_is_a_validation_error(self, tmp_path, capsys):
+        # Squares of these coefficients overflow; the cap on |c| rejects them
+        # before any curvature or eigenvalue is formed.
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({"dim": 3, "entries": [
+            {"i": 1, "j": 2, "k": 3, "v": 1e308}, {"i": 1, "j": 3, "k": 2, "v": 1e308},
+        ]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["classify", "--input", str(path)]) == EXIT_VALIDATION
+        assert caught == []
+        assert capsys.readouterr().err.startswith("error: largest |coefficient| 1.000e+308 exceeds")
 
     @pytest.mark.parametrize("name, dim", [("abelian", "100000"), ("heisenberg", "100001")])
     def test_oversized_catalog_dim_exit_code(self, name, dim, capsys):

@@ -3,7 +3,8 @@
 The einsum functions below spell out each index sum of the curvature parts,
 pi(A) and the Jacobi cyclic sum; they are the oracles for the reshape/matmul
 kernel in `curvature.coeff_parts`, `brackets.pi_apply` and
-`brackets.jacobi_norm`.  Every bound is relative to 1 + ||mu||^2.
+`brackets.jacobi_norm`.  `brackets.act_apply` is held to the einsum that
+`act` used to call, bit for bit.  Every bound is relative to 1 + ||mu||^2.
 """
 
 import tracemalloc
@@ -27,7 +28,9 @@ from bracketflow import (
     stratum_label,
 )
 from bracketflow.brackets import (
+    COEFF_CAP,
     DIM_CAP,
+    act_apply,
     bracket_stack,
     derivation_matrix,
     ensure_lie,
@@ -196,8 +199,10 @@ class TestStackedKernels:
                 for _ in range(count)
             ])
             a = rng.standard_normal((count, dim, dim))
+            h = np.eye(dim) + 0.3 * rng.standard_normal((count, dim, dim))
             parts, moment = coeff_parts(cs), coeff_moment(cs)
             scal, jac, pis = coeff_scal_star(cs), jacobi_norm(cs), pi_apply(a, cs)
+            acts = act_apply(h, cs)
             for j, c in enumerate(cs):
                 for got, want in zip(parts, coeff_parts(c)):
                     assert np.array_equal(got[j], want)
@@ -205,6 +210,7 @@ class TestStackedKernels:
                 assert scal[j] == coeff_scal_star(c)
                 assert jac[j] == jacobi_norm(c)
                 assert np.array_equal(pis[j], pi_apply(a[j], c))
+                assert np.array_equal(acts[j], act_apply(h[j], c))
 
     def test_bracket_stack_checks_each_slice_as_bracket_tensor(self):
         lie = catalog("s3").bracket.coeffs
@@ -215,7 +221,9 @@ class TestStackedKernels:
         skew[0, 1, 2] += 1e-3
         nan = lie.copy()
         nan[1, 2, 0] = np.nan
-        cs = np.stack([lie, not_lie, tilted, skew, nan])
+        inf = np.where(lie != 0.0, np.inf, 0.0)
+        # max |c| of s3 is 1: the cap itself is accepted, twice it is not.
+        cs = np.stack([lie, not_lie, tilted, skew, nan, inf, COEFF_CAP * lie, 2.0 * COEFF_CAP * lie])
         coeffs, norm_sq, items = bracket_stack(cs)
         assert not coeffs.flags.writeable
         kinds = []
@@ -231,8 +239,11 @@ class TestStackedKernels:
             assert got.jacobi_residual() == want.jacobi_residual()
             assert sq == want.norm_sq
             kinds.append(BracketTensor)
-        assert kinds == [BracketTensor, NotALieBracket, BracketTensor, ValueError, ValueError]
+        assert kinds == [BracketTensor, NotALieBracket, BracketTensor, ValueError, ValueError,
+                         ValueError, BracketTensor, ValueError]
         assert not np.array_equal(items[2].coeffs, tilted)
+        assert str(items[4]) == str(items[5]) == "structure constants must be finite"
+        assert str(items[7]) == "largest |coefficient| 2.000e+25 exceeds the cap 1e+25"
 
 
 @pytest.mark.parametrize("dim", [1, 3, 7])
@@ -315,8 +326,8 @@ def test_two_step_draw_equals_full_svd_draw(monkeypatch):
 
 @pytest.mark.parametrize("dim", [3, 5, 9, 13, DIM_CAP])
 def test_act_equals_einsum_planned_per_call(dim):
-    # act reuses one contraction path per dimension; the result must be the
-    # one einsum(optimize=True) gives when it plans the path itself.
+    # act_apply contracts by three products in the order einsum(optimize=True)
+    # plans; act's result must be the bits of that einsum.
     rng = np.random.default_rng(dim)
     mu = random_antisymmetric_bracket(rng, dim)
     h = sla.expm(0.3 * rng.standard_normal((dim, dim)))

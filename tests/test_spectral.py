@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import bracketflow
 from bracketflow import (
     BracketTensor,
+    brackets,
     act,
     catalog,
     classify_type,
@@ -121,8 +122,23 @@ class TestClassify:
 
     def test_non_solvable_rejected(self):
         so3 = BracketTensor.from_entries(3, [(1, 2, 3, 1.0), (2, 3, 1, 1.0), (1, 3, 2, -1.0)])
-        with pytest.raises(NotSolvable):
+        with pytest.raises(NotSolvable, match="stalls at dimension 3"):
             classify_type(so3)
+
+    def test_one_derived_series_per_query(self, mu_s3, monkeypatch):
+        # Solvability and [g, g] both come from nilradical's one series.
+        calls = []
+        series = brackets._descending_series
+
+        def counting_series(mu, central):
+            calls.append(central)
+            return series(mu, central)
+
+        monkeypatch.setattr(brackets, "_descending_series", counting_series)
+        assert classify_type(mu_s3).kind == AlgebraType.REAL
+        assert calls == [False]
+        sigma_a(mu_s3)
+        assert calls == [False, False]
 
     def test_real_type_bound_constant(self, mu_s3, rng):
         # psi <= C phi on the unit sphere of a, with C = psi_max / sigma_a.
