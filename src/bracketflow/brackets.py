@@ -105,12 +105,18 @@ class BracketTensor:
 
     @classmethod
     def from_entries(cls, dim, entries):
-        """Build from 1-based (i, j, k, value) tuples with i < j; antisymmetry is filled in."""
+        """Build from 1-based (i, j, k, value) tuples with i < j; antisymmetry is filled in.
+
+        Repeated (i, j, k) entries add up.  Each |value| is checked against
+        COEFF_CAP as it is read, so the sum cannot overflow before validation.
+        """
         _check_shape((dim,) * 3)
         c = np.zeros((dim, dim, dim))
         for i, j, k, v in entries:
             if not (1 <= i < j <= dim and 1 <= k <= dim):
                 raise ValueError(f"entry ({i},{j},{k}) out of range")
+            if not abs(v) <= COEFF_CAP:
+                raise _size_error(abs(v))
             c[i - 1, j - 1, k - 1] += v
             c[j - 1, i - 1, k - 1] -= v
         return cls(c)
@@ -390,6 +396,11 @@ def nilradical(mu):
     nilradical, a_basis spans the orthogonal complement, and rank = dim a.
     Solvability and [g, g] both come from one derived series.
     """
+    return _nilradical_and_series(mu)[0]
+
+
+def _nilradical_and_series(mu):
+    """nilradical(mu) and the derived_series(mu) dimensions, from one derived series."""
     series = _descending_series(mu, central=False)
     if series[-1].shape[1]:
         raise NotSolvable("nilradical requires a solvable bracket; the derived series "
@@ -415,7 +426,7 @@ def nilradical(mu):
         resid = prods - (prods @ n_basis) @ n_basis.T
         if np.linalg.norm(resid) > RANK_TOL * (1.0 + mu.norm):
             raise NotSolvable("nilradical candidate is not an ideal")
-    return n_basis, a_basis, a_basis.shape[1]
+    return (n_basis, a_basis, a_basis.shape[1]), [basis.shape[1] for basis in series]
 
 
 def derivation_matrix(mu):

@@ -108,6 +108,7 @@ def cmd_flow(args):
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
         record_every=args.record_every,
+        gauges=False,  # the CSV and snapshots read no gauge
     )
     traj = integrate(entry.bracket, spec)
     header = "t,||mu||,scal,scalstar,f,lyap,cs,typeIII,ricBound,jacobiRes"

@@ -52,7 +52,9 @@ def run_uniqueness_experiment(entry, seeds, t_end=100.0, seed=0, require_converg
     are fingerprinted and the maximal pairwise distance is reported.  Every
     gauge is drawn before any flow, and a singular gauge or one that leaves
     V>=0 raises at once.  The seeds are then flowed as one stack by
-    integrate_stack, and the first error its loop meets is raised.
+    integrate_stack, and the first error its loop meets is raised.  The
+    report reads no gauge h(t), so the flows carry none: their samples, and
+    so the report, are those of flows that carry both.
     """
     if seeds < 1:
         raise OutOfRange(f"seeds = {seeds} must be at least 1")
@@ -71,7 +73,8 @@ def run_uniqueness_experiment(entry, seeds, t_end=100.0, seed=0, require_converg
                 f"parabolic gauge left V>=0: negative-component norm {gauge.neg_norm:.3e}"
             )
         mu0s.append(mu0)
-    spec = FlowSpec(variant=Variant.SCALSTAR, t_end=t_end, label=label, record_every=0.5)
+    spec = FlowSpec(variant=Variant.SCALSTAR, t_end=t_end, label=label, record_every=0.5,
+                    gauges=False)
     trajs = integrate_stack(mu0s, spec)
     results = [(traj, detect_soliton_convergence(traj)) for traj in trajs]
     failing = [idx for idx, (_, det) in enumerate(results) if not det.converged]

@@ -38,7 +38,9 @@ h(t).mu(0) = mu(t)), and "ricci", Ric + ||Ric*||^2 Id.  Each accepted step
 advances h by a 4th-order Magnus step built from that step's own stages, and
 a sample inside a step gets h from the same kind of step over the partial
 interval; h stays out of the step-size control, so the bracket path does not
-depend on it.
+depend on it.  A run with FlowSpec.gauges = False carries neither: it forms
+no "ricci" coefficient and takes no exponential, and its samples, steps and
+termination are those of the run that carries both.
 """
 
 import math
@@ -86,6 +88,9 @@ class FlowSpec:
     max_steps: int = 2_000_000
     record_every: float = 0.5
     conv_tol: float = CONV_TOL
+    # Whether a gauged, scalstar or scal run carries both gauges h(t); raw
+    # runs carry none.
+    gauges: bool = True
 
 
 @dataclass(slots=True)
@@ -121,7 +126,7 @@ class FlowTrajectory:
     steps: int = 0
     renormalizations: int = 0
     # coefficient name -> (len(samples), n, n) stack of h at the sample times;
-    # empty on raw runs.
+    # empty on raw runs and on runs whose FlowSpec.gauges is False.
     gauges: dict = field(default_factory=dict)
 
     @property
@@ -172,12 +177,12 @@ def _dense_weights(thetas):
     return (powers[:, None, :] @ _DP_DENSE.T)[:, 0]
 
 
-def _endomorphisms(ric, ric_star, variant, dec):
+def _endomorphisms(ric, ric_star, variant, dec, gauged=False):
     """The endomorphism A driving mu' = -pi(A)mu, from Ric and Ric*.
 
     Returns (A, R) with R = Ric + ||Ric*||^2 Id, the coefficient of the "ricci"
-    gauge; R is None on raw runs.  Stacks (..., n, n) of Ric and Ric* give
-    stacks of A and R.
+    gauge; R is None on raw runs and unless gauged.  Stacks (..., n, n) of Ric
+    and Ric* give stacks of A and R.
     """
     if variant == Variant.RAW:
         return ric, None
@@ -186,7 +191,7 @@ def _endomorphisms(ric, ric_star, variant, dec):
     a = project_qbeta(ric_star, dec)
     if variant == Variant.SCALSTAR:
         a = _plus_identity(a, shift)
-    return a, _plus_identity(ric, shift)
+    return a, _plus_identity(ric, shift) if gauged else None
 
 
 def _plus_identity(m, s):
@@ -200,10 +205,10 @@ def _plus_identity(m, s):
     return out
 
 
-def _field_endomorphism(coeffs, variant, dec):
+def _field_endomorphism(coeffs, variant, dec, gauged=False):
     """_endomorphisms from one curvature evaluation on raw coefficients."""
     _, _, _, ric, ric_star = coeff_parts(coeffs)
-    return _endomorphisms(ric, ric_star, variant, dec)
+    return _endomorphisms(ric, ric_star, variant, dec, gauged)
 
 
 def flow_field(coeffs, variant, dec):
@@ -216,10 +221,10 @@ def _dp_step(stage, y, h, k0, a0):
     """One Dormand-Prince step from each state of the stack y (B, n, n, n), slice b by h[b].
 
     stage(c) returns, for a stack c, the slopes dc/dt as rows (B, n^3) and the
-    coefficients (A, R) (B, n, n) of the two gauges, R None on raw runs; k0
-    and a0 (B, 2, n, n), None on raw runs, are those of y.  The stage slopes
-    of slice b are the rows of k[b] (7, n^3), so each tableau row is one
-    vector-matrix product per slice.  Returns y5, the error estimates
+    coefficients (A, R) (B, n, n) of the two gauges, R None on runs that carry
+    no gauge; k0 and a0 (B, 2, n, n), None on those runs, are those of y.  The
+    stage slopes of slice b are the rows of k[b] (7, n^3), so each tableau row
+    is one vector-matrix product per slice.  Returns y5, the error estimates
     h (b5 - b4) @ k (formed from the weights, not as y5 - y4, which would
     cancel about five digits), k and the stage values a (B, 2, 7, n, n) of the
     gauge coefficients: the last row of _DP_A equals _DP_B5, so the last stage
@@ -271,7 +276,7 @@ def _error_norms(err, y_old, y_new, rel_tol, abs_tol):
     return np.sqrt(squares.sum(axis=1) / squares.shape[1]).tolist()
 
 
-def _sample_stack(ts, cs, variant, dec, label):
+def _sample_stack(ts, cs, variant, dec, label, gauged=False):
     """The samples of the states cs (B, n, n, n) at times ts, from one pass over the stack.
 
     Scalstar states may sit up to drift_tol/2 off the scal* = -1 slice between
@@ -286,7 +291,7 @@ def _sample_stack(ts, cs, variant, dec, label):
         cs = cs * np.array([abs(v) ** -0.5 for v in s])[:, None, None, None]
     coeffs, norm_sq, brackets = bracket_stack(cs)
     _, _, _, ric, ric_star = coeff_parts(coeffs)
-    ends = _endomorphisms(ric, ric_star, variant, dec)
+    ends = _endomorphisms(ric, ric_star, variant, dec, gauged)
     field = pi_apply(ends[0], cs).reshape(len(ts), -1)
     fnorm = np.sqrt(np.vecdot(field, field)).tolist()
     samples = _samples(ts, brackets, norm_sq, ric, ric_star, label, fnorm, drift)
@@ -333,19 +338,26 @@ def _samples(ts, brackets, norm_sq, ric, ric_star, label, field_norm, drift):
     return out
 
 
-def _append(traj, samples, conv_tol):
-    """Append _samples in time order until the run converges.
+def _append(run, samples, conv_tol):
+    """Append _samples to the _Run's trajectory in time order until the run converges.
 
     An exception in samples is raised when it is reached, so only the samples
-    before it are appended.  conv_tol <= 0 checks no convergence.  Returns the
-    number appended and whether the run converged at the last of them.
+    before it are appended.  Each sample's convergence test is decided once,
+    as it is appended: run.streak counts the latest samples in a row whose
+    field norm is at most conv_tol (1 + ||mu||^3), and the run converges when
+    the streak reaches CONV_WINDOW.  conv_tol <= 0 checks no convergence.
+    Returns the number appended and whether the run converged at the last of
+    them.
     """
     for count, sample in enumerate(samples, start=1):
         if isinstance(sample, Exception):
             raise sample
-        traj.samples.append(sample)
-        if _converged(traj, conv_tol):
-            return count, True
+        run.traj.samples.append(sample)
+        if conv_tol > 0.0:
+            small = sample.monitors.field_norm <= conv_tol * (1.0 + sample.bracket.norm**3)
+            run.streak = run.streak + 1 if small else 0
+            if run.streak >= CONV_WINDOW:
+                return count, True
     return len(samples), False
 
 
@@ -371,9 +383,9 @@ def integrate_stack(mu0s, spec):
     Dormand-Prince stage evaluates the field once on the stack of the
     trajectories still running; their accepted steps share one Magnus
     exponential for the step gauges, one _sample_stack pass for the grid
-    samples and one exponential for those samples' gauges.  The kernels and
-    expm work slice by slice, so trajectory b is integrate(mu0s[b], spec) bit
-    for bit.
+    samples and one exponential for those samples' gauges, and no
+    exponential when spec.gauges is False.  The kernels and expm work slice by
+    slice, so trajectory b is integrate(mu0s[b], spec) bit for bit.
 
     Every seed is checked before the first step, in order, and the first
     error the loop meets then ends the stack; so an error raised is one that
@@ -401,13 +413,14 @@ def integrate_stack(mu0s, spec):
 class _Run:
     """The scalar state of one trajectory of integrate_stack."""
 
-    __slots__ = ("traj", "cap", "t", "h", "err", "err_prev", "steps", "renorms", "rows",
-                 "running", "end")
+    __slots__ = ("traj", "cap", "t", "h", "err", "err_prev", "steps", "renorms", "streak",
+                 "rows", "running", "end")
 
     def __init__(self, traj, cap, h):
         self.traj, self.cap, self.h = traj, cap, h
         self.t, self.err, self.err_prev = 0.0, 0.0, 1.0
         self.steps = self.renorms = 0
+        self.streak = 0  # the latest samples in a row that meet the convergence test
         self.rows = []  # the (G, n, n) gauges of each recorded sample
         self.running = True
         self.end = None  # (y, gauges) where the run stopped, for its final sample
@@ -417,8 +430,8 @@ class _Lockstep:
     """The stepper loop of integrate_stack.
 
     live lists the running _Runs in seed order.  The stacks y (L, n, n, n) of
-    their states and k0 (L, n^3) of their first-stage slopes, and on gauged
-    runs a0 (L, 2, n, n) of their first-stage gauge coefficients and gauges
+    their states and k0 (L, n^3) of their first-stage slopes, and on runs that
+    carry gauges a0 (L, 2, n, n) of their first-stage gauge coefficients and gauges
     (L, 2, n, n), follow the same order; a run that stops leaves them at the
     next _compress.  run checks every seed before the first step; after that
     an error propagates from where it occurs and ends the whole stack.
@@ -433,7 +446,7 @@ class _Lockstep:
 
     def run(self, mu0s):
         seeds = [self._seed(mu0) for mu0 in mu0s]
-        self.gauged = self.dec is not None
+        self.gauged = self.dec is not None and self.spec.gauges
         runs = [_Run(FlowTrajectory(variant=self.variant, label=self.label),
                      BLOWUP_FACTOR * max(mu0.norm, 1.0), min(1e-3, self.spec.t_end))
                 for mu0 in mu0s]
@@ -475,7 +488,7 @@ class _Lockstep:
         skip the cost of the stack axis.
         """
         one = c[0] if len(c) == 1 else c
-        ends = _field_endomorphism(one, self.core, self.dec)
+        ends = _field_endomorphism(one, self.core, self.dec, self.gauged)
         return -pi_apply(ends[0], one).reshape(len(c), -1), ends
 
     def _start(self, runs, y):
@@ -483,7 +496,7 @@ class _Lockstep:
         identity = np.array([np.eye(y.shape[-1])] * len(GAUGE_COEFFICIENTS))
         samples, _ = _sample_stack([0.0] * len(runs), y, self.core, self.dec, self.label)
         blocks = [(run, j, 1) for j, run in enumerate(runs)]
-        self._append_blocks(samples, [identity] * len(runs), blocks, 0.0)
+        self._append_blocks(samples, [identity] * len(runs), blocks, self.spec.conv_tol)
         self.live, self.y = list(runs), y
         self.k0, ends = self._stage(y)
         self.a0 = self.gauges = None
@@ -495,13 +508,13 @@ class _Lockstep:
     def _append_blocks(self, samples, rows, blocks, conv_tol):
         """Append the samples to their runs, one block (run, first, count) per run.
 
-        run takes samples[first: first + count] through _append and, on gauged
-        runs, the (G, n, n) gauges rows[j] of each sample j it appends.  A
+        run takes samples[first: first + count] through _append and, on runs
+        that carry gauges, the (G, n, n) gauges rows[j] of each sample j it appends.  A
         sample that failed raises when its run reaches it; a run that
         converges stops.
         """
         for run, first, count in blocks:
-            count, converged = _append(run.traj, samples[first: first + count], conv_tol)
+            count, converged = _append(run, samples[first: first + count], conv_tol)
             if self.gauged:
                 run.rows.extend(rows[first: first + count])
             if converged:
@@ -642,7 +655,8 @@ class _Lockstep:
             blocks.append((run, first, count))
         if not blocks:
             return
-        samples, ends = _sample_stack(ts, np.concatenate(states), self.core, self.dec, self.label)
+        samples, ends = _sample_stack(ts, np.concatenate(states), self.core, self.dec, self.label,
+                                      self.gauged)
         rows = None
         if self.gauged:
             rows = gauges[owner]
@@ -686,21 +700,13 @@ def _scalstar_factor(s, only_if_drifted=False):
     return abs(s) ** -0.5
 
 
-def _converged(traj, conv_tol):
-    if conv_tol <= 0.0 or len(traj.samples) < CONV_WINDOW:
-        return False
-    window = traj.samples[-CONV_WINDOW:]
-    return all(
-        s.monitors.field_norm <= conv_tol * (1.0 + s.bracket.norm**3) for s in window
-    )
-
-
 def _rescale_to_scal(traj):
     """Convert a scalstar trajectory into the scal-normalized family in place.
 
     mu(t) is scaled by |scal(t)|^-1/2, so the "variant" gauge is scaled by
     sqrt(|scal(t)| / |scal(0)|) to keep h(t).mu(0) = mu(t).  The samples are
-    rescaled as one stack and keep their field norms and drifts.
+    rescaled as one stack and keep their field norms and drifts; a run that
+    carries no gauge has none to scale.
     """
     old = np.array([s.bracket.coeffs for s in traj.samples])
     norm_sq = (old * old).reshape(len(old), -1).sum(axis=1).tolist()
@@ -719,8 +725,9 @@ def _rescale_to_scal(traj):
         if isinstance(sample, Exception):
             raise sample
         traj.samples[i] = sample
-    factors = [math.sqrt(abs(v) / abs(scal[0])) for v in scal]
-    traj.gauges["variant"] = traj.gauges["variant"] * np.array(factors)[:, None, None]
+    if traj.gauges:
+        factors = [math.sqrt(abs(v) / abs(scal[0])) for v in scal]
+        traj.gauges["variant"] = traj.gauges["variant"] * np.array(factors)[:, None, None]
 
 
 @dataclass(slots=True)
@@ -763,20 +770,24 @@ def _time_index(times, t, tol):
 def recover_gauge(traj, h0=None, coefficient="variant"):
     """The gauge h' = -A h, h(0) = h0 (default Id), at the trajectory's sample times.
 
-    integrate carries h(t) with h(0) = Id through every accepted step, so this
-    only applies h0 on the right.  coefficient="variant" uses the endomorphism
+    integrate carries h(t) with h(0) = Id through every accepted step of a run
+    whose FlowSpec.gauges is True, so this only applies h0 on the right.  coefficient="variant" uses the endomorphism
     driving the trajectory's own vector field, so the path satisfies
     h(t).mu(0) = mu(t).  coefficient="ricci" uses Ric + ||Ric*||^2 Id, the
     ungauged normalized coefficient whose solution converges in GL exactly in
     the Einstein case; on a scal run it is the gauge of the scalstar run the
-    samples were rescaled from.
+    samples were rescaled from.  A trajectory that carries no gauge (a raw
+    run, or one with FlowSpec.gauges False) raises GaugeMismatch.
     """
     if coefficient not in GAUGE_COEFFICIENTS:
         raise ValueError(
             f"unknown gauge coefficient {coefficient!r}; expected one of {GAUGE_COEFFICIENTS}"
         )
     if not traj.gauges:
-        raise GaugeMismatch("gauge recovery needs a gauged, scalstar or scal trajectory")
+        raise GaugeMismatch(
+            "gauge recovery needs a gauged, scalstar or scal trajectory run with "
+            "FlowSpec.gauges = True"
+        )
     stored = traj.gauges[coefficient]
     h = np.eye(stored.shape[1]) if h0 is None else np.array(h0, dtype=float)
     return GaugePath(times=traj.times, mats=stored @ h, coefficient=coefficient)

@@ -15,9 +15,9 @@ from enum import Enum
 import numpy as np
 
 from .brackets import (
+    _nilradical_and_series,
     act,
     derivation_space,
-    derived_series,
     ensure_lie,
     nilradical,
     pi_action,
@@ -221,7 +221,7 @@ def fingerprint(mu):
     moment_eigs = (
         np.zeros(mu.dim) if mu.is_zero else np.linalg.eigvalsh(moment_map_fast(mu))
     )
-    n_dim = mu.dim - nilradical(mu)[2]
+    (_, _, rank), derived = _nilradical_and_series(mu)
     return OrbitFingerprint(
         ric_eigs=np.linalg.eigvalsh(pack.Ric),
         ricstar_eigs=np.linalg.eigvalsh(pack.RicStar),
@@ -229,8 +229,8 @@ def fingerprint(mu):
         scal=pack.scal,
         scal_star=pack.scalStar,
         norm=mu.norm,
-        nilradical_dim=n_dim,
-        derived_dims=tuple(derived_series(mu)),
+        nilradical_dim=mu.dim - rank,
+        derived_dims=tuple(derived),
     )
 
 

@@ -75,6 +75,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BracketTensor.from_entries(3, [(2, 1, 3, 1.0)])
 
+    @pytest.mark.parametrize("v, message", [
+        (1e308, "largest |coefficient| 1.000e+308 exceeds the cap 1e+25"),
+        (float("inf"), "structure constants must be finite"),
+        (float("nan"), "structure constants must be finite"),
+    ])
+    def test_from_entries_checks_each_value_as_read(self, v, message):
+        # Two entries at one index add up; each is checked before the sum, so
+        # the sum cannot overflow (a RuntimeWarning would fail the suite).
+        with pytest.raises(ValueError) as got:
+            BracketTensor.from_entries(3, [(1, 2, 3, v), (1, 2, 3, v)])
+        assert str(got.value) == message
+        summed = BracketTensor.from_entries(3, [(1, 2, 3, 0.5e25), (1, 2, 3, 0.5e25)])
+        assert summed.coeffs[0, 1, 2] == 1e25
+
 
 class TestJacobi:
     def test_h3_is_lie(self, mu_h3):

@@ -316,6 +316,19 @@ class TestCli:
         assert caught == []
         assert capsys.readouterr().err.startswith("error: largest |coefficient| 1.000e+308 exceeds")
 
+    def test_repeated_overflowing_entry_gives_one_error_line(self, tmp_path, capsys):
+        # The two entries share one index; each is checked as it is read, so
+        # their sum never overflows.
+        path = tmp_path / "mu.json"
+        entry = {"i": 1, "j": 2, "k": 3, "v": 1e308}
+        path.write_text(json.dumps({"dim": 3, "entries": [entry, entry]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["classify", "--input", str(path)]) == EXIT_VALIDATION
+        assert caught == []
+        want = "error: largest |coefficient| 1.000e+308 exceeds the cap 1e+25\n"
+        assert capsys.readouterr().err == want
+
     @pytest.mark.parametrize("name, dim", [("abelian", "100000"), ("heisenberg", "100001")])
     def test_oversized_catalog_dim_exit_code(self, name, dim, capsys):
         assert main(["catalog", name, "--dim", dim]) == EXIT_VALIDATION

@@ -27,16 +27,18 @@ from bracketflow import (
     soliton_residual,
     stratum_label,
 )
-from bracketflow import curvature, flows
+from bracketflow import curvature, experiments, flows
 from bracketflow.catalog import almost_abelian
 from bracketflow.curvature import curvature_parts
 from bracketflow.errors import BracketFlowError, GaugeMismatch, NotALieBracket, OutOfRange
-from bracketflow.experiments import random_parabolic_gauge
+from bracketflow.experiments import random_parabolic_gauge, run_uniqueness_experiment
 from bracketflow.flows import (
     CONV_TOL,
     CONV_WINDOW,
+    GAUGE_COEFFICIENTS,
     FlowTrajectory,
     _append,
+    _Run,
     _sample_stack,
     flow_field,
     integrate_stack,
@@ -591,9 +593,11 @@ class TestStackSampler:
         cs = np.stack([s.bracket.coeffs for s in traj.samples])
         cs = cs * np.linspace(1.0, 1.001, len(ts))[:, None, None, None]
         cs += 1e-16 * rng.standard_normal(cs.shape)
-        stacked, ends = _sample_stack(ts, cs, variant, dec, label)
+        stacked, ends = _sample_stack(ts, cs, variant, dec, label, gauged=True)
+        assert (ends[1] is None) == (variant == Variant.RAW)
         for j in range(len(ts)):
-            alone, ends_j = _sample_stack(ts[j : j + 1], cs[j : j + 1], variant, dec, label)
+            alone, ends_j = _sample_stack(ts[j : j + 1], cs[j : j + 1], variant, dec, label,
+                                          gauged=True)
             _same_sample(stacked[j], alone[0])
             for got, want in zip(ends, ends_j):
                 assert (got is None and want is None) or np.array_equal(got[j], want[0])
@@ -602,10 +606,10 @@ class TestStackSampler:
         bad = random_antisymmetric_bracket(np.random.default_rng(1), 3).coeffs
         cs = np.stack([mu_s3.coeffs, bad, mu_s3.coeffs])
         samples, _ = _sample_stack([0.0, 1.0, 2.0], cs, Variant.RAW, None, None)
-        traj = FlowTrajectory(Variant.RAW, None)
+        run = _Run(FlowTrajectory(Variant.RAW, None), np.inf, 1.0)
         with pytest.raises(NotALieBracket) as got:
-            _append(traj, samples, CONV_TOL)
-        assert [s.t for s in traj.samples] == [0.0]
+            _append(run, samples, CONV_TOL)
+        assert [s.t for s in run.traj.samples] == [0.0]
         with pytest.raises(NotALieBracket) as want:
             curvature_pack(BracketTensor(bad))
         assert str(got.value) == str(want.value)
@@ -620,12 +624,22 @@ class TestStackSampler:
             cs = np.stack([hyp_norm.coeffs] * count)
             return _sample_stack([0.0] * count, cs, Variant.SCALSTAR, dec, hyp_label)[0]
 
-        traj = FlowTrajectory(Variant.SCALSTAR, hyp_label)
+        run = _Run(FlowTrajectory(Variant.SCALSTAR, hyp_label), np.inf, 1.0)
         before = CONV_WINDOW - 1 - j
         if before:
-            assert _append(traj, stack(before), CONV_TOL) == (before, False)
-        assert _append(traj, stack(12), CONV_TOL) == (j + 1, True)
-        assert len(traj.samples) == CONV_WINDOW
+            assert _append(run, stack(before), CONV_TOL) == (before, False)
+        assert _append(run, stack(12), CONV_TOL) == (j + 1, True)
+        assert len(run.traj.samples) == CONV_WINDOW
+
+    def test_a_sample_above_the_threshold_restarts_the_window(self, hyp_norm, hyp_label):
+        dec = beta_decomposition(hyp_label)
+        cs = np.stack([hyp_norm.coeffs] * (2 * CONV_WINDOW))
+        samples = _sample_stack([0.0] * len(cs), cs, Variant.SCALSTAR, dec, hyp_label)[0]
+        j = CONV_WINDOW // 2
+        moving = dataclasses.replace(samples[j].monitors, field_norm=1.0)
+        samples[j] = dataclasses.replace(samples[j], monitors=moving)
+        run = _Run(FlowTrajectory(Variant.SCALSTAR, hyp_label), np.inf, 1.0)
+        assert _append(run, samples, CONV_TOL) == (j + 1 + CONV_WINDOW, True)
 
     def test_one_curvature_pass_per_stack(self, monkeypatch, mu_e2):
         # e2's raw flow to t = 200 takes 9 steps for 201 grid samples: six new
@@ -646,7 +660,7 @@ class TestStackSampler:
 
 
 def _same_trajectory(got, want):
-    """Bit equality of two FlowTrajectories: every sample, both gauge stacks, the
+    """Bit equality of two FlowTrajectories: every sample, every gauge stack, the
     termination, steps and renormalizations."""
     assert len(got.samples) == len(want.samples)
     for g, w in zip(got.samples, want.samples):
@@ -820,6 +834,80 @@ class TestLockstep:
         assert integrate_stack([], spec) == []
         with pytest.raises(ValueError, match=r"one dimension, got dimensions \[3, 5\]"):
             integrate_stack([mu_h3, catalog("heisenberg", dim=5).bracket], spec)
+
+
+class TestGaugeSelection:
+    """FlowSpec.gauges = False carries no gauge; h stays out of the bracket path."""
+
+    @pytest.mark.parametrize("variant", [Variant.GAUGED, Variant.SCALSTAR, Variant.SCAL])
+    def test_no_gauges_leave_the_flow_unchanged(self, mu_s3, s3_label, variant):
+        spec = FlowSpec(variant=variant, t_end=5.0, label=s3_label, record_every=0.25)
+        want = integrate(mu_s3, spec)
+        assert want.gauges.keys() == set(GAUGE_COEFFICIENTS)
+        got = integrate(mu_s3, dataclasses.replace(spec, gauges=False))
+        _same_trajectory(got, dataclasses.replace(want, gauges={}))
+
+    @pytest.mark.parametrize("variant", [Variant.SCALSTAR, Variant.SCAL])
+    def test_stack_without_gauges_equals_the_default(self, variant):
+        # Gauges of s3_lambda(0.5) take different steps, so the stack
+        # accepts, rejects and renormalizes its runs apart.
+        mu0s = [_s3_lambda_gauge(7, draw) for draw in range(3)]
+        label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
+        spec = FlowSpec(variant=variant, t_end=5.0, label=label, record_every=0.25)
+        want = integrate_stack(mu0s, spec)
+        got = integrate_stack(mu0s, dataclasses.replace(spec, gauges=False))
+        for g, w in zip(got, want, strict=True):
+            _same_trajectory(g, dataclasses.replace(w, gauges={}))
+
+    @pytest.mark.parametrize("coefficient", GAUGE_COEFFICIENTS)
+    def test_recovering_a_gauge_not_carried_raises(self, mu_s3, s3_label, coefficient):
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=1.0, label=s3_label, gauges=False)
+        with pytest.raises(GaugeMismatch, match=r"run with FlowSpec\.gauges = True"):
+            recover_gauge(integrate(mu_s3, spec), coefficient=coefficient)
+
+    def test_uniqueness_report_equals_the_default_gauge_report(self, monkeypatch):
+        entry = catalog("s3_lambda", lam=0.5)
+        got = run_uniqueness_experiment(entry, 5, t_end=100.0, seed=0)
+        specs = []
+
+        def default_gauges(**kw):
+            specs.append(kw.pop("gauges"))
+            return FlowSpec(**kw)
+
+        monkeypatch.setattr(experiments, "FlowSpec", default_gauges)
+        want = run_uniqueness_experiment(entry, 5, t_end=100.0, seed=0)
+        assert specs == [False]
+        assert got.to_dict() == want.to_dict()
+        for g, w in zip(got.fingerprints, want.fingerprints, strict=True):
+            assert g.as_vector().tobytes() == w.as_vector().tobytes()
+            assert (g.nilradical_dim, g.derived_dims) == (w.nilradical_dim, w.derived_dims)
+
+    def test_exponentials_only_for_carried_gauges(self, monkeypatch, mu_s3, s3_label):
+        calls, accepted = [], []
+
+        def counting_expm(omega):
+            calls.append(omega.shape)
+            return sla.expm(omega)
+
+        accept = flows._Lockstep._accept
+
+        def counting_accept(self, acc, *args):
+            accepted.append(len(acc))
+            return accept(self, acc, *args)
+
+        monkeypatch.setattr(flows, "expm", counting_expm)
+        monkeypatch.setattr(flows._Lockstep, "_accept", counting_accept)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=s3_label, record_every=0.25)
+        integrate(mu_s3, dataclasses.replace(spec, gauges=False))
+        assert calls == [] and sum(accepted) > 0
+        accepted.clear()
+        # One exponential for each accepted step's gauges, and at most one for
+        # the dense samples inside it.
+        integrate(mu_s3, spec)
+        assert sum(accepted) <= len(calls) <= 2 * sum(accepted)
+        calls.clear()
+        run_uniqueness_experiment(catalog("s3_lambda", lam=0.5), 5, t_end=100.0, seed=0)
+        assert calls == []
 
 
 class TestFlowSpecValidation:

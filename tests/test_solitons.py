@@ -8,6 +8,7 @@ from bracketflow import (
     catalog,
     construct_critical,
     curvature_pack,
+    derived_series,
     fingerprint,
     fingerprint_distance,
     killing_matrix,
@@ -20,7 +21,9 @@ from bracketflow import (
     soliton_residual,
     stratum_label,
 )
+from bracketflow import brackets, experiments
 from bracketflow.errors import IdentityViolation, ZeroBracket
+from bracketflow.experiments import run_uniqueness_experiment
 from bracketflow.solitons import SolitonKind
 
 from oracles import random_orthogonal
@@ -198,6 +201,38 @@ class TestFingerprints:
     def test_zero_bracket_fingerprint(self):
         fp = fingerprint(BracketTensor.zero(3))
         assert fp.scal == 0.0 and fp.derived_dims == (3, 0)
+
+    def test_one_derived_series_per_fingerprint(self, monkeypatch):
+        # The nilradical and the derived dimensions come from one series, and
+        # agree with the separate public queries on the catalog and on the
+        # limits of a uniqueness run.
+        calls, seen = [], []
+        series = brackets._descending_series
+
+        def counting_series(mu, central):
+            calls.append(central)
+            return series(mu, central)
+
+        def recording(mu):
+            calls.clear()
+            fp = fingerprint(mu)
+            seen.append((mu, fp, list(calls)))
+            return fp
+
+        monkeypatch.setattr(brackets, "_descending_series", counting_series)
+        monkeypatch.setattr(experiments, "fingerprint", recording)
+        run_uniqueness_experiment(catalog("s3_lambda", lam=0.5), 5, t_end=100.0, seed=0)
+        for name, kw in (("s3", {}), ("h3", {}), ("e2", {}), ("s3_lambda", {"lam": 0.5}),
+                         ("s3_lambda_prime", {"lam": 1.0}), ("heisenberg", {"dim": 5}),
+                         ("abelian", {"dim": 4})):
+            recording(catalog(name, **kw).bracket)
+        monkeypatch.undo()
+        assert len(seen) == 12
+        for mu, fp, series_calls in seen:
+            assert series_calls == [False]
+            assert fp.nilradical_dim == mu.dim - nilradical(mu)[2]
+            assert fp.derived_dims == tuple(derived_series(mu))
+            assert fingerprint(mu).as_vector().tobytes() == fp.as_vector().tobytes()
 
 
 class TestSolitonLabel:
