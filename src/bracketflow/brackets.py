@@ -160,25 +160,37 @@ def _validated(coeffs, stacked, antisymmetrize):
     projected onto its antisymmetric part; and per slice the ValueError its
     checks raise, or None.  A slice whose largest |c| is not at most
     COEFF_CAP (NaN and inf included) is an error, and so is a symmetric part
-    above _asym_bound unless antisymmetrize is set.
+    above _asym_bound unless antisymmetrize is set.  The zeroing, the errors
+    and the slice-by-slice projection are formed only where a slice needs
+    them.  When every slice has a symmetric part, as integrator states do,
+    the whole stack is projected at once.
     """
-    c = np.array(coeffs, dtype=float)
+    c = np.asarray(coeffs, dtype=float)
     _check_shape(c.shape, stacked)
     if not stacked:
         c = c[None]
-    cmax = np.abs(c).max(axis=(1, 2, 3))
-    errors = [None if m <= COEFF_CAP else _size_error(m) for m in cmax.tolist()]
-    c[~(cmax <= COEFF_CAP)] = 0.0  # NaN compares False
-    asym = np.abs(c + c.swapaxes(1, 2)).max(axis=(1, 2, 3))
-    project = asym > 0.0
-    if project.any():
-        if not antisymmetrize:
-            too_asym = asym > _asym_bound(cmax)
-            for j in np.flatnonzero(too_asym):
-                errors[j] = ValueError(f"coefficients are not antisymmetric (defect {asym[j]:.3e}); "
+    # The per-slice decisions are taken on Python floats: a stack holds few slices.
+    cmax = np.abs(c).max(axis=(1, 2, 3)).tolist()
+    errors = [None] * len(c)
+    fits = [m <= COEFF_CAP for m in cmax]  # NaN compares False
+    if not all(fits):
+        errors = [None if ok else _size_error(m) for ok, m in zip(fits, cmax)]
+        c = np.where(np.array(fits)[:, None, None, None], c, 0.0)
+    asym = np.abs(c + c.swapaxes(1, 2)).max(axis=(1, 2, 3)).tolist()
+    if not antisymmetrize:
+        for j, (defect, m) in enumerate(zip(asym, cmax)):
+            if defect > _asym_bound(m):
+                errors[j] = ValueError(f"coefficients are not antisymmetric (defect {defect:.3e}); "
                                        "pass antisymmetrize=True to project")
-        part = c[project]
-        c[project] = 0.5 * (part - part.swapaxes(1, 2))
+    project = [defect > 0.0 for defect in asym]
+    if all(project):
+        c = 0.5 * (c - c.swapaxes(1, 2))
+    else:
+        # An exactly antisymmetric slice is kept as it is, signed zeros included.
+        c = np.array(c)
+        if any(project):
+            part = c[project]
+            c[project] = 0.5 * (part - part.swapaxes(1, 2))
     c.flags.writeable = False
     return c, errors
 
@@ -233,9 +245,8 @@ def jacobi_norm(c):
     """
     lead, n = c.shape[:-3], c.shape[-1]
     t = (c.reshape(lead + (n * n, n)) @ c.reshape(lead + (n, n * n))).reshape(lead + (n**3, n))
-    # One gather of the three cyclic index sets: g[..., 0], g[..., 1], g[..., 2].
-    g = np.take(t, _cyclic_triples(n), axis=-2)
-    cyc = (g[..., 0, :, :] + g[..., 1, :, :] + g[..., 2, :, :]).reshape(lead + (-1,))
+    # One gather of the three cyclic index sets, summed in order: (g0 + g1) + g2.
+    cyc = np.take(t, _cyclic_triples(n), axis=-2).sum(axis=-3).reshape(lead + (-1,))
     return math.sqrt(6.0) * np.sqrt(np.vecdot(cyc, cyc))
 
 

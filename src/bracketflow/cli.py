@@ -26,7 +26,7 @@ from .solitons import (
     soliton_residual,
     SolitonKind,
 )
-from .spectral import classify_type, is_flat_bracket
+from .spectral import _is_flat, classify_type
 from .strata import beta_decomposition, check_gauged, stratum_label
 
 EXIT_OK = 0
@@ -72,13 +72,15 @@ def cmd_catalog(args):
 
 def cmd_classify(args):
     entry = _load_entry(args)
+    # classify_type has raised on a bracket that is not a solvable Lie bracket,
+    # so flatness is read off the pack's Ric without another derived series.
     report = classify_type(entry.bracket)
     pack = curvature_pack(entry.bracket)
     _emit(
         {
             "name": entry.name,
             "type": report.to_dict(),
-            "flat": bool(is_flat_bracket(entry.bracket)),
+            "flat": bool(_is_flat(pack.Ric, pack.normSq)),
             "curvature": pack.to_dict(),
         },
         args.out,

@@ -6,12 +6,16 @@ Ricci endomorphism Ric = M - K/2 - sym(ad H), and the modified Ricci
 Ric* = M - K/2 together with its trace scal*.
 
 The formulas live once, on raw (n, n, n) coefficient arrays (`coeff_moment`,
-`coeff_parts`, `coeff_scal_star`), as BLAS products of the reshapes
-C1 = c.reshape(n, n^2) and C2 = c.reshape(n^2, n).  They validate nothing, so
-the integrator and the energy flow call them on their states directly; the
-functions taking a BracketTensor read from the same code.  All three also take
-a stack (..., n, n, n) of states and return the stack of results, each slice
-equal to the bits of the one-state call.
+`coeff_ric_star`, `coeff_parts`, `coeff_scal_star`), as BLAS products of the
+reshapes C1 = c.reshape(n, n^2) and C2 = c.reshape(n^2, n).  They validate
+nothing, so the integrator and the energy flow call them on their states
+directly; the functions taking a BracketTensor read from the same code.  All
+of them also take a stack (..., n, n, n) of states and return the stack of
+results, each slice equal to the bits of the one-state call.
+
+`coeff_ric_star` is the Ric*-only half (M, K, Ric*): the gauged and scalstar
+vector fields and `linearize` read nothing else, so they skip H, ad H and Ric,
+which `coeff_parts` builds on top of it (the flow's "ricci" gauge reads Ric).
 """
 
 from dataclasses import dataclass
@@ -30,17 +34,26 @@ def coeff_moment(c):
     return -0.5 * (c1 @ c1.mT) + 0.25 * (c2.mT @ c2)
 
 
-def coeff_parts(c):
-    """(M, K, H, Ric, Ric*) of raw coefficients c[i, j, k]; no validation.
+def coeff_ric_star(c):
+    """(M, K, Ric*) of raw coefficients c[i, j, k]; no validation.
 
-    K[p, q] = sum c[p, a, b] c[q, b, a] = tr(ad e_p ad e_q), H[p] = tr ad e_p,
-    and Ric = Ric* - sym(ad H) with ad H built transposed as H C1.
+    K[p, q] = sum c[p, a, b] c[q, b, a] = tr(ad e_p ad e_q) and Ric* = M - K/2.
     """
     c1 = c.reshape(c.shape[:-2] + (-1,))
     m_part = coeff_moment(c)
     k = c1 @ c.mT.reshape(c1.shape).mT
+    return m_part, k, m_part - 0.5 * k
+
+
+def coeff_parts(c):
+    """(M, K, H, Ric, Ric*) of raw coefficients c[i, j, k]; no validation.
+
+    coeff_ric_star, then H[p] = tr ad e_p and Ric = Ric* - sym(ad H) with ad H
+    built transposed as H C1.
+    """
+    m_part, k, ric_star = coeff_ric_star(c)
+    c1 = c.reshape(c.shape[:-2] + (-1,))
     h = c.trace(axis1=-2, axis2=-1)
-    ric_star = m_part - 0.5 * k
     ad_h_t = np.vecmat(h, c1).reshape(m_part.shape)
     ric = ric_star - 0.5 * (ad_h_t + ad_h_t.mT)
     return m_part, k, h, ric, ric_star

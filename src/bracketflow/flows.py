@@ -8,39 +8,39 @@ Vector fields (all of the shape mu' = -pi(A(mu)) mu):
   scal       post-hoc rescaling of a scalstar run by |scal|^{-1/2}
 
 Integration uses an embedded Dormand-Prince 5(4) pair with PI step control
-and first-same-as-last stage reuse.  Only t_end cuts a step short: the
-samples on the recording grid that fall inside an accepted step come from
-the DP5 continuous extension (dense output) of that step's seven stages.
-The stepper works on raw coefficient arrays through the kernels of
-`curvature` and `brackets`; only a recorded sample (seed, grid or final) is
-validated as a BracketTensor.  That is the flow's one Jacobi check: DOPRI5
-does not keep the Jacobi identity, and a record past jacobi_tolerance raises
-NotALieBracket.  The grid samples of one step are validated and monitored as
-one stack, then appended in time order as seeds and final samples are.  Each
-recorded sample carries the monitor quantities used by the convergence and
-collapse criteria; its curvature pack is recomputed on demand.
+and first-same-as-last stage reuse; grid samples inside an accepted step come
+from its DP5 continuous extension, so only t_end cuts a step short.  Each
+stage calls the field kernel `_field` once on raw coefficient arrays; it forms
+Ric only where something reads it (a raw A, the "ricci" gauge).  A record
+(the seeds, one step's grid samples or the final samples) decides, as one
+stack, only what the loop needs: it validates the states through
+bracket_stack, the flow's one Jacobi check (DOPRI5 does not keep the Jacobi
+identity, and a record past jacobi_tolerance raises NotALieBracket), and on
+runs that carry gauges or check convergence it also forms Ric, Ric*, A and
+the field norms.  Each run keeps those arrays, and forms its Monitors and
+FlowSamples once, when it ends, in one pass over its samples that also forms
+whatever its records left out.  A sample's curvature pack is recomputed on
+demand.
 
 There is one stepper loop, over a stack of B trajectories of one FlowSpec
 (`integrate_stack`); `integrate` is that loop with B = 1.  Each trajectory
 keeps its own time, step size, PI-controller state, grid position, gauges,
 renormalizations, step budget and termination, and drops out of the stack
-when it ends.  Each stage evaluates the field once on the stack of the
-running trajectories; the accepted steps share one exponential for their
-step gauges, one stacked sampling pass and one exponential for their dense
-samples' gauges.  The kernels and scipy's expm work slice by slice, so every
-trajectory is bit for bit the one integrate gives for its seed alone.  One
-error rule: every seed is checked before the first step, and then the first
-error the loop meets ends the stack.
+when it ends.  The running trajectories share each stage evaluation, and
+their accepted steps one exponential for the step gauges, one record and one
+exponential for the dense samples' gauges.  The kernels and scipy's expm work
+slice by slice, so every trajectory is bit for bit the one integrate gives
+for its seed alone.  Every seed is checked before the first step, and then
+the first error the loop meets ends the stack.
 
 Gauged, scalstar and scal runs also carry the gauge h' = -A(mu) h, h(0) = Id,
 for two coefficients: "variant", the A driving the field (so that
 h(t).mu(0) = mu(t)), and "ricci", Ric + ||Ric*||^2 Id.  Each accepted step
-advances h by a 4th-order Magnus step built from that step's own stages, and
-a sample inside a step gets h from the same kind of step over the partial
-interval; h stays out of the step-size control, so the bracket path does not
-depend on it.  A run with FlowSpec.gauges = False carries neither: it forms
-no "ricci" coefficient and takes no exponential, and its samples, steps and
-termination are those of the run that carries both.
+advances h by a 4th-order Magnus step built from its own stages, and a sample
+inside a step gets h from the same kind of step over the partial interval; h
+stays out of the step-size control.  A run with FlowSpec.gauges = False
+carries neither and takes no exponential; its samples, steps and termination
+are those of the run that carries both.
 """
 
 import math
@@ -52,7 +52,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .brackets import BracketTensor, bracket_stack, ensure_lie, pi_apply, report_to_dict
-from .curvature import coeff_parts, coeff_scal_star, curvature_pack
+from .curvature import coeff_parts, coeff_ric_star, coeff_scal_star, curvature_pack
 from .errors import GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
 
@@ -171,64 +171,62 @@ _DP_DENSE = np.array((
 
 
 def _dense_weights(thetas):
-    """The continuous-extension weights b(theta), one row (7,) per theta of thetas (B,),
+    """The continuous-extension weights b(theta), one row (7,) per theta of the list thetas,
     so y(theta) = y + h b(theta) @ k."""
-    powers = np.cumprod(np.repeat(thetas[:, None], 4, axis=1), axis=1)
+    powers = np.array([(t, t * t, t * t * t, t * t * t * t) for t in thetas])
     return (powers[:, None, :] @ _DP_DENSE.T)[:, 0]
 
 
-def _endomorphisms(ric, ric_star, variant, dec, gauged=False):
-    """The endomorphism A driving mu' = -pi(A)mu, from Ric and Ric*.
+def _add_diagonal(m, s):
+    """m + s Id, in place on a fresh m (n, n), or on a C-contiguous stack (B, n, n) with s (B,)."""
+    n = m.shape[-1]
+    if m.ndim == 2:
+        m.flat[:: n + 1] += s
+    else:
+        m.reshape(len(m), n * n, copy=False)[:, :: n + 1] += s[:, None]
+    return m
 
-    Returns (A, R) with R = Ric + ||Ric*||^2 Id, the coefficient of the "ricci"
-    gauge; R is None on raw runs and unless gauged.  Stacks (..., n, n) of Ric
-    and Ric* give stacks of A and R.
-    """
+
+def _endomorphisms(ric, ric_star, variant, dec, gauged=False):
+    """(A, R) from Ric and Ric*, or stacks of them: A drives mu' = -pi(A)mu, and R, None
+    unless gauged, is Ric + ||Ric*||^2 Id (the "ricci" gauge's), formed in place on ric."""
     if variant == Variant.RAW:
         return ric, None
     flat = ric_star.reshape(ric_star.shape[:-2] + (-1,))
     shift = np.vecdot(flat, flat)
     a = project_qbeta(ric_star, dec)
     if variant == Variant.SCALSTAR:
-        a = _plus_identity(a, shift)
-    return a, _plus_identity(ric, shift) if gauged else None
+        _add_diagonal(a, shift)
+    return a, _add_diagonal(ric, shift) if gauged else None
 
 
-def _plus_identity(m, s):
-    """m + s Id, adding s on the diagonal of a copy; a stack m (B, n, n) takes s (B,)."""
-    out = m.copy()
-    n = m.shape[-1]
-    if m.ndim == 2:
-        out.flat[:: n + 1] += s
+def _field(c, variant, dec, gauged=False):
+    """The field kernel: (dc/dt, A, R) at raw c (n, n, n) or a stack, Ric formed only for
+    a raw A or for R.  dc/dt = -pi(A)c is negated in place, so its zeros keep their signs."""
+    if variant == Variant.RAW or gauged:
+        _, _, _, ric, ric_star = coeff_parts(c)
     else:
-        out.reshape(len(m), n * n)[:, :: n + 1] += s[:, None]
-    return out
-
-
-def _field_endomorphism(coeffs, variant, dec, gauged=False):
-    """_endomorphisms from one curvature evaluation on raw coefficients."""
-    _, _, _, ric, ric_star = coeff_parts(coeffs)
-    return _endomorphisms(ric, ric_star, variant, dec, gauged)
+        ric, ric_star = None, coeff_ric_star(c)[2]
+    a, r = _endomorphisms(ric, ric_star, variant, dec, gauged)
+    slopes = pi_apply(a, c)
+    return np.negative(slopes, out=slopes), a, r
 
 
 def flow_field(coeffs, variant, dec):
     """dc/dt for the given variant; pure polynomial formula, no validation."""
-    a, _ = _field_endomorphism(coeffs, variant, dec)
-    return -pi_apply(a, coeffs)
+    return _field(coeffs, variant, dec)[0]
 
 
 def _dp_step(stage, y, h, k0, a0):
     """One Dormand-Prince step from each state of the stack y (B, n, n, n), slice b by h[b].
 
-    stage(c) returns, for a stack c, the slopes dc/dt as rows (B, n^3) and the
-    coefficients (A, R) (B, n, n) of the two gauges, R None on runs that carry
-    no gauge; k0 and a0 (B, 2, n, n), None on those runs, are those of y.  The
-    stage slopes of slice b are the rows of k[b] (7, n^3), so each tableau row
-    is one vector-matrix product per slice.  Returns y5, the error estimates
-    h (b5 - b4) @ k (formed from the weights, not as y5 - y4, which would
-    cancel about five digits), k and the stage values a (B, 2, 7, n, n) of the
-    gauge coefficients: the last row of _DP_A equals _DP_B5, so the last stage
-    is evaluated at y5 and serves as the next step's first stage.
+    stage(c) returns, for a stack c or one state, the slopes as rows (B, n^3) and
+    the gauge coefficients (A, R), R None on runs without gauges; k0 and a0
+    (B, 2, n, n), None on those runs, are those of y.  Slice b's slopes are the
+    rows of k[b] (7, n^3), so each tableau row is one vector-matrix product per
+    slice, on flat rows.  Returns y5, the error estimates h (b5 - b4) @ k (not
+    y5 - y4, which would cancel about five digits), k and the gauge coefficients
+    a (B, 2, 7, n, n); the last stage, at y5, is the next step's first.
     """
     b = len(y)
     k = np.empty((b, 7, y[0].size))
@@ -236,30 +234,29 @@ def _dp_step(stage, y, h, k0, a0):
     a = None if a0 is None else np.empty(a0.shape[:2] + (7,) + a0.shape[2:])
     if a is not None:
         a[:, :, 0] = a0
-    # A stack of one is combined as its one state: the same bits, at less
-    # cost per call than the stacked products.
-    ys, ks, hs = (y[0], k[0], h[0]) if b == 1 else (y, k, h[:, None, None, None])
+    # A stack of one is combined as its one state: the same bits at less cost per call.
+    flat = y.reshape(b, -1)
+    ys, ks, hs = (flat[0], k[0], h[0]) if b == 1 else (flat, k, h[:, None])
+    shape = y.shape[1:] if b == 1 else y.shape
     for i, row in enumerate(_DP_A, start=1):
-        yi = (ys + hs * (row @ ks[..., :i, :]).reshape(ys.shape)).reshape(y.shape)
+        yi = (ys + hs * (row @ ks[..., :i, :])).reshape(shape)
         k[:, i], ends = stage(yi)
         if a is not None:
             a[:, 0, i], a[:, 1, i] = ends
-    return yi, (hs * (_DP_E @ ks).reshape(ys.shape)).reshape(y.shape), k, a
+    return yi.reshape(y.shape), (hs * (_DP_E @ ks)).reshape(y.shape), k, a
 
 
 def _magnus_step(gauges, a_stages, weights, d, spans, a_ends):
     """Advance h' = -A h over P spans, span p = theta d[p] from the start of a step, 0 < theta <= 1.
 
-    4th-order Magnus step (Iserles & Norsett 1999) for G gauges at once:
-    gauges (P, G, n, n) are h at the start of span p's step and a_stages
-    (P, G, 7, n, n) the stage values of A in that step, of size d[p].  Span p
-    takes the quadrature d[p] weights[p] @ a_stages[p] of the integral of A
-    over it, with weights (P, 7) (one row (1, 7) serves all), plus the
-    end-point commutator term (spans[p]^2/12)[A(end), A(start)], with A(end)
-    from a_ends (P, G, n, n).  A whole step uses weights _DP_B5 and
-    A(end) = a_stages[:, :, -1]; a partial span uses _dense_weights(theta).
-    Exact when A is constant.  Returns the (P, G, n, n) gauges at the ends of
-    the spans, from one expm call, which exponentiates slice by slice.
+    4th-order Magnus step (Iserles & Norsett 1999) for G gauges at once: gauges
+    (P, G, n, n) are h at the start of span p's step, of size d[p], and a_stages
+    (P, G, 7, n, n) the stage values of A there.  Span p takes the quadrature
+    d[p] weights[p] @ a_stages[p] (weights (P, 7); one row (1, 7) serves all)
+    plus (spans[p]^2/12)[A(end), A(start)], A(end) from a_ends (P, G, n, n): a
+    whole step uses _DP_B5 and a_stages[:, :, -1], a partial span
+    _dense_weights(theta).  Exact when A is constant.  Returns the gauges at the
+    spans' ends from one expm call, which exponentiates slice by slice.
     """
     p, g, _, n, _ = a_stages.shape
     a_first = a_stages[:, :, 0]
@@ -271,59 +268,102 @@ def _magnus_step(gauges, a_stages, weights, d, spans, a_ends):
 
 def _error_norms(err, y_old, y_new, rel_tol, abs_tol):
     """The RMS of err scaled by abs_tol + rel_tol max(|y_old|, |y_new|), one float per slice."""
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    squares = ((err / scale) ** 2).reshape(len(err), -1)
+    scaled = np.maximum(np.abs(y_old), np.abs(y_new))
+    scaled *= rel_tol
+    scaled += abs_tol
+    np.divide(err, scaled, out=scaled)
+    scaled *= scaled
+    squares = scaled.reshape(len(err), -1)
     return np.sqrt(squares.sum(axis=1) / squares.shape[1]).tolist()
 
 
-def _sample_stack(ts, cs, variant, dec, label, gauged=False):
-    """The samples of the states cs (B, n, n, n) at times ts, from one pass over the stack.
+def _row_norms(x):
+    """The 2-norm of each slice of the stack x, as floats (the bits of np.linalg.norm)."""
+    flat = x.reshape(len(x), -1)
+    return np.sqrt(np.vecdot(flat, flat)).tolist()
 
-    Scalstar states may sit up to drift_tol/2 off the scal* = -1 slice between
-    renormalizations; the monitors are defined on the slice, so each one is
-    renormalized exactly here while its drift is kept.  Returns the list of
-    _samples and the endomorphisms (A, R) of _endomorphisms at the states.
+
+class _Record:
+    """What one record decides at a stack of samples; _record_stack forms it."""
+
+    __slots__ = ("ts", "cs", "drift", "coeffs", "norm_sq", "brackets", "ric", "ric_star",
+                 "field_norm", "norms")
+
+
+def _record_stack(ts, cs, variant, dec, gauged=False, curved=True):
+    """Record the states cs (B, n, n, n) at times ts: returns (_Record, (A, R) or None).
+
+    Scalstar states, up to drift_tol/2 off the scal* = -1 slice, are moved onto
+    it, and their drifts kept.  bracket_stack validates the stack (_append
+    raises its failed entries); a curved record also forms Ric, Ric*, the field
+    and bracket norms of the convergence streak, and (A, R) for the gauges.
     """
     drift = [float("nan")] * len(ts)
     if variant == Variant.SCALSTAR:
         s = coeff_scal_star(cs).tolist()
         drift = [abs(v + 1.0) for v in s]
         cs = cs * np.array([abs(v) ** -0.5 for v in s])[:, None, None, None]
-    coeffs, norm_sq, brackets = bracket_stack(cs)
-    _, _, _, ric, ric_star = coeff_parts(coeffs)
-    ends = _endomorphisms(ric, ric_star, variant, dec, gauged)
-    field = pi_apply(ends[0], cs).reshape(len(ts), -1)
-    fnorm = np.sqrt(np.vecdot(field, field)).tolist()
-    samples = _samples(ts, brackets, norm_sq, ric, ric_star, label, fnorm, drift)
-    return samples, ends
+    rec = _Record()
+    rec.ts, rec.cs, rec.drift = ts, cs, drift
+    rec.coeffs, rec.norm_sq, rec.brackets = bracket_stack(cs)
+    rec.ric = rec.ric_star = rec.field_norm = rec.norms = None
+    if not curved:
+        return rec, None
+    _, _, _, rec.ric, rec.ric_star = coeff_parts(rec.coeffs)
+    ends = _endomorphisms(rec.ric.copy() if gauged else rec.ric, rec.ric_star, variant, dec, gauged)
+    rec.field_norm, rec.norms = _row_norms(pi_apply(ends[0], cs)), _row_norms(rec.coeffs)
+    return rec, ends
 
 
-def _samples(ts, brackets, norm_sq, ric, ric_star, label, field_norm, drift):
-    """FlowSample(ts[j], brackets[j], its Monitors) for each entry of bracket_stack.
+def _run_samples(kept, variant, dec, label, scal=False):
+    """(FlowSamples, scal of each state if scal) of one run, in one pass over its kept slices.
 
-    The stacked sums over Ric and Ric* come from one pass; the monitors are
-    then formed per sample.  An exception in brackets stays in its place for
-    the caller to raise.
+    Ric, Ric* and field norms that its records left out are formed here.  With
+    scal, the scalstar samples are rescaled by |scal|^-1/2, keeping their field
+    norms and drifts.
     """
-    b = len(ts)
-    ric_flat = ric.reshape(b, -1)
-    ric_norm = np.sqrt(np.vecdot(ric_flat, ric_flat)).tolist()
+    parts = [(rec, slice(first, end)) for rec, first, end in kept]
+
+    def joined(name):
+        return [v for rec, part in parts for v in getattr(rec, name)[part]]
+
+    def stacked(name):
+        return np.concatenate([getattr(rec, name)[part] for rec, part in parts])
+
+    ts, brackets, norm_sq, coeffs = (joined("ts"), joined("brackets"), stacked("norm_sq"),
+                                     stacked("coeffs"))
+    if kept[0][0].ric is None:
+        _, _, _, ric, ric_star = coeff_parts(coeffs)
+        a, _ = _endomorphisms(ric, ric_star, variant, dec)
+        field_norm = _row_norms(pi_apply(a, stacked("cs")))
+    else:
+        ric, ric_star, field_norm = stacked("ric"), stacked("ric_star"), joined("field_norm")
+    scals = None
+    if scal:
+        scals = ric.trace(axis1=-2, axis2=-1).tolist()
+        # A zero scal raises below before its scale is used.
+        scales = np.array([abs(v) ** -0.5 if v else 1.0 for v in scals])
+        coeffs, new_sq, brackets = bracket_stack(coeffs * scales[:, None, None, None])
+        for t, v, sq, mu in zip(ts, scals, norm_sq.tolist(), brackets):
+            if abs(v) < 1e-12 * (1.0 + sq):
+                raise OutOfRange(f"scal = {v:.3e} at t = {t}; cannot rescale")
+            if isinstance(mu, Exception):
+                raise mu
+        norm_sq, (_, _, _, ric, ric_star) = new_sq, coeff_parts(coeffs)
+    ric_norm = _row_norms(ric)
     nan = float("nan")
-    rstar, beta_sq = [(nan, nan, nan)] * b, nan
+    rstar, beta_sq = [(nan, nan, nan)] * len(ts), nan
     if label is not None:
         beta_sq = label.norm_sq
         rstar = zip(
-            (ric_star * label.beta).reshape(b, -1).sum(axis=1).tolist(),
-            (ric_star * ric_star).reshape(b, -1).sum(axis=1).tolist(),
+            (ric_star * label.beta).reshape(len(ts), -1).sum(axis=1).tolist(),
+            (ric_star * ric_star).reshape(len(ts), -1).sum(axis=1).tolist(),
             ric_star.trace(axis1=-2, axis2=-1).tolist(),
         )
-    out = []
-    for t, mu, sq, (rstar_beta, rstar_sq, scal_star), bound, fnorm, drift_j in zip(
-        ts, brackets, norm_sq.tolist(), rstar, ric_norm, field_norm, drift
+    samples = []
+    for t, mu, sq, (rstar_beta, rstar_sq, scal_star), bound, fnorm, drift in zip(
+        ts, brackets, norm_sq.tolist(), rstar, ric_norm, field_norm, joined("drift")
     ):
-        if isinstance(mu, Exception):
-            out.append(mu)
-            continue
         monitors = Monitors(
             f=rstar_sq - rstar_beta,
             lyapunov=rstar_sq + scal_star * rstar_beta,
@@ -332,33 +372,32 @@ def _samples(ts, brackets, norm_sq, ric, ric_star, label, field_norm, drift):
             ric_bound=t * bound,
             jacobi=mu.jacobi_residual(),
             field_norm=fnorm,
-            drift=drift_j,
+            drift=drift,
         )
-        out.append(FlowSample(t, mu, monitors))
-    return out
+        samples.append(FlowSample(t, mu, monitors))
+    return samples, scals
 
 
-def _append(run, samples, conv_tol):
-    """Append _samples to the _Run's trajectory in time order until the run converges.
+def _append(run, rec, first, count, conv_tol):
+    """Keep the _Record's samples first, ..., first + count - 1 for the _Run until it converges.
 
-    An exception in samples is raised when it is reached, so only the samples
-    before it are appended.  Each sample's convergence test is decided once,
-    as it is appended: run.streak counts the latest samples in a row whose
-    field norm is at most conv_tol (1 + ||mu||^3), and the run converges when
-    the streak reaches CONV_WINDOW.  conv_tol <= 0 checks no convergence.
-    Returns the number appended and whether the run converged at the last of
-    them.
+    A failed sample raises when it is reached.  run.streak counts the latest
+    samples in a row with field norm <= conv_tol (1 + ||mu||^3); the run
+    converges when it reaches CONV_WINDOW (conv_tol <= 0: never).  Returns the
+    number kept and whether the run converged at the last of them.
     """
-    for count, sample in enumerate(samples, start=1):
-        if isinstance(sample, Exception):
-            raise sample
-        run.traj.samples.append(sample)
+    for j in range(first, first + count):
+        if isinstance(rec.brackets[j], Exception):
+            run.keep(rec, first, j)
+            raise rec.brackets[j]
         if conv_tol > 0.0:
-            small = sample.monitors.field_norm <= conv_tol * (1.0 + sample.bracket.norm**3)
+            small = rec.field_norm[j] <= conv_tol * (1.0 + rec.norms[j] ** 3)
             run.streak = run.streak + 1 if small else 0
             if run.streak >= CONV_WINDOW:
-                return count, True
-    return len(samples), False
+                run.keep(rec, first, j + 1)
+                return j + 1 - first, True
+    run.keep(rec, first, first + count)
+    return count, False
 
 
 def integrate(mu0, spec):
@@ -366,11 +405,8 @@ def integrate(mu0, spec):
 
     Samples are taken at the multiples of spec.record_every up to spec.t_end,
     and at t_end itself; a grid time inside an accepted step is read off the
-    step's continuous extension, so the grid does not shorten steps.  The grid
-    times of one step are sampled as one stack.  This is the stepper loop of
-    integrate_stack on a stack of one; a stack of several seeds gives each
-    seed this trajectory bit for bit.  The stack checks every seed before the
-    first step and then raises the first error its loop meets.
+    step's continuous extension, so the grid does not shorten steps.  This is
+    integrate_stack on a stack of one.
     """
     return integrate_stack([mu0], spec)[0]
 
@@ -378,18 +414,13 @@ def integrate(mu0, spec):
 def integrate_stack(mu0s, spec):
     """integrate(mu0, spec) for each bracket of mu0s, stepped in lockstep as one stack.
 
-    Each trajectory keeps its own time, step size, step-size controller, grid
-    position, gauges, renormalizations, step budget and termination.  Each
-    Dormand-Prince stage evaluates the field once on the stack of the
-    trajectories still running; their accepted steps share one Magnus
-    exponential for the step gauges, one _sample_stack pass for the grid
-    samples and one exponential for those samples' gauges, and no
-    exponential when spec.gauges is False.  The kernels and expm work slice by
-    slice, so trajectory b is integrate(mu0s[b], spec) bit for bit.
-
-    Every seed is checked before the first step, in order, and the first
-    error the loop meets then ends the stack; so an error raised is one that
-    integrate raises on that seed alone.  Returns the list of FlowTrajectory.
+    Each Dormand-Prince stage evaluates the field once on the stack of the
+    trajectories still running, and their accepted steps share one record (see
+    the module docstring); the kernels and expm work slice by slice, so
+    trajectory b is integrate(mu0s[b], spec) bit for bit.  Every seed is
+    checked before the first step, in order, and the first error the loop meets
+    then ends the stack; so an error raised is one that integrate raises on
+    that seed alone.  Returns the list of FlowTrajectory.
     """
     if not (math.isfinite(spec.record_every) and spec.record_every > 0.0):
         raise OutOfRange(f"record_every = {spec.record_every} must be positive and finite")
@@ -414,27 +445,32 @@ class _Run:
     """The scalar state of one trajectory of integrate_stack."""
 
     __slots__ = ("traj", "cap", "t", "h", "err", "err_prev", "steps", "renorms", "streak",
-                 "rows", "running", "end")
+                 "kept", "count", "t_kept", "rows", "running", "end")
 
     def __init__(self, traj, cap, h):
         self.traj, self.cap, self.h = traj, cap, h
         self.t, self.err, self.err_prev = 0.0, 0.0, 1.0
         self.steps = self.renorms = 0
         self.streak = 0  # the latest samples in a row that meet the convergence test
-        self.rows = []  # the (G, n, n) gauges of each recorded sample
+        self.kept = []  # (_Record, first, end): the samples kept, in time order
+        self.count, self.t_kept = 0, None  # how many, and the time of the last
+        self.rows = []  # the (G, n, n) gauges of each kept sample
         self.running = True
         self.end = None  # (y, gauges) where the run stopped, for its final sample
+
+    def keep(self, rec, first, end):
+        self.kept.append((rec, first, end))
+        self.count += end - first
+        self.t_kept = rec.ts[end - 1]
 
 
 class _Lockstep:
     """The stepper loop of integrate_stack.
 
-    live lists the running _Runs in seed order.  The stacks y (L, n, n, n) of
-    their states and k0 (L, n^3) of their first-stage slopes, and on runs that
-    carry gauges a0 (L, 2, n, n) of their first-stage gauge coefficients and gauges
-    (L, 2, n, n), follow the same order; a run that stops leaves them at the
-    next _compress.  run checks every seed before the first step; after that
-    an error propagates from where it occurs and ends the whole stack.
+    live lists the running _Runs in seed order, as do the stacks y (L, n, n, n)
+    of their states, k0 (L, n^3) of their first-stage slopes and, on runs that
+    carry gauges, a0 (L, 2, n, n) of their first-stage gauge coefficients and
+    gauges (L, 2, n, n); a run that stops leaves them at the next _compress.
     """
 
     def __init__(self, spec):
@@ -447,6 +483,8 @@ class _Lockstep:
     def run(self, mu0s):
         seeds = [self._seed(mu0) for mu0 in mu0s]
         self.gauged = self.dec is not None and self.spec.gauges
+        # A record forms the curvature where the loop reads it: the gauges, the convergence test.
+        self.recording = (self.core, self.dec, self.gauged, self.gauged or self.spec.conv_tol > 0.0)
         runs = [_Run(FlowTrajectory(variant=self.variant, label=self.label),
                      BLOWUP_FACTOR * max(mu0.norm, 1.0), min(1e-3, self.spec.t_end))
                 for mu0 in mu0s]
@@ -481,23 +519,19 @@ class _Lockstep:
         run.end = (y, gauges)
 
     def _stage(self, c):
-        """The slopes (B, n^3) at a stack c and the endomorphisms (A, R) of the gauges there.
-
-        A stack of one is evaluated as its one state, (A, R) then (n, n): the
-        kernels give each slice the one-state bits, and the one-state calls
-        skip the cost of the stack axis.
-        """
-        one = c[0] if len(c) == 1 else c
-        ends = _field_endomorphism(one, self.core, self.dec, self.gauged)
-        return -pi_apply(ends[0], one).reshape(len(c), -1), ends
+        """The slopes (B, n^3) at a stack c, or (1, n^3) at one state, and the gauge
+        coefficients (A, R) there; a stack of one is evaluated as its one state."""
+        one = c[0] if c.ndim == 4 and len(c) == 1 else c
+        slopes, a, r = _field(one, self.core, self.dec, self.gauged)
+        return slopes.reshape(-1, c.shape[-1] ** 3), (a, r)
 
     def _start(self, runs, y):
         """Record each seed as its first sample and evaluate the first stages."""
         identity = np.array([np.eye(y.shape[-1])] * len(GAUGE_COEFFICIENTS))
-        samples, _ = _sample_stack([0.0] * len(runs), y, self.core, self.dec, self.label)
+        rec, _ = _record_stack([0.0] * len(runs), y, *self.recording)
         blocks = [(run, j, 1) for j, run in enumerate(runs)]
-        self._append_blocks(samples, [identity] * len(runs), blocks, self.spec.conv_tol)
-        self.live, self.y = list(runs), y
+        self._append_blocks(rec, [identity] * len(runs), blocks, self.spec.conv_tol)
+        self.live, self.y = list(runs), y.copy()  # rec keeps y; _accept writes into self.y
         self.k0, ends = self._stage(y)
         self.a0 = self.gauges = None
         if self.gauged:
@@ -505,16 +539,11 @@ class _Lockstep:
             self.a0[:, 0], self.a0[:, 1] = ends
             self.gauges = np.array([identity] * len(self.live))
 
-    def _append_blocks(self, samples, rows, blocks, conv_tol):
-        """Append the samples to their runs, one block (run, first, count) per run.
-
-        run takes samples[first: first + count] through _append and, on runs
-        that carry gauges, the (G, n, n) gauges rows[j] of each sample j it appends.  A
-        sample that failed raises when its run reaches it; a run that
-        converges stops.
-        """
+    def _append_blocks(self, rec, rows, blocks, conv_tol):
+        """Give the _Record's samples to their runs, one block (run, first, count) per run,
+        through _append; each sample j kept takes its (G, n, n) gauges rows[j]."""
         for run, first, count in blocks:
-            count, converged = _append(run, samples[first: first + count], conv_tol)
+            count, converged = _append(run, rec, first, count, conv_tol)
             if self.gauged:
                 run.rows.extend(rows[first: first + count])
             if converged:
@@ -594,9 +623,8 @@ class _Lockstep:
                 if gauged:
                     a0[bumped, 0], a0[bumped, 1] = ends
         # Blow-up ends a run before its samples.
-        flat = y.reshape(len(runs), -1)
         sampled = []
-        for i, (run, norm) in enumerate(zip(runs, np.sqrt(np.vecdot(flat, flat)).tolist())):
+        for i, (run, norm) in enumerate(zip(runs, _row_norms(y))):
             if norm > run.cap:
                 self._stop(run, Termination.DIVERGED, y[i], None if gauges is None else gauges[i])
             else:
@@ -620,21 +648,19 @@ class _Lockstep:
     def _record(self, runs, sampled, t_old, y_old, y, k, a, g_old, gauges):
         """Sample every grid time in (t_old, t] of the runs[i], i in sampled, as one stack.
 
-        Each run adds its block of grid times in time order: first the points
-        of the continuous extension from y_old (on scalstar runs, the
-        renormalized state) to y5, then any at the step end itself, y.  The
-        dense samples' gauges come from partial Magnus steps from the step's
-        start, all in one exponential; samples at the step end take the step's
-        gauges.
+        Each run adds its grid times in order: the continuous extension's points
+        from y_old to y5, then any at the step end, y.  Dense samples take their
+        gauges from partial Magnus steps, all in one exponential, and samples at
+        the step end the step's gauges.
         """
         spec = self.spec
         ts, states, blocks = [], [], []
-        # owner: each sample's run row; dense: the dense samples; spans, weights: per run.
+        # owner: each sample's run row; dense, spans: the dense samples; weights: per run.
         owner, dense, spans, weights = [], [], [], []
         for i in sampled:
             run = runs[i]
             t, h, first, thetas = run.t, run.h, len(ts), []
-            grid = len(run.traj.samples)  # the seed is grid point 0
+            grid = run.count  # the seed is grid point 0
             while (t_rec := (grid + len(ts) - first) * spec.record_every) <= t + 1e-12 * max(1.0, t):
                 if t - t_rec <= 1e-12 * max(1.0, t_rec):
                     ts.append(min(t_rec, spec.t_end))
@@ -645,18 +671,17 @@ class _Lockstep:
             if not count:
                 continue
             if thetas:
-                w = _dense_weights(np.array(thetas))
-                states.append(y_old[i] + h * (w[:, None, :] @ k[i])[:, 0].reshape(-1, *y.shape[1:]))
+                w = _dense_weights(thetas)
+                states.append(y_old[i] + h * (w[:, None, :] @ k[i]).reshape(-1, *y.shape[1:]))
                 dense += range(first, first + len(thetas))
-                spans.append(np.array(thetas) * h)
+                spans += [theta * h for theta in thetas]
                 weights.append(w)
             states += [y[i: i + 1]] * (count - len(thetas))
             owner += [i] * count
             blocks.append((run, first, count))
         if not blocks:
             return
-        samples, ends = _sample_stack(ts, np.concatenate(states), self.core, self.dec, self.label,
-                                      self.gauged)
+        rec, ends = _record_stack(ts, np.concatenate(states), *self.recording)
         rows = None
         if self.gauged:
             rows = gauges[owner]
@@ -664,28 +689,32 @@ class _Lockstep:
                 at = [owner[j] for j in dense]
                 d = np.array([runs[i].h for i in at])
                 rows[dense] = _magnus_step(g_old[at], a[at], np.concatenate(weights), d,
-                                           np.concatenate(spans), np.stack(ends, axis=1)[dense])
-        self._append_blocks(samples, rows, blocks, spec.conv_tol)
+                                           np.array(spans), np.stack(ends, axis=1)[dense])
+        self._append_blocks(rec, rows, blocks, spec.conv_tol)
 
     def _finish(self, runs):
-        """Append each run's final sample where it stopped off the grid, and fill its trajectory."""
+        """Record each run's final sample where it stopped off the grid, and fill its
+        trajectory; its FlowSamples are built here, in one pass."""
         final = [
             run for run in runs
             if run.traj.termination != Termination.CONVERGED
-            and abs(run.traj.samples[-1].t - run.t) > 1e-12 * max(1.0, run.t)
+            and abs(run.t_kept - run.t) > 1e-12 * max(1.0, run.t)
         ]
         if final:
             cs = np.stack([run.end[0] for run in final])
-            samples, _ = _sample_stack([run.t for run in final], cs, self.core, self.dec, self.label)
+            rec, _ = _record_stack([run.t for run in final], cs, *self.recording)
             rows = [run.end[1] for run in final]
-            self._append_blocks(samples, rows, [(run, j, 1) for j, run in enumerate(final)], 0.0)
+            self._append_blocks(rec, rows, [(run, j, 1) for j, run in enumerate(final)], 0.0)
         for run in runs:
             traj = run.traj
+            traj.samples, scal = _run_samples(run.kept, self.core, self.dec, self.label,
+                                              self.variant == Variant.SCAL)
             traj.steps, traj.renormalizations = run.steps, run.renorms
             if self.gauged:
                 traj.gauges = dict(zip(GAUGE_COEFFICIENTS, np.stack(run.rows, axis=1)))
-            if self.variant == Variant.SCAL:
-                _rescale_to_scal(traj)
+                if scal:  # keeps h(t).mu(0) = mu(t) for mu(t) scaled by |scal(t)|^-1/2
+                    factors = np.sqrt(np.abs(scal) / abs(scal[0]))[:, None, None]
+                    traj.gauges["variant"] = traj.gauges["variant"] * factors
 
 
 def _scalstar_factor(s, only_if_drifted=False):
@@ -698,36 +727,6 @@ def _scalstar_factor(s, only_if_drifted=False):
     if only_if_drifted and abs(s + 1.0) <= DRIFT_TOL / 2.0:
         return None
     return abs(s) ** -0.5
-
-
-def _rescale_to_scal(traj):
-    """Convert a scalstar trajectory into the scal-normalized family in place.
-
-    mu(t) is scaled by |scal(t)|^-1/2, so the "variant" gauge is scaled by
-    sqrt(|scal(t)| / |scal(0)|) to keep h(t).mu(0) = mu(t).  The samples are
-    rescaled as one stack and keep their field norms and drifts; a run that
-    carries no gauge has none to scale.
-    """
-    old = np.array([s.bracket.coeffs for s in traj.samples])
-    norm_sq = (old * old).reshape(len(old), -1).sum(axis=1).tolist()
-    scal = coeff_parts(old)[3].trace(axis1=-2, axis2=-1).tolist()
-    # A zero scal raises below before its scale is used.
-    scales = np.array([abs(v) ** -0.5 if v else 1.0 for v in scal])
-    coeffs, new_sq, brackets = bracket_stack(old * scales[:, None, None, None])
-    _, _, _, ric, ric_star = coeff_parts(coeffs)
-    ts = [s.t for s in traj.samples]
-    field_norm = [s.monitors.field_norm for s in traj.samples]
-    drift = [s.monitors.drift for s in traj.samples]
-    samples = _samples(ts, brackets, new_sq, ric, ric_star, traj.label, field_norm, drift)
-    for i, (t, sample) in enumerate(zip(ts, samples)):
-        if abs(scal[i]) < 1e-12 * (1.0 + norm_sq[i]):
-            raise OutOfRange(f"scal = {scal[i]:.3e} at t = {t}; cannot rescale")
-        if isinstance(sample, Exception):
-            raise sample
-        traj.samples[i] = sample
-    if traj.gauges:
-        factors = [math.sqrt(abs(v) / abs(scal[0])) for v in scal]
-        traj.gauges["variant"] = traj.gauges["variant"] * np.array(factors)[:, None, None]
 
 
 @dataclass(slots=True)
@@ -771,12 +770,12 @@ def recover_gauge(traj, h0=None, coefficient="variant"):
     """The gauge h' = -A h, h(0) = h0 (default Id), at the trajectory's sample times.
 
     integrate carries h(t) with h(0) = Id through every accepted step of a run
-    whose FlowSpec.gauges is True, so this only applies h0 on the right.  coefficient="variant" uses the endomorphism
-    driving the trajectory's own vector field, so the path satisfies
-    h(t).mu(0) = mu(t).  coefficient="ricci" uses Ric + ||Ric*||^2 Id, the
-    ungauged normalized coefficient whose solution converges in GL exactly in
-    the Einstein case; on a scal run it is the gauge of the scalstar run the
-    samples were rescaled from.  A trajectory that carries no gauge (a raw
+    whose FlowSpec.gauges is True, so this only applies h0 on the right.
+    coefficient="variant" uses the endomorphism driving the trajectory's own
+    vector field, so the path satisfies h(t).mu(0) = mu(t).  coefficient="ricci"
+    uses Ric + ||Ric*||^2 Id, the ungauged normalized coefficient whose solution
+    converges in GL exactly in the Einstein case; on a scal run it is the gauge
+    of the scalstar run the samples were rescaled from.  A trajectory that carries no gauge (a raw
     run, or one with FlowSpec.gauges False) raises GaugeMismatch.
     """
     if coefficient not in GAUGE_COEFFICIENTS:

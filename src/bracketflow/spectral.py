@@ -121,4 +121,9 @@ def is_flat_bracket(mu):
     ensure_lie(mu)
     if not is_solvable(mu):
         raise NotSolvable("flatness test covers solvable brackets only")
-    return float(np.linalg.norm(ricci(mu))) <= FLAT_TOL * (1.0 + mu.norm_sq)
+    return _is_flat(ricci(mu), mu.norm_sq)
+
+
+def _is_flat(ric, norm_sq):
+    """The flatness rule on a solvable Lie bracket's Ricci endomorphism and ||mu||^2."""
+    return float(np.linalg.norm(ric)) <= FLAT_TOL * (1.0 + norm_sq)

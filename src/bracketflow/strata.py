@@ -267,8 +267,8 @@ class BetaDecomposition:
     q_masks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Float copies of (mask_g, mask_u, mask_ut), cast once for project_qbeta.
-        self.q_masks = tuple(m.astype(float) for m in (self.mask_g, self.mask_u, self.mask_ut))
+        # Float copies of (mask_g | mask_u, mask_ut), cast once for project_qbeta.
+        self.q_masks = ((self.mask_g | self.mask_u).astype(float), self.mask_ut.astype(float))
 
     @property
     def dim(self):
@@ -331,8 +331,8 @@ def project_qbeta(a, dec):
     A stack (..., n, n) is projected slice by slice.
     """
     a = np.asarray(a, dtype=float)
-    g, u, ut = dec.q_masks
-    return a * g + a * u + (a * ut).mT
+    gu, ut = dec.q_masks
+    return a * gu + (a * ut).mT
 
 
 @dataclass

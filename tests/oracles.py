@@ -19,7 +19,11 @@ index, basis element or matrix entry at a time:
 - `beta_decomposition_loop`: the beta-adapted bases built E_ij by E_ij in a
   double loop;
 - `clustered_from_first`: spectra clustered within EIG_TOL of each cluster's
-  first value, the rule before the gap rule of `strata._gap_clusters`.
+  first value, the rule before the gap rule of `strata._gap_clusters`;
+- `field_reference`: the flow's stage as composed before the field kernel
+  `flows._field`, which must give its bits: all of `coeff_parts`, the
+  q_beta projection by the three beta masks, A and R with ||Ric*||^2 Id
+  added on copies, then -pi_apply.
 
 The test-only helpers `random_antisymmetric_bracket`, `random_orthogonal`,
 `scalstar_first_variation` and `grading_components` live here too, and so do
@@ -32,9 +36,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from bracketflow.brackets import DIM_CAP, BracketTensor, act, ensure_lie, pi_action
+from bracketflow.brackets import DIM_CAP, BracketTensor, act, ensure_lie, pi_action, pi_apply
 from bracketflow.catalog import almost_abelian, random_solvable_bracket, random_two_step_nilpotent
-from bracketflow.curvature import killing_matrix, moment_map_fast, ricci_star
+from bracketflow.curvature import coeff_parts, killing_matrix, moment_map_fast, ricci_star
 from bracketflow.errors import MaxStepsExceeded, SingularGauge, ZeroBracket
 from bracketflow.flows import Variant, flow_field
 from bracketflow.linalg import RANK_TOL, orthonormal_basis
@@ -346,6 +350,34 @@ def beta_decomposition_loop(label):
         v_weights=v_weights,
         v_levels=levels,
     )
+
+
+def _plus_identity(m, s):
+    """m + s Id on a copy of m (n, n), or of a stack (B, n, n) with s (B,)."""
+    out = m.copy()
+    n = m.shape[-1]
+    if m.ndim == 2:
+        out.flat[:: n + 1] += s
+    else:
+        out.reshape(len(m), n * n)[:, :: n + 1] += s[:, None]
+    return out
+
+
+def field_reference(c, variant, dec, gauged=False):
+    """(dc/dt, A, R) at raw coefficients c (n, n, n), or a stack, composed stage by stage.
+
+    A = Ric (raw), (Ric*)_{q_beta} (gauged) or (Ric*)_{q_beta} + ||Ric*||^2 Id
+    (scalstar); R = Ric + ||Ric*||^2 Id when gauged, else None; dc/dt = -pi(A)c.
+    """
+    _, _, _, ric, ric_star = coeff_parts(c)
+    if variant == Variant.RAW:
+        return -pi_apply(ric, c), ric, None
+    flat = ric_star.reshape(ric_star.shape[:-2] + (-1,))
+    shift = np.vecdot(flat, flat)
+    a = ric_star * dec.mask_g + ric_star * dec.mask_u + (ric_star * dec.mask_ut).mT
+    if variant == Variant.SCALSTAR:
+        a = _plus_identity(a, shift)
+    return -pi_apply(a, c), a, _plus_identity(ric, shift) if gauged else None
 
 
 def random_antisymmetric_bracket(rng, dim, scale=1.0):

@@ -22,6 +22,7 @@ from bracketflow import (
     pi_action,
     save_bracket,
 )
+from bracketflow.brackets import bracket_stack
 from bracketflow.errors import NotSolvable, SingularGauge
 from bracketflow.catalog import random_solvable_bracket
 
@@ -66,6 +67,27 @@ class TestConstruction:
         mu = BracketTensor(c, antisymmetrize=True)
         assert mu.coeffs[0, 1, 2] == 0.5
         assert mu.coeffs[1, 0, 2] == -0.5
+
+    def test_an_antisymmetric_slice_keeps_its_signed_zeros(self, mu_s3):
+        # -c has -0 on every zero entry, c[i, i, k] included; 0.5 (c - c^T) would
+        # turn those into +0, so only a slice with a symmetric part is projected.
+        neg = -mu_s3.coeffs
+        assert np.signbit(neg[0, 0, 0]) and np.signbit(neg[1, 2, 0])
+        assert BracketTensor(neg).coeffs.tobytes() == neg.tobytes()
+        tilted = mu_s3.coeffs.copy()
+        tilted[0, 1, 2] += 1e-14
+        projected = 0.5 * (tilted - tilted.swapaxes(0, 1))
+        for stack, want in (([neg, tilted], [neg, projected]),
+                            ([tilted, 2.0 * tilted], [projected, 2.0 * projected])):
+            coeffs, _, _ = bracket_stack(np.stack(stack))
+            assert [c.tobytes() for c in coeffs] == [w.tobytes() for w in want]
+
+    def test_validation_leaves_its_input_unchanged(self, mu_s3):
+        c = mu_s3.coeffs.copy()
+        mu = BracketTensor(c)
+        assert c.flags.writeable and mu.coeffs is not c and not mu.coeffs.flags.writeable
+        c[0, 1, 2] = 5.0
+        assert mu.coeffs[0, 1, 2] != 5.0
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):

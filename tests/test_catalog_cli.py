@@ -13,7 +13,7 @@ from bracketflow import (
     soliton_residual,
 )
 from bracketflow.catalog import random_solvable_bracket
-from bracketflow import experiments
+from bracketflow import brackets, experiments
 from bracketflow.cli import EXIT_VALIDATION, main
 from bracketflow.errors import (
     GaugeMismatch,
@@ -218,6 +218,20 @@ class TestCli:
         assert main(["classify", "--catalog", "e2"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["type"]["kind"] == "ImaginaryType" and data["flat"] is True
+
+    def test_classify_runs_one_derived_series(self, monkeypatch, capsys):
+        # classify_type's series decides solvability; flatness reads the pack's Ric.
+        calls = []
+        series = brackets._descending_series
+
+        def counting_series(mu, central):
+            calls.append(central)
+            return series(mu, central)
+
+        monkeypatch.setattr(brackets, "_descending_series", counting_series)
+        assert main(["classify", "--catalog", "s3"]) == 0
+        assert calls == [False]
+        assert json.loads(capsys.readouterr().out)["flat"] is False
 
     def test_classify_from_file(self, tmp_path, capsys, rng):
         mu = random_solvable_bracket(rng, 3)

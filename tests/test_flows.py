@@ -38,8 +38,9 @@ from bracketflow.flows import (
     GAUGE_COEFFICIENTS,
     FlowTrajectory,
     _append,
+    _record_stack,
     _Run,
-    _sample_stack,
+    _run_samples,
     flow_field,
     integrate_stack,
 )
@@ -577,11 +578,22 @@ def _same_sample(got, want):
     assert values[0] == values[1]
 
 
-class TestStackSampler:
-    """A step's grid samples are recorded as one stack (flows._sample_stack)."""
+def _recorded(ts, cs, variant, dec, label, gauged=False, curved=True):
+    """The FlowSamples of one record of the states cs, built as a run's trajectory is."""
+    rec, ends = _record_stack(ts, cs, variant, dec, gauged, curved)
+    return _run_samples([(rec, 0, len(ts))], variant, dec, label)[0], ends
 
-    @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
-    def test_stack_equals_each_slice_alone(self, mu_s3, s3_label, variant):
+
+def _kept(run, variant, dec, label):
+    return _run_samples(run.kept, variant, dec, label)[0] if run.kept else []
+
+
+class TestStackSampler:
+    """A step's grid samples are recorded as one stack (flows._record_stack), and a run's
+    samples are built once, from its kept records (flows._run_samples)."""
+
+    @staticmethod
+    def _states(mu_s3, s3_label, variant):
         label = None if variant == Variant.RAW else s3_label
         dec = None if label is None else beta_decomposition(label)
         spec = FlowSpec(variant=variant, t_end=5.0, label=label, record_every=0.5)
@@ -593,23 +605,40 @@ class TestStackSampler:
         cs = np.stack([s.bracket.coeffs for s in traj.samples])
         cs = cs * np.linspace(1.0, 1.001, len(ts))[:, None, None, None]
         cs += 1e-16 * rng.standard_normal(cs.shape)
-        stacked, ends = _sample_stack(ts, cs, variant, dec, label, gauged=True)
+        return ts, cs, dec, label
+
+    @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
+    def test_stack_equals_each_slice_alone(self, mu_s3, s3_label, variant):
+        ts, cs, dec, label = self._states(mu_s3, s3_label, variant)
+        stacked, ends = _recorded(ts, cs, variant, dec, label, gauged=True)
         assert (ends[1] is None) == (variant == Variant.RAW)
         for j in range(len(ts)):
-            alone, ends_j = _sample_stack(ts[j : j + 1], cs[j : j + 1], variant, dec, label,
-                                          gauged=True)
+            alone, ends_j = _recorded(ts[j : j + 1], cs[j : j + 1], variant, dec, label,
+                                      gauged=True)
             _same_sample(stacked[j], alone[0])
             for got, want in zip(ends, ends_j):
                 assert (got is None and want is None) or np.array_equal(got[j], want[0])
 
+    @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
+    def test_a_record_that_forms_no_curvature_gives_the_same_samples(self, mu_s3, s3_label,
+                                                                       variant):
+        # Runs that neither carry gauges nor check convergence leave Ric, Ric*
+        # and the field norms to the one pass over the run's samples.
+        ts, cs, dec, label = self._states(mu_s3, s3_label, variant)
+        curved, _ = _recorded(ts, cs, variant, dec, label)
+        deferred, ends = _recorded(ts, cs, variant, dec, label, curved=False)
+        assert ends is None
+        for got, want in zip(deferred, curved, strict=True):
+            _same_sample(got, want)
+
     def test_failed_middle_sample_raises_when_reached(self, mu_s3):
         bad = random_antisymmetric_bracket(np.random.default_rng(1), 3).coeffs
         cs = np.stack([mu_s3.coeffs, bad, mu_s3.coeffs])
-        samples, _ = _sample_stack([0.0, 1.0, 2.0], cs, Variant.RAW, None, None)
+        rec, _ = _record_stack([0.0, 1.0, 2.0], cs, Variant.RAW, None)
         run = _Run(FlowTrajectory(Variant.RAW, None), np.inf, 1.0)
         with pytest.raises(NotALieBracket) as got:
-            _append(run, samples, CONV_TOL)
-        assert [s.t for s in run.traj.samples] == [0.0]
+            _append(run, rec, 0, 3, CONV_TOL)
+        assert [s.t for s in _kept(run, Variant.RAW, None, None)] == [0.0]
         with pytest.raises(NotALieBracket) as want:
             curvature_pack(BracketTensor(bad))
         assert str(got.value) == str(want.value)
@@ -622,37 +651,37 @@ class TestStackSampler:
 
         def stack(count):
             cs = np.stack([hyp_norm.coeffs] * count)
-            return _sample_stack([0.0] * count, cs, Variant.SCALSTAR, dec, hyp_label)[0]
+            return _record_stack([0.0] * count, cs, Variant.SCALSTAR, dec)[0]
 
         run = _Run(FlowTrajectory(Variant.SCALSTAR, hyp_label), np.inf, 1.0)
         before = CONV_WINDOW - 1 - j
         if before:
-            assert _append(run, stack(before), CONV_TOL) == (before, False)
-        assert _append(run, stack(12), CONV_TOL) == (j + 1, True)
-        assert len(run.traj.samples) == CONV_WINDOW
+            assert _append(run, stack(before), 0, before, CONV_TOL) == (before, False)
+        assert _append(run, stack(12), 0, 12, CONV_TOL) == (j + 1, True)
+        assert len(_kept(run, Variant.SCALSTAR, dec, hyp_label)) == CONV_WINDOW
 
     def test_a_sample_above_the_threshold_restarts_the_window(self, hyp_norm, hyp_label):
         dec = beta_decomposition(hyp_label)
         cs = np.stack([hyp_norm.coeffs] * (2 * CONV_WINDOW))
-        samples = _sample_stack([0.0] * len(cs), cs, Variant.SCALSTAR, dec, hyp_label)[0]
+        rec = _record_stack([0.0] * len(cs), cs, Variant.SCALSTAR, dec)[0]
         j = CONV_WINDOW // 2
-        moving = dataclasses.replace(samples[j].monitors, field_norm=1.0)
-        samples[j] = dataclasses.replace(samples[j], monitors=moving)
+        rec.field_norm[j] = 1.0
         run = _Run(FlowTrajectory(Variant.SCALSTAR, hyp_label), np.inf, 1.0)
-        assert _append(run, samples, CONV_TOL) == (j + 1 + CONV_WINDOW, True)
+        assert _append(run, rec, 0, len(cs), CONV_TOL) == (j + 1 + CONV_WINDOW, True)
 
     def test_one_curvature_pass_per_stack(self, monkeypatch, mu_e2):
         # e2's raw flow to t = 200 takes 9 steps for 201 grid samples: six new
-        # stages a step, the first stage, and one pass per recorded stack.
+        # stages a step, the first stage, and at most one pass per recorded
+        # stack.  Every curvature pass goes through the Ric*-only half.
         calls = []
-        parts = curvature.coeff_parts
+        half = curvature.coeff_ric_star
 
         def counting(c):
             calls.append(c.shape)
-            return parts(c)
+            return half(c)
 
-        monkeypatch.setattr(curvature, "coeff_parts", counting)
-        monkeypatch.setattr(flows, "coeff_parts", counting)
+        monkeypatch.setattr(curvature, "coeff_ric_star", counting)
+        monkeypatch.setattr(flows, "coeff_ric_star", counting)
         spec = FlowSpec(variant=Variant.RAW, t_end=200.0, record_every=1.0, conv_tol=0.0)
         traj = integrate(mu_e2, spec)
         assert (traj.steps, len(traj.samples)) == (9, 201)
@@ -724,9 +753,10 @@ class TestLockstep:
         fixed_at=st.integers(0, 4),
         bad_at=st.none() | st.integers(0, 4),
         max_steps=st.sampled_from([6, 2_000_000]),
+        conv_tol=st.sampled_from([CONV_TOL, 0.0]),
     )
     def test_each_trajectory_equals_integrate_alone(
-        self, n, size, variant, seed, fixed_at, bad_at, max_steps
+        self, n, size, variant, seed, fixed_at, bad_at, max_steps, conv_tol
     ):
         # Parabolic gauges of a soliton: the soliton itself (fixed_at) is a
         # fixed point of the gauged and scalstar flows, so its slice converges
@@ -739,8 +769,10 @@ class TestLockstep:
         if bad_at is not None and bad_at < size:
             mu0s[bad_at] = (random_antisymmetric_bracket(rng, n) if n >= 3
                             else BracketTensor.zero(n))
+        # conv_tol = 0 on a raw run leaves the curvature of every record to the
+        # pass over the run's samples.
         spec = FlowSpec(variant=variant, t_end=3.0, record_every=0.25, max_steps=max_steps,
-                        label=None if variant == Variant.RAW else label)
+                        label=None if variant == Variant.RAW else label, conv_tol=conv_tol)
         want = _integrate_each(mu0s, spec)
         errors = [(type(w), str(w)) for w in want if isinstance(w, Exception)]
         if errors:
@@ -751,6 +783,17 @@ class TestLockstep:
         got = integrate_stack(mu0s, spec)
         assert len(got) == len(want)
         for g, w in zip(got, want):
+            _same_trajectory(g, w)
+
+    def test_a_stack_whose_records_form_no_curvature_equals_integrate_alone(self):
+        # A raw stack with conv_tol = 0 keeps its seeds' states for the one pass
+        # over each run's samples.  These gauges reject a step while the other
+        # runs accept theirs, so the loop writes into its stack of states.
+        mu, _, dec = _stack_base(4)
+        rng = np.random.default_rng(4)
+        mu0s = [act(random_parabolic_gauge(rng, dec), mu) for _ in range(3)]
+        spec = FlowSpec(variant=Variant.RAW, t_end=3.0, record_every=0.25, conv_tol=0.0)
+        for g, w in zip(integrate_stack(mu0s, spec), _integrate_each(mu0s, spec), strict=True):
             _same_trajectory(g, w)
 
     def test_mid_flow_error_comes_from_the_lowest_failing_trajectory(self):
@@ -804,13 +847,14 @@ class TestLockstep:
         assert str(got.value) == str(want) and calls == []
 
     def test_a_run_that_fails_before_its_first_step_raises_its_own_error(self, monkeypatch, mu_s3):
-        sample_stack = flows._sample_stack
+        record_stack = flows._record_stack
 
         def seed_sample_fails(ts, *args):
-            samples, ends = sample_stack(ts, *args)
-            return [NotALieBracket("seed sample")] * len(ts), ends
+            rec, ends = record_stack(ts, *args)
+            rec.brackets = [NotALieBracket("seed sample")] * len(ts)
+            return rec, ends
 
-        monkeypatch.setattr(flows, "_sample_stack", seed_sample_fails)
+        monkeypatch.setattr(flows, "_record_stack", seed_sample_fails)
         with pytest.raises(NotALieBracket, match="seed sample"):
             integrate(mu_s3, FlowSpec(variant=Variant.RAW, t_end=1.0))
 
@@ -908,6 +952,52 @@ class TestGaugeSelection:
         calls.clear()
         run_uniqueness_experiment(catalog("s3_lambda", lam=0.5), 5, t_end=100.0, seed=0)
         assert calls == []
+
+
+class TestWorkCounts:
+    """Cheaper steps, not fewer: the steps, samples and stage evaluations are pinned.
+
+    Each run evaluates the field kernel on 1 + 6 steps + renormalizations
+    slices: its first stage, six new stages per step tried (the seventh is the
+    next step's first) and one re-evaluation after each renormalization.
+    """
+
+    @staticmethod
+    def _stage_slices(monkeypatch):
+        slices = []
+        kernel = flows._field
+
+        def counting(c, *args):
+            slices.append(1 if c.ndim == 3 else len(c))
+            return kernel(c, *args)
+
+        monkeypatch.setattr(flows, "_field", counting)
+        return slices
+
+    def test_s3_scalstar_to_t_100(self, monkeypatch, mu_s3, s3_label):
+        slices = self._stage_slices(monkeypatch)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
+        traj = integrate(mu_s3, spec)
+        assert (traj.steps, len(traj.samples), traj.renormalizations) == (207, 401, 27)
+        assert sum(slices) == 1 + 6 * traj.steps + traj.renormalizations == 1270
+
+    @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
+    def test_stage_slices_per_run(self, monkeypatch, mu_s3, s3_label, variant):
+        slices = self._stage_slices(monkeypatch)
+        label = None if variant == Variant.RAW else s3_label
+        traj = integrate(mu_s3, FlowSpec(variant=variant, t_end=20.0, label=label))
+        assert traj.steps > 0
+        assert sum(slices) == 1 + 6 * traj.steps + traj.renormalizations
+
+    def test_stage_slices_per_stack(self, monkeypatch):
+        # The gauges take different steps, so runs are accepted, rejected and
+        # renormalized apart; each still costs its own 1 + 6 steps + renormalizations.
+        mu0s = [_s3_lambda_gauge(7, draw) for draw in range(3)]
+        label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
+        slices = self._stage_slices(monkeypatch)
+        trajs = integrate_stack(mu0s, FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label))
+        assert len({traj.steps for traj in trajs}) > 1
+        assert sum(slices) == sum(1 + 6 * t.steps + t.renormalizations for t in trajs)
 
 
 class TestFlowSpecValidation:

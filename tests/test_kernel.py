@@ -40,7 +40,8 @@ from bracketflow.brackets import (
 from bracketflow.catalog import random_solvable_bracket
 from bracketflow.curvature import coeff_moment, coeff_parts, coeff_scal_star, moment_map_fast
 from bracketflow.errors import NotALieBracket
-from bracketflow.flows import flow_field
+from bracketflow.flows import _field, flow_field
+from bracketflow.strata import beta_decomposition, label_from_beta
 from bracketflow.linalg import RANK_TOL, null_space, subspace_distance
 
 from oracles import (
@@ -48,6 +49,7 @@ from oracles import (
     PROPERTY,
     SEED,
     draw_bracket,
+    field_reference,
     lie_bracket,
     null_space_full_svd,
     oracle_ricci,
@@ -184,6 +186,39 @@ class TestKernelProperties:
         assert np.array_equal(flow_field(2.0**k * c, Variant.RAW, None), 2.0 ** (3 * k) * field)
         bound = KERNEL_TOL * t**3 * (1.0 + float(np.sum(c * c))) ** 1.5
         assert np.max(np.abs(flow_field(t * c, Variant.RAW, None) - t**3 * field)) <= bound
+
+
+class TestFieldKernel:
+    """flows._field gives the bits of the stage composed step by step (oracles.field_reference)."""
+
+    @PROPERTY
+    @given(
+        dim=DIM,
+        seed=SEED,
+        variant=st.sampled_from([Variant.RAW, Variant.GAUGED, Variant.SCALSTAR]),
+        gauged=st.booleans(),
+        count=st.none() | st.integers(1, 5),
+    )
+    def test_slopes_and_endomorphisms_equal_the_reference(self, dim, seed, variant, gauged, count):
+        rng = np.random.default_rng(seed)
+        shape = (dim,) * 3 if count is None else (count,) + (dim,) * 3
+        c = rng.standard_normal(shape)
+        c = 0.5 * (c - c.swapaxes(-3, -2))
+        dec = None
+        if variant == Variant.RAW:
+            gauged = False  # raw runs carry no gauge
+        else:
+            # A beta with repeated eigenvalues, so g_beta, u_beta and u_beta^t all show.
+            weights = np.sort(rng.integers(1, 4, dim)).astype(float)
+            dec = beta_decomposition(label_from_beta(-weights / weights.sum()))
+        got, want = _field(c, variant, dec, gauged), field_reference(c, variant, dec, gauged)
+        for g, w in zip(got, want, strict=True):
+            assert (g is None and w is None) or (g.shape == w.shape and g.tobytes() == w.tobytes())
+
+    def test_one_state_has_the_bits_of_a_stack_of_one(self):
+        c = random_antisymmetric_bracket(np.random.default_rng(4), 3).coeffs
+        for g, w in zip(_field(c, Variant.RAW, None), _field(c[None], Variant.RAW, None)):
+            assert (g is None and w is None) or g.tobytes() == w.tobytes()
 
 
 class TestStackedKernels:
