@@ -37,7 +37,8 @@ JSON_COEFF_FLOOR = 1e-14
 
 
 # The largest |c| accepted.  With M = max |c| and n <= DIM_CAP, Ric and Ric* have
-# entries <= 3 n^2 M^2 (sums of 3 n^2 products c c), so ||Ric*||^2 <= 9 n^6 M^4,
+# entries <= 3 n^2 M^2 (sums of 3 n^2 products c c; the one product behind Ric*
+# sums n^2 terms c (c + c^T) <= 2 M^2), so ||Ric*||^2 <= 9 n^6 M^4,
 # and the degree-5 scalstar field -pi(q_beta(Ric*) + ||Ric*||^2 Id)c has entries
 # <= 3 n M (3 n^2 M^2 + 9 n^6 M^4) <= 36 n^7 M^5 (n M >= 1): 9.7e134 at n = 16,
 # M = 1e25, and a squared norm over its n^3 entries of 3.8e273 < 1.8e308.  The

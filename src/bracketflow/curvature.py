@@ -6,16 +6,20 @@ Ricci endomorphism Ric = M - K/2 - sym(ad H), and the modified Ricci
 Ric* = M - K/2 together with its trace scal*.
 
 The formulas live once, on raw (n, n, n) coefficient arrays (`coeff_moment`,
-`coeff_ric_star`, `coeff_parts`, `coeff_scal_star`), as BLAS products of the
-reshapes C1 = c.reshape(n, n^2) and C2 = c.reshape(n^2, n).  They validate
-nothing, so the integrator and the energy flow call them on their states
-directly; the functions taking a BracketTensor read from the same code.  All
-of them also take a stack (..., n, n, n) of states and return the stack of
-results, each slice equal to the bits of the one-state call.
+`coeff_killing`, `coeff_ric_star`, `coeff_ricci`, `coeff_parts`,
+`coeff_scal_star`), as BLAS products of the reshapes C1 = c.reshape(n, n^2),
+C2 = c.reshape(n^2, n) and D = c.mT.reshape(n, n^2).  They validate nothing,
+so the integrator and the energy flow call them on their states directly; the
+functions taking a BracketTensor read from the same code.  All of them also
+take a stack (..., n, n, n) of states and return the stack of results, each
+slice equal to the bits of the one-state call.
 
-`coeff_ric_star` is the Ric*-only half (M, K, Ric*): the gauged and scalstar
-vector fields and `linearize` read nothing else, so they skip H, ad H and Ric,
-which `coeff_parts` builds on top of it (the flow's "ricci" gauge reads Ric).
+Ric* = M - K/2 is one product, -1/2 C1 (C1 + D)^T + 1/4 C2^T C2, which never
+forms M = -1/2 C1 C1^T + 1/4 C2^T C2 or K = C1 D^T: `coeff_ric_star` is Ric*
+alone, and `coeff_ricci` is (Ric, Ric*).  The flows and `linearize` call only
+these two, so no bracket flow forms M or K; `coeff_parts` adds M and K for
+CurvaturePack, and of the flows only the energy flow of `strata` calls
+`coeff_moment`.
 """
 
 from dataclasses import dataclass
@@ -34,29 +38,37 @@ def coeff_moment(c):
     return -0.5 * (c1 @ c1.mT) + 0.25 * (c2.mT @ c2)
 
 
-def coeff_ric_star(c):
-    """(M, K, Ric*) of raw coefficients c[i, j, k]; no validation.
-
-    K[p, q] = sum c[p, a, b] c[q, b, a] = tr(ad e_p ad e_q) and Ric* = M - K/2.
-    """
+def coeff_killing(c):
+    """K[p, q] = sum c[p, a, b] c[q, b, a] = tr(ad e_p ad e_q) = C1 D^T of raw coefficients c."""
     c1 = c.reshape(c.shape[:-2] + (-1,))
-    m_part = coeff_moment(c)
-    k = c1 @ c.mT.reshape(c1.shape).mT
-    return m_part, k, m_part - 0.5 * k
+    return c1 @ c.mT.reshape(c1.shape).mT
+
+
+def _mean_curvature(c):
+    """H[p] = tr ad e_p of raw coefficients c."""
+    return c.trace(axis1=-2, axis2=-1)
+
+
+def coeff_ric_star(c):
+    """Ric* = M - K/2 = -1/2 C1 (C1 + D)^T + 1/4 C2^T C2 of raw coefficients c; no validation."""
+    n = c.shape[-1]
+    c1 = c.reshape(c.shape[:-2] + (n * n,))
+    c2 = c.reshape(c.shape[:-3] + (n * n, n))
+    return -0.5 * (c1 @ (c + c.mT).reshape(c1.shape).mT) + 0.25 * (c2.mT @ c2)
+
+
+def coeff_ricci(c):
+    """(Ric, Ric*) of raw coefficients c: Ric = Ric* - sym(ad H), ad H built transposed as H C1."""
+    ric_star = coeff_ric_star(c)
+    c1 = c.reshape(c.shape[:-2] + (-1,))
+    ad_h_t = np.vecmat(_mean_curvature(c), c1).reshape(ric_star.shape)
+    return ric_star - 0.5 * (ad_h_t + ad_h_t.mT), ric_star
 
 
 def coeff_parts(c):
-    """(M, K, H, Ric, Ric*) of raw coefficients c[i, j, k]; no validation.
-
-    coeff_ric_star, then H[p] = tr ad e_p and Ric = Ric* - sym(ad H) with ad H
-    built transposed as H C1.
-    """
-    m_part, k, ric_star = coeff_ric_star(c)
-    c1 = c.reshape(c.shape[:-2] + (-1,))
-    h = c.trace(axis1=-2, axis2=-1)
-    ad_h_t = np.vecmat(h, c1).reshape(m_part.shape)
-    ric = ric_star - 0.5 * (ad_h_t + ad_h_t.mT)
-    return m_part, k, h, ric, ric_star
+    """(M, K, H, Ric, Ric*) of raw coefficients c; no validation."""
+    ric, ric_star = coeff_ricci(c)
+    return coeff_moment(c), coeff_killing(c), _mean_curvature(c), ric, ric_star
 
 
 def coeff_scal_star(c):
@@ -78,7 +90,7 @@ def moment_map_fast(mu):
 
 def killing_matrix(mu):
     """Killing-form endomorphism: <K X, Y> = tr(ad X ad Y)."""
-    return coeff_parts(mu.coeffs)[1]
+    return coeff_killing(mu.coeffs)
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .brackets import act, report_to_dict
-from .errors import GaugeMismatch, NonConvergence, NotSolvable, OutOfRange
+from .errors import NonConvergence, NotSolvable, OutOfRange
 from .flows import (
     FlowSpec,
     Variant,
@@ -16,7 +16,7 @@ from .flows import (
 )
 from .solitons import fingerprint, fingerprint_distance, soliton_residual
 from .spectral import AlgebraType, classify_type
-from .strata import beta_decomposition, check_gauged, stratum_label
+from .strata import beta_decomposition, stratum_label
 
 TYPE3_RATIO_CAP = 50.0
 COLLAPSE_FLOOR = 1e-3
@@ -50,11 +50,12 @@ def run_uniqueness_experiment(entry, seeds, t_end=100.0, seed=0, require_converg
 
     Each seed bracket is act(h0, mu) for a random h0 in Q_beta; all limits
     are fingerprinted and the maximal pairwise distance is reported.  Every
-    gauge is drawn before any flow, and a singular gauge or one that leaves
-    V>=0 raises at once.  The seeds are then flowed as one stack by
-    integrate_stack, and the first error its loop meets is raised.  The
-    report reads no gauge h(t), so the flows carry none: their samples, and
-    so the report, are those of flows that carry both.
+    gauge is drawn before any flow, and a singular gauge raises at once.  The
+    seeds are then flowed as one stack by integrate_stack, which checks each
+    seed in order (a Lie bracket in V>=0) before its first step, and the
+    first error it meets is raised.  The report reads no gauge h(t), so the
+    flows carry none: their samples, and so the report, are those of flows
+    that carry both.
     """
     if seeds < 1:
         raise OutOfRange(f"seeds = {seeds} must be at least 1")
@@ -64,15 +65,7 @@ def run_uniqueness_experiment(entry, seeds, t_end=100.0, seed=0, require_converg
     label = stratum_label(entry.bracket)
     dec = beta_decomposition(label)
     rng = np.random.default_rng(seed)
-    mu0s = []
-    for _ in range(seeds):
-        mu0 = act(random_parabolic_gauge(rng, dec), entry.bracket)
-        gauge = check_gauged(mu0, label)
-        if not gauge.in_nonneg:
-            raise GaugeMismatch(
-                f"parabolic gauge left V>=0: negative-component norm {gauge.neg_norm:.3e}"
-            )
-        mu0s.append(mu0)
+    mu0s = [act(random_parabolic_gauge(rng, dec), entry.bracket) for _ in range(seeds)]
     spec = FlowSpec(variant=Variant.SCALSTAR, t_end=t_end, label=label, record_every=0.5,
                     gauges=False)
     trajs = integrate_stack(mu0s, spec)

@@ -11,16 +11,16 @@ Integration uses an embedded Dormand-Prince 5(4) pair with PI step control
 and first-same-as-last stage reuse; grid samples inside an accepted step come
 from its DP5 continuous extension, so only t_end cuts a step short.  Each
 stage calls the field kernel `_field` once on raw coefficient arrays; it forms
-Ric only where something reads it (a raw A, the "ricci" gauge).  A record
-(the seeds, one step's grid samples or the final samples) decides, as one
-stack, only what the loop needs: it validates the states through
-bracket_stack, the flow's one Jacobi check (DOPRI5 does not keep the Jacobi
-identity, and a record past jacobi_tolerance raises NotALieBracket), and on
-runs that carry gauges or check convergence it also forms Ric, Ric*, A and
-the field norms.  Each run keeps those arrays, and forms its Monitors and
-FlowSamples once, when it ends, in one pass over its samples that also forms
-whatever its records left out.  A sample's curvature pack is recomputed on
-demand.
+Ric only where something reads it (a raw A, the "ricci" gauge), and no flow
+forms M or K: Ric* is one product (curvature.coeff_ric_star).  A record (the
+seeds, one step's grid samples or the final samples) decides, as one stack,
+only what the loop needs: it validates the states through bracket_stack, the
+flow's one Jacobi check (DOPRI5 does not keep the Jacobi identity, and a
+record past jacobi_tolerance raises NotALieBracket), and on runs that carry
+gauges or check convergence it also forms Ric, Ric*, A and the field norms.
+Each run keeps those arrays, and forms its Monitors and FlowSamples once, when
+it ends, in one pass over its samples that also forms whatever its records
+left out.  A sample's curvature pack is recomputed on demand.
 
 There is one stepper loop, over a stack of B trajectories of one FlowSpec
 (`integrate_stack`); `integrate` is that loop with B = 1.  Each trajectory
@@ -52,7 +52,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .brackets import BracketTensor, bracket_stack, ensure_lie, pi_apply, report_to_dict
-from .curvature import coeff_parts, coeff_ric_star, coeff_scal_star, curvature_pack
+from .curvature import coeff_ric_star, coeff_ricci, coeff_scal_star, curvature_pack
 from .errors import GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
 
@@ -204,9 +204,9 @@ def _field(c, variant, dec, gauged=False):
     """The field kernel: (dc/dt, A, R) at raw c (n, n, n) or a stack, Ric formed only for
     a raw A or for R.  dc/dt = -pi(A)c is negated in place, so its zeros keep their signs."""
     if variant == Variant.RAW or gauged:
-        _, _, _, ric, ric_star = coeff_parts(c)
+        ric, ric_star = coeff_ricci(c)
     else:
-        ric, ric_star = None, coeff_ric_star(c)[2]
+        ric, ric_star = None, coeff_ric_star(c)
     a, r = _endomorphisms(ric, ric_star, variant, dec, gauged)
     slopes = pi_apply(a, c)
     return np.negative(slopes, out=slopes), a, r
@@ -309,7 +309,7 @@ def _record_stack(ts, cs, variant, dec, gauged=False, curved=True):
     rec.ric = rec.ric_star = rec.field_norm = rec.norms = None
     if not curved:
         return rec, None
-    _, _, _, rec.ric, rec.ric_star = coeff_parts(rec.coeffs)
+    rec.ric, rec.ric_star = coeff_ricci(rec.coeffs)
     ends = _endomorphisms(rec.ric.copy() if gauged else rec.ric, rec.ric_star, variant, dec, gauged)
     rec.field_norm, rec.norms = _row_norms(pi_apply(ends[0], cs)), _row_norms(rec.coeffs)
     return rec, ends
@@ -333,7 +333,7 @@ def _run_samples(kept, variant, dec, label, scal=False):
     ts, brackets, norm_sq, coeffs = (joined("ts"), joined("brackets"), stacked("norm_sq"),
                                      stacked("coeffs"))
     if kept[0][0].ric is None:
-        _, _, _, ric, ric_star = coeff_parts(coeffs)
+        ric, ric_star = coeff_ricci(coeffs)
         a, _ = _endomorphisms(ric, ric_star, variant, dec)
         field_norm = _row_norms(pi_apply(a, stacked("cs")))
     else:
@@ -349,7 +349,7 @@ def _run_samples(kept, variant, dec, label, scal=False):
                 raise OutOfRange(f"scal = {v:.3e} at t = {t}; cannot rescale")
             if isinstance(mu, Exception):
                 raise mu
-        norm_sq, (_, _, _, ric, ric_star) = new_sq, coeff_parts(coeffs)
+        norm_sq, (ric, ric_star) = new_sq, coeff_ricci(coeffs)
     ric_norm = _row_norms(ric)
     nan = float("nan")
     rstar, beta_sq = [(nan, nan, nan)] * len(ts), nan

@@ -99,7 +99,7 @@ def _p_operator(mu, dec, s, dmat, k):
     # The definition, exactly: Ric* is quadratic, so (Ric*(mu + d) - Ric*(mu - d)) / 2 is
     # its derivative along d = pi(A)mu.  All 2m states go through one curvature call.
     d = pi_apply(s.reshape(-1, n, n), np.broadcast_to(c, (m, n, n, n)))
-    ric_star = project_qbeta(coeff_ric_star(np.concatenate([c + d, c - d]))[2], dec)
+    ric_star = project_qbeta(coeff_ric_star(np.concatenate([c + d, c - d])), dec)
     fd = 0.5 * (ric_star[:m] - ric_star[m:])
     fd_disc = float(np.max(np.linalg.norm(fd - images, axis=(1, 2)), initial=0.0))
     return POperator(matrix=s @ images.reshape(-1, n * n).T, fd_discrepancy=fd_disc)

@@ -13,10 +13,12 @@ from bracketflow import (
     soliton_residual,
 )
 from bracketflow.catalog import random_solvable_bracket
-from bracketflow import brackets, experiments
+from bracketflow import brackets, experiments, flows
 from bracketflow.cli import EXIT_VALIDATION, main
 from bracketflow.errors import (
+    BracketFlowError,
     GaugeMismatch,
+    NotALieBracket,
     OutOfRange,
     ParamOutOfRange,
     SingularGauge,
@@ -132,46 +134,67 @@ class TestExperiments:
 
     def test_uniqueness_gauge_off_parabolic_is_a_gauge_mismatch(self, monkeypatch, capsys):
         # An upper unitriangular gauge is not in Q_beta for s3's label and
-        # moves the seed bracket off V>=0.
+        # moves the seed bracket off V>=0: integrate_stack's seed check raises.
         def off_parabolic(rng, dec):
             return np.eye(dec.dim) + 0.5 * np.triu(np.ones((dec.dim, dec.dim)), 1)
 
         monkeypatch.setattr(experiments, "random_parabolic_gauge", off_parabolic)
-        with pytest.raises(GaugeMismatch, match="negative-component norm 1.620e"):
+        with pytest.raises(GaugeMismatch, match="initial bracket is not gauged correctly: "
+                                                "negative-component norm 1.620e"):
             run_uniqueness_experiment(catalog("s3"), seeds=1, t_end=1.0)
         code = main(["uniqueness", "--catalog", "s3", "--seeds", "1", "--t-end", "1"])
         assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: parabolic gauge left V>=0")
+        assert capsys.readouterr().err.startswith("error: initial bracket is not gauged correctly")
 
-    def test_uniqueness_raises_a_gauge_off_v_nonneg_before_any_flow(self, monkeypatch):
-        # Gauge 1's seed is not a Lie bracket and gauge 3 leaves V>=0.  All
-        # gauges are drawn before any flow, so gauge 3's error is raised and
-        # nothing is flowed.
+    @staticmethod
+    def _run_with_bad_seeds(monkeypatch, not_lie, off):
+        """run_uniqueness_experiment on five s3_lambda(0.5) gauges, seed not_lie not a Lie
+        bracket and seed off outside V>=0: the error it raises, the seeds made, the seeds
+        checked for V>=0 and the field-kernel calls."""
         bad = random_antisymmetric_bracket(np.random.default_rng(1), 3)
-        seeds, checks, flows = [], [], []
-        act, check_gauged = experiments.act, experiments.check_gauged
+        made, checks, stages = [], [], []
+        act, check_gauged, field = experiments.act, flows.check_gauged, flows._field
 
         def acting(h, mu):
-            seeds.append(h)
-            return bad if len(seeds) == 2 else act(h, mu)
+            made.append(bad if len(made) == not_lie else act(h, mu))
+            return made[-1]
 
         def checking(mu, label):
             checks.append(mu)
-            if len(checks) == 4:
+            if mu is made[off]:
                 return GaugeCheck(in_nonneg=False, v0_norm=1.0, neg_norm=0.5)
-            return check_gauged(mu, label) if mu is not bad else GaugeCheck(True, 1.0, 0.0)
+            return check_gauged(mu, label)
+
+        def counting(*args):
+            stages.append(args)
+            return field(*args)
 
         monkeypatch.setattr(experiments, "act", acting)
-        monkeypatch.setattr(experiments, "check_gauged", checking)
-        monkeypatch.setattr(experiments, "integrate_stack", lambda *args: flows.append(args))
-        with pytest.raises(GaugeMismatch, match="parabolic gauge left V>=0: negative-component "
-                                                "norm 5.000e-01"):
+        monkeypatch.setattr(flows, "check_gauged", checking)
+        monkeypatch.setattr(flows, "_field", counting)
+        with pytest.raises(BracketFlowError) as raised:
             run_uniqueness_experiment(catalog("s3_lambda", lam=0.5), seeds=5, t_end=1.0)
-        assert len(seeds) == len(checks) == 4
-        assert flows == []
+        return raised.value, made, checks, stages
+
+    def test_uniqueness_raises_a_gauge_off_v_nonneg_before_any_flow(self, monkeypatch):
+        # Seed 1 leaves V>=0 and seed 3 is not a Lie bracket.  All gauges are
+        # drawn before any flow, and integrate_stack checks the seeds in order
+        # before its first step: seed 1's error is raised and no stage is evaluated.
+        error, made, checks, stages = self._run_with_bad_seeds(monkeypatch, not_lie=3, off=1)
+        assert type(error) is GaugeMismatch
+        assert str(error) == ("initial bracket is not gauged correctly: negative-component "
+                              "norm 5.000e-01, V_0 norm 1.000e+00")
+        assert len(made) == 5 and checks == made[:2] and stages == []
+
+    def test_uniqueness_raises_the_first_bad_seed_before_any_flow(self, monkeypatch):
+        # As above with the two bad seeds swapped: seed 1's Jacobi error wins.
+        error, made, checks, stages = self._run_with_bad_seeds(monkeypatch, not_lie=1, off=3)
+        assert type(error) is NotALieBracket
+        assert str(error).startswith("Jacobi residual")
+        assert len(made) == 5 and checks == made[:1] and stages == []
 
     def test_uniqueness_raises_a_singular_gauge_before_any_flow(self, monkeypatch):
-        draws, flows = [], []
+        draws, flowed = [], []
         gauge = experiments.random_parabolic_gauge
 
         def drawing(rng, dec):
@@ -179,11 +202,11 @@ class TestExperiments:
             return np.zeros((dec.dim, dec.dim)) if len(draws) == 3 else draws[-1]
 
         monkeypatch.setattr(experiments, "random_parabolic_gauge", drawing)
-        monkeypatch.setattr(experiments, "integrate_stack", lambda *args: flows.append(args))
+        monkeypatch.setattr(experiments, "integrate_stack", lambda *args: flowed.append(args))
         with pytest.raises(SingularGauge, match=r"\|det h\| = 0.000e\+00 below tolerance"):
             run_uniqueness_experiment(catalog("s3_lambda", lam=0.5), seeds=5, t_end=1.0)
         assert len(draws) == 3
-        assert flows == []
+        assert flowed == []
 
     @pytest.mark.parametrize("seeds", [0, -2])
     def test_uniqueness_needs_a_seed(self, seeds, capsys):

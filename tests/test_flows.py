@@ -27,8 +27,8 @@ from bracketflow import (
     soliton_residual,
     stratum_label,
 )
-from bracketflow import curvature, experiments, flows
-from bracketflow.catalog import almost_abelian
+from bracketflow import curvature, experiments, flows, strata
+from bracketflow.catalog import almost_abelian, random_solvable_bracket
 from bracketflow.curvature import curvature_parts
 from bracketflow.errors import BracketFlowError, GaugeMismatch, NotALieBracket, OutOfRange
 from bracketflow.experiments import random_parabolic_gauge, run_uniqueness_experiment
@@ -687,6 +687,28 @@ class TestStackSampler:
         assert (traj.steps, len(traj.samples)) == (9, 201)
         assert len(calls) <= 7 * traj.steps + 3
 
+    def test_no_flow_forms_m_or_k(self, monkeypatch, mu_s3, s3_label):
+        # Ric* is one product: no stage, record or sample pass forms the moment
+        # map part M or the Killing form K, on any variant, with or without gauges.
+        calls = []
+        for module, name in ((curvature, "coeff_moment"), (curvature, "coeff_killing"),
+                             (strata, "coeff_moment")):
+            kernel = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+        dec = beta_decomposition(s3_label)
+        for variant in Variant:
+            label = None if variant == Variant.RAW else s3_label
+            for gauges in (True, False):
+                spec = FlowSpec(variant=variant, t_end=5.0, label=label, gauges=gauges)
+                integrate(mu_s3, spec)
+                integrate_stack([mu_s3, mu_s3.scaled(2.0)], spec)
+            if variant != Variant.SCAL:
+                flow_field(mu_s3.coeffs, variant, None if variant == Variant.RAW else dec)
+        assert calls == []
+        curvature_pack(mu_s3)  # the counters see the pack's M and K
+        assert len(calls) == 2
+
 
 def _same_trajectory(got, want):
     """Bit equality of two FlowTrajectories: every sample, every gauge stack, the
@@ -998,6 +1020,27 @@ class TestWorkCounts:
         trajs = integrate_stack(mu0s, FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label))
         assert len({traj.steps for traj in trajs}) > 1
         assert sum(slices) == sum(1 + 6 * t.steps + t.renormalizations for t in trajs)
+
+    def test_flowhd_shaped_runs(self, monkeypatch, rng):
+        # Raw n = 8 and n = 16 draws at norm 3 and a scalstar heisenberg(9)
+        # parabolic gauge, each to t = 20 recorded at t_end only.
+        runs = []
+        raw = FlowSpec(variant=Variant.RAW, t_end=20.0, record_every=20.0)
+        for n in (8, 16):
+            mu = random_solvable_bracket(rng, n)
+            runs.append((mu.scaled(3.0 / mu.norm), raw))
+        heis = catalog("heisenberg", dim=9).bracket
+        label = stratum_label(heis)
+        h0 = random_parabolic_gauge(rng, beta_decomposition(label))
+        runs.append((act(h0, heis), FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label,
+                                             record_every=20.0)))
+        slices = self._stage_slices(monkeypatch)
+        counts = []
+        for mu0, spec in runs:
+            slices.clear()
+            traj = integrate(mu0, spec)
+            counts.append((traj.steps, traj.renormalizations, sum(slices)))
+        assert counts == [(152, 0, 913), (138, 0, 829), (167, 5, 1008)]
 
 
 class TestFlowSpecValidation:

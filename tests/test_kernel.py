@@ -38,7 +38,14 @@ from bracketflow.brackets import (
     pi_apply,
 )
 from bracketflow.catalog import random_solvable_bracket
-from bracketflow.curvature import coeff_moment, coeff_parts, coeff_scal_star, moment_map_fast
+from bracketflow.curvature import (
+    coeff_moment,
+    coeff_parts,
+    coeff_ric_star,
+    coeff_ricci,
+    coeff_scal_star,
+    moment_map_fast,
+)
 from bracketflow.errors import NotALieBracket
 from bracketflow.flows import _field, flow_field
 from bracketflow.strata import beta_decomposition, label_from_beta
@@ -219,6 +226,55 @@ class TestFieldKernel:
         c = random_antisymmetric_bracket(np.random.default_rng(4), 3).coeffs
         for g, w in zip(_field(c, Variant.RAW, None), _field(c[None], Variant.RAW, None)):
             assert (g is None and w is None) or g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("signs", ["constant", "random"])
+    def test_at_cap_input_stays_finite_without_warnings(self, signs):
+        # |c[i, j, k]| = COEFF_CAP for i != j at n = DIM_CAP: the kernel's
+        # intermediates (c + c^T, ||Ric*||^2, the degree-5 scalstar field) stay
+        # finite, and a RuntimeWarning is an error.
+        n = DIM_CAP
+        rng = np.random.default_rng(23)
+        sign = np.ones((n,) * 3) if signs == "constant" else rng.choice([-1.0, 1.0], (n,) * 3)
+        c = COEFF_CAP * np.triu(np.ones((n, n)), 1)[:, :, None] * sign
+        c = c - c.swapaxes(0, 1)
+        assert np.max(np.abs(c)) == COEFF_CAP and np.array_equal(c, -c.swapaxes(0, 1))
+        weights = np.sort(rng.integers(1, 4, n)).astype(float)
+        dec = beta_decomposition(label_from_beta(-weights / weights.sum()))
+        for variant, gauged in ((Variant.RAW, False), (Variant.GAUGED, False),
+                                (Variant.GAUGED, True), (Variant.SCALSTAR, False),
+                                (Variant.SCALSTAR, True)):
+            for out in _field(c, variant, None if variant == Variant.RAW else dec, gauged):
+                assert out is None or np.all(np.isfinite(out))
+
+
+class TestRicciKernels:
+    """coeff_ric_star and coeff_ricci, the flows' one curvature kernel, against the einsum
+    M - K/2 and the Koszul Ricci; each slice of a stack has the bits of its one-state call."""
+
+    @pytest.mark.parametrize("dim", range(1, DIM_CAP + 1))
+    def test_match_einsum_and_koszul_slice_by_slice(self, dim):
+        rng = np.random.default_rng(dim)
+        if dim == 1:
+            mus = [BracketTensor.zero(1)] * 5
+        else:
+            mus = [mu for mu in (lie_bracket(rng, dim) for _ in range(8)) if mu is not None][:5]
+        mus += [random_antisymmetric_bracket(rng, dim) for _ in range(2)]
+        for j, mu in enumerate(mus):
+            m, k, _, ric, _ = einsum_parts(mu.coeffs)
+            got_ric, got_star = coeff_ricci(mu.coeffs)
+            assert got_star.tobytes() == coeff_ric_star(mu.coeffs).tobytes()
+            _assert_close(got_star, m - 0.5 * k, mu)
+            _assert_close(got_ric, ric, mu)
+            if j < 5:
+                _assert_close(got_ric, oracle_ricci(mu), mu)
+        for count in range(1, 6):
+            for first in (0, len(mus) - count):
+                cs = np.stack([mu.coeffs for mu in mus[first: first + count]])
+                stars, (rics, stars_too) = coeff_ric_star(cs), coeff_ricci(cs)
+                for j, c in enumerate(cs):
+                    ric, ric_star = coeff_ricci(c)
+                    assert stars[j].tobytes() == stars_too[j].tobytes() == ric_star.tobytes()
+                    assert rics[j].tobytes() == ric.tobytes()
 
 
 class TestStackedKernels:

@@ -183,6 +183,7 @@ class TestRawArrayEnergyFlow:
             energy_gradient_flow(_draw(4106, 6), crit_tol=0.0, max_steps=300, history=history)
         assert len(history) == 301
         assert len(calls) <= 1.25 * len(history)
+        assert len(calls) == 328  # the energy flow is the one caller of coeff_moment
 
     def test_stalled_result_bit_identical(self, mu_s3):
         got = _flow_record(energy_gradient_flow, mu_s3, crit_tol=1e-14, max_steps=5)
