@@ -7,12 +7,12 @@ ALL ordered pairs (i, j) and all k; with this pair-counting convention the
 3-dimensional Heisenberg bracket mu(e1, e2) = e3 has squared norm 2, and
 the normalized moment map has trace exactly -1.
 
-The coefficient-level kernels `act_apply`, `pi_apply` and `jacobi_norm` act
-on raw (n, n, n) arrays by reshapes and BLAS products, without validation;
-the BracketTensor functions wrap them.  All three also take a stack
-(..., n, n, n) of states and return the stack of results, each slice equal to
-the bits of the one-state call; `bracket_stack` validates such a stack slice
-by slice, as BracketTensor and `ensure_lie` validate one array.
+The coefficient-level kernels `act_apply`, `pi_apply`, `neg_pi_apply` and
+`jacobi_norm` act on raw (n, n, n) arrays by reshapes and BLAS products,
+without validation; the BracketTensor functions wrap them.  All of them also
+take a stack (..., n, n, n) of states and return the stack of results, each
+slice equal to the bits of the one-state call; `bracket_stack` validates such
+a stack slice by slice, as BracketTensor and `ensure_lie` validate one array.
 
 The JSON wire format is decided here: `bracket_to_dict` and
 `bracket_from_dict` for brackets, `report_to_dict` for the report dataclasses.
@@ -163,8 +163,9 @@ def _validated(coeffs, stacked, antisymmetrize):
     COEFF_CAP (NaN and inf included) is an error, and so is a symmetric part
     above _asym_bound unless antisymmetrize is set.  The zeroing, the errors
     and the slice-by-slice projection are formed only where a slice needs
-    them.  When every slice has a symmetric part, as integrator states do,
-    the whole stack is projected at once.
+    them.  When every slice has a symmetric part, the whole stack is
+    projected at once; the integrator's states are exactly antisymmetric
+    and are kept as they are.
     """
     c = np.asarray(coeffs, dtype=float)
     _check_shape(c.shape, stacked)
@@ -292,15 +293,36 @@ def act(h, mu):
 def pi_apply(a, c):
     """pi(A) on raw structure constants c; no validation, result not antisymmetrized.
 
-    (pi(A)c)[i, j, k] = sum A[k, l] c[i, j, l] - A[l, i] c[l, j, k] - A[l, j] c[i, l, k].
-    A stack of c (..., n, n, n) takes the stack of A (..., n, n) of the same leading axes;
-    one c takes any stack of A.
+    (pi(A)c)[i, j, k] = sum A[k, l] c[i, j, l] - A[l, i] c[l, j, k] - A[l, j] c[i, l, k],
+    as (c A^T - A^T C1) - A^T c[i]: three products, on any c.  A stack of c
+    (..., n, n, n) takes the stack of A (..., n, n) of the same leading axes; one c
+    takes any stack of A.  The flows call neg_pi_apply, which needs two products on
+    antisymmetric c.  The energy flow (strata) and derivation_matrix keep this
+    association: the energy flow's labels follow its last bits, and given
+    neg_pi_apply's association the bench's algebra labels failed on other ops of
+    4 of seeds 1-10 (one more or one fewer each).
     """
     at = a.mT
     at_each = at[..., None, :, :]
     out = c @ at_each
     out -= (at @ c.reshape(c.shape[:-2] + (-1,))).reshape(out.shape)
     out -= at_each @ c
+    return out
+
+
+def neg_pi_apply(a, c, out=None):
+    """-pi(A)c = (T2 - T2^T) - T1, T2 = A^T C1 and T1 = C2 A^T, into out if given.
+
+    c (n, n, n), or a stack with A of the same leading axes, must be
+    antisymmetric in its first two axes: then pi_apply's third product,
+    A^T c[i], is -T2^T.  Where c is exactly so, the rows of T1 for (i, j) and
+    (j, i) are exact negatives, and the result is exactly antisymmetric too.
+    """
+    n = c.shape[-1]
+    at = a.mT
+    t2 = (at @ c.reshape(c.shape[:-2] + (n * n,))).reshape(c.shape)
+    out = np.subtract(t2, t2.swapaxes(-3, -2), out=out)
+    out -= (c.reshape(c.shape[:-3] + (n * n, n)) @ at).reshape(c.shape)
     return out
 
 

@@ -6,20 +6,21 @@ Ricci endomorphism Ric = M - K/2 - sym(ad H), and the modified Ricci
 Ric* = M - K/2 together with its trace scal*.
 
 The formulas live once, on raw (n, n, n) coefficient arrays (`coeff_moment`,
-`coeff_killing`, `coeff_ric_star`, `coeff_ricci`, `coeff_parts`,
-`coeff_scal_star`), as BLAS products of the reshapes C1 = c.reshape(n, n^2),
-C2 = c.reshape(n^2, n) and D = c.mT.reshape(n, n^2).  They validate nothing,
-so the integrator and the energy flow call them on their states directly; the
-functions taking a BracketTensor read from the same code.  All of them also
-take a stack (..., n, n, n) of states and return the stack of results, each
-slice equal to the bits of the one-state call.
+`coeff_killing`, `coeff_ric_star`, `coeff_ad_h_t`, `coeff_ricci`,
+`coeff_parts`, `coeff_scal_star`), as BLAS products of the reshapes
+C1 = c.reshape(n, n^2), C2 = c.reshape(n^2, n) and D = c.mT.reshape(n, n^2).
+They validate nothing, so the integrator and the energy flow call them on
+their states directly; the functions taking a BracketTensor read from the
+same code.  All of them also take a stack (..., n, n, n) of states and return
+the stack of results, each slice equal to the bits of the one-state call.
 
 Ric* = M - K/2 is one product, -1/2 C1 (C1 + D)^T + 1/4 C2^T C2, which never
 forms M = -1/2 C1 C1^T + 1/4 C2^T C2 or K = C1 D^T: `coeff_ric_star` is Ric*
-alone, and `coeff_ricci` is (Ric, Ric*).  The flows and `linearize` call only
-these two, so no bracket flow forms M or K; `coeff_parts` adds M and K for
-CurvaturePack, and of the flows only the energy flow of `strata` calls
-`coeff_moment`.
+alone, and `coeff_ricci` is (Ric, Ric*), Ric = Ric* - sym(ad H) formed by
+`ricci_from` from Ric* and (ad H)^T (`coeff_ad_h_t`), so a caller can keep
+those two and form Ric later.  The flows and `linearize` call only these, so
+no bracket flow forms M or K; `coeff_parts` adds M and K for CurvaturePack,
+and of the flows only the energy flow of `strata` calls `coeff_moment`.
 """
 
 from dataclasses import dataclass
@@ -54,15 +55,31 @@ def coeff_ric_star(c):
     n = c.shape[-1]
     c1 = c.reshape(c.shape[:-2] + (n * n,))
     c2 = c.reshape(c.shape[:-3] + (n * n, n))
-    return -0.5 * (c1 @ (c + c.mT).reshape(c1.shape).mT) + 0.25 * (c2.mT @ c2)
+    ric_star = c1 @ np.add(c, c.mT).reshape(c1.shape).mT
+    ric_star *= -0.5
+    quarter = c2.mT @ c2
+    quarter *= 0.25
+    ric_star += quarter
+    return ric_star
+
+
+def coeff_ad_h_t(c):
+    """(ad H)^T of raw coefficients c, built as H C1: Ric and Ric* differ by its symmetric part."""
+    n = c.shape[-1]
+    return np.vecmat(_mean_curvature(c), c.reshape(c.shape[:-2] + (n * n,))).reshape(c.shape[:-1])
+
+
+def ricci_from(ric_star, ad_h_t):
+    """Ric = Ric* - sym(ad H) from Ric* and (ad H)^T, or stacks of them, on a fresh array."""
+    ric = np.add(ad_h_t, ad_h_t.mT)
+    ric *= 0.5
+    return np.subtract(ric_star, ric, out=ric)
 
 
 def coeff_ricci(c):
-    """(Ric, Ric*) of raw coefficients c: Ric = Ric* - sym(ad H), ad H built transposed as H C1."""
+    """(Ric, Ric*) of raw coefficients c."""
     ric_star = coeff_ric_star(c)
-    c1 = c.reshape(c.shape[:-2] + (-1,))
-    ad_h_t = np.vecmat(_mean_curvature(c), c1).reshape(ric_star.shape)
-    return ric_star - 0.5 * (ad_h_t + ad_h_t.mT), ric_star
+    return ricci_from(ric_star, coeff_ad_h_t(c)), ric_star
 
 
 def coeff_parts(c):

@@ -9,18 +9,19 @@ Vector fields (all of the shape mu' = -pi(A(mu)) mu):
 
 Integration uses an embedded Dormand-Prince 5(4) pair with PI step control
 and first-same-as-last stage reuse; grid samples inside an accepted step come
-from its DP5 continuous extension, so only t_end cuts a step short.  Each
-stage calls the field kernel `_field` once on raw coefficient arrays; it forms
-Ric only where something reads it (a raw A, the "ricci" gauge), and no flow
-forms M or K: Ric* is one product (curvature.coeff_ric_star).  A record (the
-seeds, one step's grid samples or the final samples) decides, as one stack,
-only what the loop needs: it validates the states through bracket_stack, the
-flow's one Jacobi check (DOPRI5 does not keep the Jacobi identity, and a
-record past jacobi_tolerance raises NotALieBracket), and on runs that carry
-gauges or check convergence it also forms Ric, Ric*, A and the field norms.
-Each run keeps those arrays, and forms its Monitors and FlowSamples once, when
-it ends, in one pass over its samples that also forms whatever its records
-left out.  A sample's curvature pack is recomputed on demand.
+from its DP5 continuous extension, so only t_end cuts a step short.  Each stage
+state is one product of the step's coefficients with the state and the slopes
+so far, and each stage calls the field kernel `_field` once: no flow forms M or
+K, Ric* is one product, Ric is formed only for a raw A, and -pi(A)c takes two
+(brackets.neg_pi_apply), so every stage state stays exactly antisymmetric.  A
+record (the seeds, one step's grid samples or the final samples) decides, as
+one stack, only what the loop needs: it validates the states through
+bracket_stack, the flow's one Jacobi check (DOPRI5 does not keep the Jacobi
+identity, and a record past jacobi_tolerance raises NotALieBracket), and on
+runs that carry gauges or check convergence it also forms Ric, Ric*, A and the
+field norms.  Each run forms its Monitors and FlowSamples once, when it ends,
+in one pass over its samples that also forms whatever its records left out.
+A sample's curvature pack is recomputed on demand.
 
 There is one stepper loop, over a stack of B trajectories of one FlowSpec
 (`integrate_stack`); `integrate` is that loop with B = 1.  Each trajectory
@@ -35,12 +36,13 @@ the first error the loop meets ends the stack.
 
 Gauged, scalstar and scal runs also carry the gauge h' = -A(mu) h, h(0) = Id,
 for two coefficients: "variant", the A driving the field (so that
-h(t).mu(0) = mu(t)), and "ricci", Ric + ||Ric*||^2 Id.  Each accepted step
-advances h by a 4th-order Magnus step built from its own stages, and a sample
-inside a step gets h from the same kind of step over the partial interval; h
-stays out of the step-size control.  A run with FlowSpec.gauges = False
-carries neither and takes no exponential; its samples, steps and termination
-are those of the run that carries both.
+h(t).mu(0) = mu(t)), and "ricci", Ric + ||Ric*||^2 Id, formed for an accepted
+step's six new stages at once.  Each accepted step advances h by a 4th-order
+Magnus step built from its own stages, and a sample inside a step gets h from
+the same kind of step over the partial interval; h stays out of the step-size
+control.  A run with FlowSpec.gauges = False carries neither and takes no
+exponential; its samples, steps and termination are those of the run that
+carries both.
 """
 
 import math
@@ -51,8 +53,9 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import expm
 
-from .brackets import BracketTensor, bracket_stack, ensure_lie, pi_apply, report_to_dict
-from .curvature import coeff_ric_star, coeff_ricci, coeff_scal_star, curvature_pack
+from .brackets import BracketTensor, bracket_stack, ensure_lie, neg_pi_apply, report_to_dict
+from .curvature import (coeff_ad_h_t, coeff_ric_star, coeff_ricci, coeff_scal_star, curvature_pack,
+                        ricci_from)
 from .errors import GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
 
@@ -144,19 +147,21 @@ class FlowTrajectory:
         return self.samples[-1]
 
 
-# Dormand-Prince 5(4) tableau (autonomous fields: no stage times needed);
-# _DP_A[i - 1] holds the coefficients of stage i + 1.
-_DP_A = tuple(np.array(row) for row in (
+# Dormand-Prince 5(4) tableau (autonomous fields: no stage times needed).  Row
+# i - 2 of _DP_ROWS holds the coefficients of stage i's state over (y, k_1, ...,
+# k_7), and its last row those of the error estimate (b5 - b4) @ k; a step
+# scales them by h, then sets the y coefficient of each stage row to 1.
+_DP_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
+_DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40))
+_DP_ROWS = np.array([np.pad(row, (1, 7 - len(row))) for row in (
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-))
-_DP_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
-_DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40))
-_DP_E = _DP_B5 - _DP_B4
+    _DP_B5[:6],
+    _DP_B5 - _DP_B4,
+)])
 # Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6):
 # b(theta) = _DP_DENSE @ (theta, theta^2, theta^3, theta^4), with b(1) = _DP_B5.
 _DP_DENSE = np.array((
@@ -177,73 +182,72 @@ def _dense_weights(thetas):
     return (powers[:, None, :] @ _DP_DENSE.T)[:, 0]
 
 
-def _add_diagonal(m, s):
-    """m + s Id, in place on a fresh m (n, n), or on a C-contiguous stack (B, n, n) with s (B,)."""
+def _endomorphism(ric, ric_star, variant, dec):
+    """A, which drives mu' = -pi(A)mu, from Ric and Ric* or stacks of them: Ric (raw),
+    (Ric*)_{q_beta} (gauged) or that plus ||Ric*||^2 Id (scalstar)."""
+    if variant == Variant.RAW:
+        return ric
+    a = project_qbeta(ric_star, dec)
+    return _shifted(a, ric_star) if variant == Variant.SCALSTAR else a
+
+
+def _shifted(m, ric_star):
+    """m + ||Ric*||^2 Id, in place on a fresh m (n, n) or C-contiguous stack (..., n, n) of
+    Ric*'s shape: the scalstar A, and for m = Ric the "ricci" gauge's coefficient R."""
     n = m.shape[-1]
+    flat = ric_star.reshape(ric_star.shape[:-2] + (-1,))
+    shift = np.vecdot(flat, flat)
     if m.ndim == 2:
-        m.flat[:: n + 1] += s
+        m.flat[:: n + 1] += shift
     else:
-        m.reshape(len(m), n * n, copy=False)[:, :: n + 1] += s[:, None]
+        m.reshape(-1, n * n, copy=False)[:, :: n + 1] += shift.reshape(-1, 1)
     return m
 
 
-def _endomorphisms(ric, ric_star, variant, dec, gauged=False):
-    """(A, R) from Ric and Ric*, or stacks of them: A drives mu' = -pi(A)mu, and R, None
-    unless gauged, is Ric + ||Ric*||^2 Id (the "ricci" gauge's), formed in place on ric."""
-    if variant == Variant.RAW:
-        return ric, None
-    flat = ric_star.reshape(ric_star.shape[:-2] + (-1,))
-    shift = np.vecdot(flat, flat)
-    a = project_qbeta(ric_star, dec)
-    if variant == Variant.SCALSTAR:
-        _add_diagonal(a, shift)
-    return a, _add_diagonal(ric, shift) if gauged else None
-
-
-def _field(c, variant, dec, gauged=False):
-    """The field kernel: (dc/dt, A, R) at raw c (n, n, n) or a stack, Ric formed only for
-    a raw A or for R.  dc/dt = -pi(A)c is negated in place, so its zeros keep their signs."""
-    if variant == Variant.RAW or gauged:
-        ric, ric_star = coeff_ricci(c)
-    else:
-        ric, ric_star = None, coeff_ric_star(c)
-    a, r = _endomorphisms(ric, ric_star, variant, dec, gauged)
-    slopes = pi_apply(a, c)
-    return np.negative(slopes, out=slopes), a, r
+def _field(c, variant, dec, gauged=False, out=None):
+    """The field kernel: (dc/dt = -pi(A)c, into out if given, A, parts) at raw c (n, n, n)
+    or a stack, antisymmetric in its first two axes.  Ric is formed only for a raw A; parts,
+    None unless gauged, is (Ric*, (ad H)^T), which give Ric and then R."""
+    ric, ric_star = coeff_ricci(c) if variant == Variant.RAW else (None, coeff_ric_star(c))
+    a = _endomorphism(ric, ric_star, variant, dec)
+    return neg_pi_apply(a, c, out), a, (ric_star, coeff_ad_h_t(c)) if gauged else None
 
 
 def flow_field(coeffs, variant, dec):
-    """dc/dt for the given variant; pure polynomial formula, no validation."""
+    """dc/dt for the given variant at a bracket's (antisymmetric) coefficients; no validation."""
     return _field(coeffs, variant, dec)[0]
 
 
-def _dp_step(stage, y, h, k0, a0):
+def _dp_step(kernel, y, h, k0, a0):
     """One Dormand-Prince step from each state of the stack y (B, n, n, n), slice b by h[b].
 
-    stage(c) returns, for a stack c or one state, the slopes as rows (B, n^3) and
-    the gauge coefficients (A, R), R None on runs without gauges; k0 and a0
-    (B, 2, n, n), None on those runs, are those of y.  Slice b's slopes are the
-    rows of k[b] (7, n^3), so each tableau row is one vector-matrix product per
-    slice, on flat rows.  Returns y5, the error estimates h (b5 - b4) @ k (not
-    y5 - y4, which would cancel about five digits), k and the gauge coefficients
-    a (B, 2, 7, n, n); the last stage, at y5, is the next step's first.
+    Slice b's state y[b] and slopes k[b] are the rows of one buffer (8, n^3).  Each
+    stage state, and the error estimate h (b5 - b4) @ k (not y5 - y4, which would
+    cancel about five digits), is one product of a row of h[b] _DP_ROWS with the
+    rows filled so far; _field(c, *kernel, out=) writes the slopes into their row.
+    k0 (B, n^3) and a0 (B, 2, n, n), None without gauges, are y's.  Returns y5, the
+    error estimates, k (B, 7, n^3) and the gauge coefficients a (B, 3, 7, n, n): A,
+    then R, which stages 2-7 hold as Ric* with their (ad H)^T in a[:, 2] until
+    _accept forms it; the last stage, at y5, is the next step's first.
     """
     b = len(y)
-    k = np.empty((b, 7, y[0].size))
-    k[:, 0] = k0
-    a = None if a0 is None else np.empty(a0.shape[:2] + (7,) + a0.shape[2:])
-    if a is not None:
-        a[:, :, 0] = a0
+    rows = np.empty((b, 8, y[0].size))
+    rows[:, 0], rows[:, 1] = y.reshape(b, -1), k0
+    w = h[:, None, None] * _DP_ROWS
+    w[:, :6, 0] = 1.0
+    a = None
+    if a0 is not None:
+        a = np.empty((b, 3, 7) + a0.shape[2:])
+        a[:, :2, 0] = a0
     # A stack of one is combined as its one state: the same bits at less cost per call.
-    flat = y.reshape(b, -1)
-    ys, ks, hs = (flat[0], k[0], h[0]) if b == 1 else (flat, k, h[:, None])
-    shape = y.shape[1:] if b == 1 else y.shape
-    for i, row in enumerate(_DP_A, start=1):
-        yi = (ys + hs * (row @ ks[..., :i, :])).reshape(shape)
-        k[:, i], ends = stage(yi)
+    ws, rs, shape = (w[0], rows[0], y.shape[1:]) if b == 1 else (w, rows, y.shape)
+    for i in range(1, 7):
+        yi = np.vecmat(ws[..., i - 1, : i + 1], rs[..., : i + 1, :]).reshape(shape)
+        _, a_i, parts = _field(yi, *kernel, out=rs[..., i + 1, :].reshape(shape, copy=False))
         if a is not None:
-            a[:, 0, i], a[:, 1, i] = ends
-    return yi.reshape(y.shape), (hs * (_DP_E @ ks)).reshape(y.shape), k, a
+            a[:, 0, i], a[:, 1, i], a[:, 2, i] = a_i, *parts
+    err = np.vecmat(ws[..., 6, 1:], rs[..., 1:, :]).reshape(y.shape)
+    return yi.reshape(y.shape), err, rows[:, 1:], a
 
 
 def _magnus_step(gauges, a_stages, weights, d, spans, a_ends):
@@ -310,9 +314,10 @@ def _record_stack(ts, cs, variant, dec, gauged=False, curved=True):
     if not curved:
         return rec, None
     rec.ric, rec.ric_star = coeff_ricci(rec.coeffs)
-    ends = _endomorphisms(rec.ric.copy() if gauged else rec.ric, rec.ric_star, variant, dec, gauged)
-    rec.field_norm, rec.norms = _row_norms(pi_apply(ends[0], cs)), _row_norms(rec.coeffs)
-    return rec, ends
+    a = _endomorphism(rec.ric, rec.ric_star, variant, dec)
+    rec.field_norm, rec.norms = _row_norms(neg_pi_apply(a, cs)), _row_norms(rec.coeffs)
+    r = _shifted(rec.ric.copy(), rec.ric_star) if gauged and variant != Variant.RAW else None
+    return rec, (a, r)
 
 
 def _run_samples(kept, variant, dec, label, scal=False):
@@ -334,8 +339,8 @@ def _run_samples(kept, variant, dec, label, scal=False):
                                      stacked("coeffs"))
     if kept[0][0].ric is None:
         ric, ric_star = coeff_ricci(coeffs)
-        a, _ = _endomorphisms(ric, ric_star, variant, dec)
-        field_norm = _row_norms(pi_apply(a, stacked("cs")))
+        a = _endomorphism(ric, ric_star, variant, dec)
+        field_norm = _row_norms(neg_pi_apply(a, stacked("cs")))
     else:
         ric, ric_star, field_norm = stacked("ric"), stacked("ric_star"), joined("field_norm")
     scals = None
@@ -483,8 +488,9 @@ class _Lockstep:
     def run(self, mu0s):
         seeds = [self._seed(mu0) for mu0 in mu0s]
         self.gauged = self.dec is not None and self.spec.gauges
+        self.kernel = (self.core, self.dec, self.gauged)  # _field's arguments after the state
         # A record forms the curvature where the loop reads it: the gauges, the convergence test.
-        self.recording = (self.core, self.dec, self.gauged, self.gauged or self.spec.conv_tol > 0.0)
+        self.recording = self.kernel + (self.gauged or self.spec.conv_tol > 0.0,)
         runs = [_Run(FlowTrajectory(variant=self.variant, label=self.label),
                      BLOWUP_FACTOR * max(mu0.norm, 1.0), min(1e-3, self.spec.t_end))
                 for mu0 in mu0s]
@@ -518,12 +524,11 @@ class _Lockstep:
         run.running = False
         run.end = (y, gauges)
 
-    def _stage(self, c):
-        """The slopes (B, n^3) at a stack c, or (1, n^3) at one state, and the gauge
-        coefficients (A, R) there; a stack of one is evaluated as its one state."""
-        one = c[0] if c.ndim == 4 and len(c) == 1 else c
-        slopes, a, r = _field(one, self.core, self.dec, self.gauged)
-        return slopes.reshape(-1, c.shape[-1] ** 3), (a, r)
+    def _first_stage(self, c):
+        """The slopes (B, n^3) and gauge coefficients (B, 2, n, n) or None at a stack c."""
+        slopes, a, parts = _field(c, *self.kernel)
+        return slopes.reshape(len(c), -1), None if parts is None else np.stack(
+            (a, _shifted(ricci_from(*parts), parts[0])), axis=1)
 
     def _start(self, runs, y):
         """Record each seed as its first sample and evaluate the first stages."""
@@ -532,12 +537,8 @@ class _Lockstep:
         blocks = [(run, j, 1) for j, run in enumerate(runs)]
         self._append_blocks(rec, [identity] * len(runs), blocks, self.spec.conv_tol)
         self.live, self.y = list(runs), y.copy()  # rec keeps y; _accept writes into self.y
-        self.k0, ends = self._stage(y)
-        self.a0 = self.gauges = None
-        if self.gauged:
-            self.a0 = np.empty(self.y.shape[:1] + (2,) + identity.shape[1:])
-            self.a0[:, 0], self.a0[:, 1] = ends
-            self.gauges = np.array([identity] * len(self.live))
+        self.k0, self.a0 = self._first_stage(y)
+        self.gauges = np.array([identity] * len(self.live)) if self.gauged else None
 
     def _append_blocks(self, rec, rows, blocks, conv_tol):
         """Give the _Record's samples to their runs, one block (run, first, count) per run,
@@ -577,7 +578,7 @@ class _Lockstep:
         if not self.live:
             return
         hs = np.array([run.h for run in self.live])
-        y_new, err, k, a = _dp_step(self._stage, self.y, hs, self.k0, self.a0)
+        y_new, err, k, a = _dp_step(self.kernel, self.y, hs, self.k0, self.a0)
         errs = _error_norms(err, self.y, y_new, spec.rel_tol, spec.abs_tol)
         accepted = []
         for j, (run, e) in enumerate(zip(self.live, errs)):
@@ -607,7 +608,9 @@ class _Lockstep:
                 run.t = spec.t_end
         k0 = k[:, -1].copy()
         a0 = gauges = None
-        if gauged:
+        if gauged:  # R at the six new stages, then A and R alone
+            a[:, 1, 1:] = _shifted(ricci_from(a[:, 1, 1:], a[:, 2, 1:]), a[:, 1, 1:])
+            a = a[:, :2]
             a0 = a[:, :, -1].copy()
             gauges = _magnus_step(g_old, a, _DP_B5[None], hs, hs, a[:, :, -1])
         if self.core == Variant.SCALSTAR:
@@ -619,9 +622,9 @@ class _Lockstep:
                     run.renorms += 1
                     bumped.append(i)
             if bumped:
-                k0[bumped], ends = self._stage(y[bumped])
+                k0[bumped], ends = self._first_stage(y[bumped])
                 if gauged:
-                    a0[bumped, 0], a0[bumped, 1] = ends
+                    a0[bumped] = ends
         # Blow-up ends a run before its samples.
         sampled = []
         for i, (run, norm) in enumerate(zip(runs, _row_norms(y))):
@@ -779,14 +782,11 @@ def recover_gauge(traj, h0=None, coefficient="variant"):
     run, or one with FlowSpec.gauges False) raises GaugeMismatch.
     """
     if coefficient not in GAUGE_COEFFICIENTS:
-        raise ValueError(
-            f"unknown gauge coefficient {coefficient!r}; expected one of {GAUGE_COEFFICIENTS}"
-        )
+        raise ValueError(f"unknown gauge coefficient {coefficient!r}; "
+                         f"expected one of {GAUGE_COEFFICIENTS}")
     if not traj.gauges:
-        raise GaugeMismatch(
-            "gauge recovery needs a gauged, scalstar or scal trajectory run with "
-            "FlowSpec.gauges = True"
-        )
+        raise GaugeMismatch("gauge recovery needs a gauged, scalstar or scal trajectory run "
+                            "with FlowSpec.gauges = True")
     stored = traj.gauges[coefficient]
     h = np.eye(stored.shape[1]) if h0 is None else np.array(h0, dtype=float)
     return GaugePath(times=traj.times, mats=stored @ h, coefficient=coefficient)
@@ -827,9 +827,7 @@ def detect_soliton_convergence(traj, cauchy_tol=1e-6):
         raise GaugeMismatch("soliton detection needs a labelled scalstar trajectory")
     window = traj.samples[-CONV_WINDOW:]
     f_tail = max(s.monitors.f for s in window)
-    gap = float(
-        np.linalg.norm(window[-1].bracket.coeffs - window[0].bracket.coeffs)
-    )
+    gap = float(np.linalg.norm(window[-1].bracket.coeffs - window[0].bracket.coeffs))
     converged = (
         len(traj.samples) >= CONV_WINDOW
         and f_tail <= F_TOL

@@ -21,9 +21,10 @@ index, basis element or matrix entry at a time:
 - `clustered_from_first`: spectra clustered within EIG_TOL of each cluster's
   first value, the rule before the gap rule of `strata._gap_clusters`;
 - `field_reference`: the flow's stage as composed before the field kernel
-  `flows._field`, which must give its bits: all of `coeff_parts`, the
-  q_beta projection by the three beta masks, A and R with ||Ric*||^2 Id
-  added on copies, then -pi_apply.
+  `flows._field`, which must give the bits of its A and R: all of
+  `coeff_parts`, the q_beta projection by the three beta masks, A and R with
+  ||Ric*||^2 Id added on copies, then -pi_apply, which `_field`'s two-product
+  slopes match within a rounding bound.
 
 The test-only helpers `random_antisymmetric_bracket`, `random_orthogonal`,
 `scalstar_first_variation` and `grading_components` live here too, and so do

@@ -165,9 +165,9 @@ class TestExperiments:
                 return GaugeCheck(in_nonneg=False, v0_norm=1.0, neg_norm=0.5)
             return check_gauged(mu, label)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             stages.append(args)
-            return field(*args)
+            return field(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "act", acting)
         monkeypatch.setattr(flows, "check_gauged", checking)

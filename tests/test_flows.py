@@ -989,9 +989,9 @@ class TestWorkCounts:
         slices = []
         kernel = flows._field
 
-        def counting(c, *args):
+        def counting(c, *args, **kwargs):
             slices.append(1 if c.ndim == 3 else len(c))
-            return kernel(c, *args)
+            return kernel(c, *args, **kwargs)
 
         monkeypatch.setattr(flows, "_field", counting)
         return slices
@@ -1041,6 +1041,45 @@ class TestWorkCounts:
             traj = integrate(mu0, spec)
             counts.append((traj.steps, traj.renormalizations, sum(slices)))
         assert counts == [(152, 0, 913), (138, 0, 829), (167, 5, 1008)]
+
+
+class TestExactAntisymmetry:
+    """Every stage state is exactly antisymmetric in its first two axes: the field
+    kernel's slopes are, and a stage state is one product of the step's
+    coefficients with the state and slopes, which keeps them so."""
+
+    @staticmethod
+    def _stage_defects(monkeypatch):
+        defects = []
+        kernel = flows._field
+
+        def checking(c, *args, **kwargs):
+            defects.append(float(np.max(np.abs(c + c.swapaxes(-3, -2)))))
+            return kernel(c, *args, **kwargs)
+
+        monkeypatch.setattr(flows, "_field", checking)
+        return defects
+
+    def test_s3_scalstar_to_t_100(self, monkeypatch, mu_s3, s3_label):
+        defects = self._stage_defects(monkeypatch)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
+        assert integrate(mu_s3, spec).steps == 207
+        assert len(defects) == 1 + 6 * 207 + 27 and max(defects) == 0.0
+
+    def test_raw_n8_draw(self, monkeypatch, rng):
+        mu = random_solvable_bracket(rng, 8)
+        defects = self._stage_defects(monkeypatch)
+        spec = FlowSpec(variant=Variant.RAW, t_end=20.0, record_every=20.0)
+        assert integrate(mu.scaled(3.0 / mu.norm), spec).steps > 100
+        assert max(defects) == 0.0
+
+    def test_gauged_stack_of_three(self, monkeypatch):
+        mu0s = [_s3_lambda_gauge(7, draw) for draw in range(3)]
+        label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
+        defects = self._stage_defects(monkeypatch)
+        trajs = integrate_stack(mu0s, FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label))
+        assert all(traj.gauges for traj in trajs)
+        assert max(defects) == 0.0
 
 
 class TestFlowSpecValidation:

@@ -35,6 +35,7 @@ from bracketflow.brackets import (
     derivation_matrix,
     ensure_lie,
     jacobi_norm,
+    neg_pi_apply,
     pi_apply,
 )
 from bracketflow.catalog import random_solvable_bracket
@@ -45,9 +46,10 @@ from bracketflow.curvature import (
     coeff_ricci,
     coeff_scal_star,
     moment_map_fast,
+    ricci_from,
 )
 from bracketflow.errors import NotALieBracket
-from bracketflow.flows import _field, flow_field
+from bracketflow.flows import _field, _shifted, flow_field
 from bracketflow.strata import beta_decomposition, label_from_beta
 from bracketflow.linalg import RANK_TOL, null_space, subspace_distance
 
@@ -195,37 +197,94 @@ class TestKernelProperties:
         assert np.max(np.abs(flow_field(t * c, Variant.RAW, None) - t**3 * field)) <= bound
 
 
+def _draw_field_input(rng, dim, variant, count):
+    """An exactly antisymmetric c (one state, or a stack of count) and, off the raw
+    variant, a beta decomposition with repeated eigenvalues, so that g_beta, u_beta
+    and u_beta^t all show."""
+    shape = (dim,) * 3 if count is None else (count,) + (dim,) * 3
+    c = rng.standard_normal(shape)
+    c = 0.5 * (c - c.swapaxes(-3, -2))
+    if variant == Variant.RAW:
+        return c, None
+    weights = np.sort(rng.integers(1, 4, dim)).astype(float)
+    return c, beta_decomposition(label_from_beta(-weights / weights.sum()))
+
+
+def _ricci_of(parts):
+    """R = Ric + ||Ric*||^2 Id from the parts (Ric*, (ad H)^T) that _field keeps."""
+    return None if parts is None else _shifted(ricci_from(*parts), parts[0])
+
+
+FIELD_VARIANTS = st.sampled_from([Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
+COUNT = st.none() | st.integers(1, 5)
+
+
 class TestFieldKernel:
-    """flows._field gives the bits of the stage composed step by step (oracles.field_reference)."""
+    """flows._field against the stage composed step by step (oracles.field_reference):
+    A and R bit for bit; the slopes, which take two products where the reference's
+    pi_apply takes three, within a rounding bound, and exactly antisymmetric."""
 
     @PROPERTY
-    @given(
-        dim=DIM,
-        seed=SEED,
-        variant=st.sampled_from([Variant.RAW, Variant.GAUGED, Variant.SCALSTAR]),
-        gauged=st.booleans(),
-        count=st.none() | st.integers(1, 5),
-    )
-    def test_slopes_and_endomorphisms_equal_the_reference(self, dim, seed, variant, gauged, count):
-        rng = np.random.default_rng(seed)
-        shape = (dim,) * 3 if count is None else (count,) + (dim,) * 3
-        c = rng.standard_normal(shape)
-        c = 0.5 * (c - c.swapaxes(-3, -2))
-        dec = None
-        if variant == Variant.RAW:
-            gauged = False  # raw runs carry no gauge
-        else:
-            # A beta with repeated eigenvalues, so g_beta, u_beta and u_beta^t all show.
-            weights = np.sort(rng.integers(1, 4, dim)).astype(float)
-            dec = beta_decomposition(label_from_beta(-weights / weights.sum()))
-        got, want = _field(c, variant, dec, gauged), field_reference(c, variant, dec, gauged)
-        for g, w in zip(got, want, strict=True):
-            assert (g is None and w is None) or (g.shape == w.shape and g.tobytes() == w.tobytes())
+    @given(dim=DIM, seed=SEED, variant=FIELD_VARIANTS, gauged=st.booleans(), count=COUNT)
+    def test_slopes_and_endomorphisms_match_the_reference(self, dim, seed, variant, gauged, count):
+        c, dec = _draw_field_input(np.random.default_rng(seed), dim, variant, count)
+        gauged = gauged and variant != Variant.RAW  # raw runs carry no gauge
+        slopes, a, parts = _field(c, variant, dec, gauged)
+        want_slopes, want_a, want_r = field_reference(c, variant, dec, gauged)
+        assert a.shape == want_a.shape and a.tobytes() == want_a.tobytes()
+        r = _ricci_of(parts)
+        assert (r is None and want_r is None) or (r.shape == want_r.shape
+                                                  and r.tobytes() == want_r.tobytes())
+        # Each entry of pi(A)c is three length-n sums; either composition is within
+        # (n + 2) eps times the sum of the absolute terms, so they differ by at most
+        # twice that.  The values are compared, as an exact zero may change its sign.
+        abs_a, abs_c = np.abs(a), np.abs(c)
+        terms = (np.einsum("...kl,...ijl->...ijk", abs_a, abs_c)
+                 + np.einsum("...li,...ljk->...ijk", abs_a, abs_c)
+                 + np.einsum("...lj,...ilk->...ijk", abs_a, abs_c))
+        assert slopes.shape == want_slopes.shape
+        assert np.all(np.abs(slopes - want_slopes) <= 2 * (dim + 2) * np.finfo(float).eps * terms)
 
-    def test_one_state_has_the_bits_of_a_stack_of_one(self):
-        c = random_antisymmetric_bracket(np.random.default_rng(4), 3).coeffs
-        for g, w in zip(_field(c, Variant.RAW, None), _field(c[None], Variant.RAW, None)):
-            assert (g is None and w is None) or g.tobytes() == w.tobytes()
+    @pytest.mark.parametrize("dim", range(2, DIM_CAP + 1))
+    @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
+    def test_slopes_are_exactly_antisymmetric(self, dim, variant):
+        rng = np.random.default_rng(dim)
+        for count in (None, 1, 2, 5):
+            c, dec = _draw_field_input(rng, dim, variant, count)
+            slopes = _field(c, variant, dec)[0]
+            assert np.array_equal(slopes, -slopes.swapaxes(-3, -2))
+
+    @PROPERTY
+    @given(dim=DIM, seed=SEED, variant=FIELD_VARIANTS, gauged=st.booleans())
+    def test_one_state_has_the_bits_of_a_stack_of_one(self, dim, seed, variant, gauged):
+        c, dec = _draw_field_input(np.random.default_rng(seed), dim, variant, None)
+        gauged = gauged and variant != Variant.RAW
+        one, stacked = _field(c, variant, dec, gauged), _field(c[None], variant, dec, gauged)
+        for g, w in zip(one[:2] + (_ricci_of(one[2]),), stacked[:2] + (_ricci_of(stacked[2]),)):
+            assert (g is None and w is None) or g.tobytes() == w[0].tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 9, DIM_CAP])
+    def test_r_formed_for_a_step_at_once_has_each_stage_bits(self, dim):
+        # An accepted step forms R for its six new stages as one (B, 6, n, n)
+        # stack, from the parts each stage kept.
+        rng = np.random.default_rng(dim)
+        for variant in (Variant.GAUGED, Variant.SCALSTAR):
+            c, dec = _draw_field_input(rng, dim, variant, 12)
+            parts = [_field(state, variant, dec, gauged=True)[2] for state in c]
+            # The step's gauge buffer (B, 3, 7, n, n): A, Ric* in place of R, (ad H)^T.
+            a = np.full((2, 3, 7, dim, dim), np.nan)
+            a[:, 1:, 1:] = np.array(parts).reshape(2, 6, 2, dim, dim).transpose(0, 2, 1, 3, 4)
+            r = _shifted(ricci_from(a[:, 1, 1:], a[:, 2, 1:]), a[:, 1, 1:]).reshape(12, dim, dim)
+            for got, part in zip(r, parts, strict=True):
+                assert got.tobytes() == _ricci_of(part).tobytes()
+
+    def test_slopes_are_written_into_out(self):
+        c, _ = _draw_field_input(np.random.default_rng(4), 5, Variant.RAW, 2)
+        rows = np.zeros((2, 3, c[0].size))
+        out = rows[:, 1].reshape(c.shape)
+        slopes = _field(c, Variant.RAW, None, out=out)[0]
+        assert slopes is out and slopes.tobytes() == _field(c, Variant.RAW, None)[0].tobytes()
+        assert not rows[:, 0].any() and not rows[:, 2].any()
 
     @pytest.mark.parametrize("signs", ["constant", "random"])
     def test_at_cap_input_stays_finite_without_warnings(self, signs):
@@ -243,7 +302,8 @@ class TestFieldKernel:
         for variant, gauged in ((Variant.RAW, False), (Variant.GAUGED, False),
                                 (Variant.GAUGED, True), (Variant.SCALSTAR, False),
                                 (Variant.SCALSTAR, True)):
-            for out in _field(c, variant, None if variant == Variant.RAW else dec, gauged):
+            slopes, a, parts = _field(c, variant, None if variant == Variant.RAW else dec, gauged)
+            for out in (slopes, a, _ricci_of(parts)):
                 assert out is None or np.all(np.isfinite(out))
 
 
@@ -293,6 +353,7 @@ class TestStackedKernels:
             h = np.eye(dim) + 0.3 * rng.standard_normal((count, dim, dim))
             parts, moment = coeff_parts(cs), coeff_moment(cs)
             scal, jac, pis = coeff_scal_star(cs), jacobi_norm(cs), pi_apply(a, cs)
+            negs = neg_pi_apply(a, cs)
             acts = act_apply(h, cs)
             for j, c in enumerate(cs):
                 for got, want in zip(parts, coeff_parts(c)):
@@ -301,6 +362,7 @@ class TestStackedKernels:
                 assert scal[j] == coeff_scal_star(c)
                 assert jac[j] == jacobi_norm(c)
                 assert np.array_equal(pis[j], pi_apply(a[j], c))
+                assert negs[j].tobytes() == neg_pi_apply(a[j], c).tobytes()
                 assert np.array_equal(acts[j], act_apply(h[j], c))
 
     def test_bracket_stack_checks_each_slice_as_bracket_tensor(self):
