@@ -149,7 +149,7 @@ def cmd_flow(args):
                 )
     print(
         f"# termination={traj.termination.value} steps={traj.steps} "
-        f"samples={len(traj.samples)}",
+        f"rejected={traj.rejected} samples={len(traj.samples)}",
         file=sys.stderr,
     )
     if traj.termination in (Termination.DIVERGED, Termination.STEP_FAILURE):

@@ -171,11 +171,13 @@ def l_operator(mu, dec):
     leak = float(np.max(np.linalg.norm(lv - tangent @ l_mat, axis=0), initial=0.0))
     # The field is a polynomial of degree 5 along a line, so this is its exact derivative
     # along each tangent column: one flow_field call on the 6r states, none when r = 0.
+    # The SVD's columns are antisymmetric only to round-off, and flow_field takes
+    # antisymmetric states, so the states are projected first.
     flow_disc = 0.0
     if r:
-        states = mu.coeffs.ravel() + _FLOW_STEPS[:, None, None] * tangent.T
-        f = flow_field(states.reshape(-1, n, n, n), Variant.SCALSTAR, dec)
-        fd = np.tensordot(_FLOW_WEIGHTS, f.reshape(states.shape), axes=1).T
+        states = (mu.coeffs.ravel() + _FLOW_STEPS[:, None, None] * tangent.T).reshape(-1, n, n, n)
+        f = flow_field(0.5 * (states - states.swapaxes(1, 2)), Variant.SCALSTAR, dec)
+        fd = np.tensordot(_FLOW_WEIGHTS, f.reshape(6, r, -1), axes=1).T
         flow_disc = float(np.max(np.linalg.norm(fd - lv, axis=0)))
 
     eigvals = np.linalg.eigvals(l_mat)

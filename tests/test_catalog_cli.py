@@ -280,6 +280,13 @@ class TestCli:
         header = out_a.read_text().splitlines()[0]
         assert header == "t,||mu||,scal,scalstar,f,lyap,cs,typeIII,ricBound,jacobiRes"
 
+    def test_flow_summary_counts_rejected_steps(self, tmp_path, capsys):
+        args = ["flow", "--catalog", "h3", "--variant", "raw", "--t-end", "2",
+                "--record-every", "0.5", "--out", str(tmp_path / "t.csv")]
+        assert main(args) == 0
+        assert capsys.readouterr().err == (
+            "# termination=ReachedTEnd steps=36 rejected=0 samples=5\n")
+
     def test_flow_snapshots(self, tmp_path, capsys):
         snap = tmp_path / "snap.jsonl"
         out = tmp_path / "t.csv"

@@ -123,16 +123,25 @@ class TestRawFlow:
 
 
 class TestIntegratorOracle:
-    def test_raw_flow_matches_solve_ivp(self, mu_s3):
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_raw_flow_matches_solve_ivp(self, mu_s3, rng, n):
+        # s3 to t = 10, and raw n = 8 and n = 16 draws at norm 3 to t = 20 (flowhd's
+        # shape): the final state lies within rel_tol of a DOP853 reference.
         from scipy.integrate import solve_ivp
 
-        traj = integrate(mu_s3, FlowSpec(variant=Variant.RAW, t_end=10.0, record_every=10.0))
+        mu, t_end = mu_s3, 10.0
+        if n > 3:
+            mu = random_solvable_bracket(rng, n)
+            mu, t_end = mu.scaled(3.0 / mu.norm), 20.0
+        spec = FlowSpec(variant=Variant.RAW, t_end=t_end, record_every=t_end)
+        traj = integrate(mu, spec)
         sol = solve_ivp(
-            lambda t, y: flow_field(y.reshape(3, 3, 3), Variant.RAW, None).ravel(),
-            (0.0, 10.0), mu_s3.coeffs.ravel(), method="RK45", rtol=1e-11, atol=1e-13,
+            lambda t, y: flow_field(y.reshape(n, n, n), Variant.RAW, None).ravel(),
+            (0.0, t_end), mu.coeffs.ravel(), method="DOP853", rtol=1e-13, atol=1e-15,
         )
-        gap = np.linalg.norm(traj.final.bracket.coeffs.ravel() - sol.y[:, -1])
-        assert gap <= 1e-9
+        ref = sol.y[:, -1]
+        gap = np.linalg.norm(traj.final.bracket.coeffs.ravel() - ref)
+        assert gap <= spec.rel_tol * np.linalg.norm(ref)
 
     def test_normalized_flow_matches_solve_ivp_on_slice(self, mu_s3, s3_label):
         # The scal* = -1 slice is invariant but transversally unstable, so a
@@ -977,7 +986,9 @@ class TestGaugeSelection:
 
 
 class TestWorkCounts:
-    """Cheaper steps, not fewer: the steps, samples and stage evaluations are pinned.
+    """The steps, samples and stage evaluations are pinned exactly, so that a change
+    to the step-size controller, the tableau or the kernel that moves them shows,
+    and fewer steps can be told apart from cheaper ones.
 
     Each run evaluates the field kernel on 1 + 6 steps + renormalizations
     slices: its first stage, six new stages per step tried (the seventh is the
@@ -1000,8 +1011,8 @@ class TestWorkCounts:
         slices = self._stage_slices(monkeypatch)
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
         traj = integrate(mu_s3, spec)
-        assert (traj.steps, len(traj.samples), traj.renormalizations) == (207, 401, 27)
-        assert sum(slices) == 1 + 6 * traj.steps + traj.renormalizations == 1270
+        assert (traj.steps, len(traj.samples), traj.renormalizations) == (159, 401, 32)
+        assert sum(slices) == 1 + 6 * traj.steps + traj.renormalizations == 987
 
     @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
     def test_stage_slices_per_run(self, monkeypatch, mu_s3, s3_label, variant):
@@ -1040,7 +1051,7 @@ class TestWorkCounts:
             slices.clear()
             traj = integrate(mu0, spec)
             counts.append((traj.steps, traj.renormalizations, sum(slices)))
-        assert counts == [(152, 0, 913), (138, 0, 829), (167, 5, 1008)]
+        assert counts == [(119, 0, 715), (108, 0, 649), (132, 6, 799)]
 
 
 class TestExactAntisymmetry:
@@ -1063,8 +1074,8 @@ class TestExactAntisymmetry:
     def test_s3_scalstar_to_t_100(self, monkeypatch, mu_s3, s3_label):
         defects = self._stage_defects(monkeypatch)
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
-        assert integrate(mu_s3, spec).steps == 207
-        assert len(defects) == 1 + 6 * 207 + 27 and max(defects) == 0.0
+        assert integrate(mu_s3, spec).steps == 159
+        assert len(defects) == 1 + 6 * 159 + 32 and max(defects) == 0.0
 
     def test_raw_n8_draw(self, monkeypatch, rng):
         mu = random_solvable_bracket(rng, 8)
@@ -1080,6 +1091,71 @@ class TestExactAntisymmetry:
         trajs = integrate_stack(mu0s, FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label))
         assert all(traj.gauges for traj in trajs)
         assert max(defects) == 0.0
+
+
+class TestStepControl:
+    """dopri5's step-size controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4):
+    an accepted step scales h by 0.9 e^-0.17 e_prev^0.04, clamped to [0.2, 5], with
+    e_prev = max(e, 1e-4)."""
+
+    @staticmethod
+    def _step_log(monkeypatch):
+        """The [h, error norm] of every step tried by a run of one trajectory."""
+        log, step, norms = [], flows._dp_step, flows._error_norms
+
+        def stepping(kernel, y, h, *args):
+            log.append([float(h[0])])
+            return step(kernel, y, h, *args)
+
+        def measuring(*args):
+            errs = norms(*args)
+            log[-1].append(errs[0])
+            return errs
+
+        monkeypatch.setattr(flows, "_dp_step", stepping)
+        monkeypatch.setattr(flows, "_error_norms", measuring)
+        return log
+
+    def test_accepted_error_norms_sit_near_the_controller_equilibrium(self, monkeypatch, rng):
+        # With an integral gain of 0.13 the 0.9 safety factor holds the error norm
+        # near 0.9^(1 / 0.13) = 0.44 of the tolerance; the gains 0.14 and 0.08
+        # (integral gain 0.06) hold it near 0.17 and take about a fifth more steps.
+        mu = random_solvable_bracket(rng, 8)
+        log = self._step_log(monkeypatch)
+        integrate(mu.scaled(3.0 / mu.norm), FlowSpec(variant=Variant.RAW, t_end=20.0,
+                                                     record_every=20.0))
+        accepted = [e for _, e in log if e <= 1.0]
+        assert 0.2 <= float(np.median(accepted)) <= 1.0
+
+    def test_step_sequence_is_free_of_the_kernel_rounding(self, monkeypatch, mu_s3, s3_label):
+        # Ric* formed as M - K/2 has the same values in other rounding; the 1e-4
+        # floor on e_prev keeps the round-off error norms of the first steps (down
+        # to 1e-10) from steering h.
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
+        runs = []
+        for patched in (False, True):
+            with monkeypatch.context() as m:
+                if patched:
+                    m.setattr(flows, "coeff_ric_star", lambda c: curvature.coeff_moment(c)
+                              - 0.5 * curvature.coeff_killing(c))
+                log = self._step_log(m)
+                traj = integrate(mu_s3, spec)
+            runs.append((traj.steps, np.array([h for h, e in log if e <= 1.0])))
+        (steps, hs), (steps_patched, hs_patched) = runs
+        assert steps == steps_patched == 159
+        np.testing.assert_allclose(hs_patched, hs, rtol=1e-5, atol=0.0)
+
+    def test_rejected_steps_are_counted(self, monkeypatch, mu_s3):
+        # steps counts every step tried; rejected, the tries whose error norm exceeds 1.
+        spec = FlowSpec(variant=Variant.RAW, t_end=2.0)
+        assert integrate(mu_s3, spec).rejected == 0
+        log = self._step_log(monkeypatch)
+        norms = flows._error_norms
+        monkeypatch.setattr(flows, "_error_norms",
+                            lambda *args: [2.0] if len(log) == 1 else norms(*args))
+        traj = integrate(mu_s3, spec)
+        assert traj.rejected == 1 and traj.steps == len(log)
+        assert log[1][0] == pytest.approx(log[0][0] * 0.9 * 2.0 ** -0.2)
 
 
 class TestFlowSpecValidation:

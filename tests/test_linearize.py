@@ -16,6 +16,7 @@ from bracketflow import (
     soliton_residual,
     stratum_label,
 )
+from bracketflow import linearize
 from bracketflow.catalog import almost_abelian
 from bracketflow.errors import GaugeMismatch
 from bracketflow.linearize import _ad_beta_plus_matrix, _rows, delta_matrix
@@ -283,6 +284,21 @@ class TestExactChecks:
         want = flow_field_fd(mu, dec, rep.tangent_basis)
         got = rep.tangent_basis @ rep.L_matrix
         assert np.max(np.linalg.norm(got - want, axis=0), initial=0.0) <= 1e-8
+
+    def test_flow_check_states_are_exactly_antisymmetric(self, monkeypatch, heis_setup):
+        # flow_field takes antisymmetric states; the SVD's tangent columns are
+        # antisymmetric only to round-off, so l_operator projects the states.
+        mu, _, dec = heis_setup
+        states, field = [], linearize.flow_field
+
+        def recording(c, *args):
+            states.append(c.copy())
+            return field(c, *args)
+
+        monkeypatch.setattr(linearize, "flow_field", recording)
+        rep = l_operator(mu, dec)
+        assert len(states) == 1 and len(states[0]) == 6 * rep.tangent_dim > 0
+        assert np.max(np.abs(states[0] + states[0].swapaxes(1, 2))) == 0.0
 
 
 class TestMatrixForm:
