@@ -21,28 +21,25 @@ record (the seeds, one step's grid samples or the final samples) decides, as
 one stack, only what the loop needs: it validates the states through
 bracket_stack, the flow's one Jacobi check (DOPRI5 does not keep the Jacobi
 identity, and a record past jacobi_tolerance raises NotALieBracket), and on
-runs that carry gauges or check convergence it also forms Ric, Ric*, A and the
+runs that keep gauges or check convergence it also forms Ric, Ric*, A and the
 field norms.  Each run forms its Monitors and FlowSamples once, when it ends,
 in one pass over its samples that also forms whatever its records left out.
 
 There is one stepper loop, over a stack of B trajectories of one FlowSpec
-(`integrate_stack`); `integrate` is that loop with B = 1.  Each trajectory
-keeps its own time, step size, PI-controller state, grid position, gauges,
-renormalizations, step counts and termination, and drops out of the stack
-when it ends.  The running trajectories share each stage evaluation, and
-their accepted steps one exponential for the step gauges, one record and one
-exponential for the dense samples' gauges; the kernels and expm work slice
-by slice, so every trajectory is bit for bit integrate's on its seed alone.
+(`integrate_stack`); `integrate` is that loop with B = 1.  Each trajectory keeps
+its own time, step size, PI-controller state, grid position, renormalizations,
+step counts and termination, and drops out of the stack when it ends.  The
+running trajectories share each stage evaluation, and their accepted steps one
+record and one formation of gauge increments; the kernels work slice by slice,
+so every trajectory is bit for bit integrate's on its seed alone.
 
-Gauged, scalstar and scal runs also carry the gauge h' = -A(mu) h, h(0) = Id,
-for two coefficients: "variant", the A driving the field (so that
-h(t).mu(0) = mu(t)), and "ricci", Ric + ||Ric*||^2 Id, formed for an accepted
-step's six new stages at once.  Each accepted step advances h by a 4th-order
-Magnus step built from its own stages, and a sample inside a step gets h from
-the same kind of step over the partial interval; h stays out of the step-size
-control.  A run with FlowSpec.gauges = False carries neither and takes no
-exponential; its samples, steps and termination are those of the run that
-carries both.
+The gauge h' = -A(mu) h, h(0) = Id, of gauged, scalstar and scal runs has two
+coefficients: "variant", the A driving the field (so that h(t).mu(0) = mu(t)),
+and "ricci", Ric + ||Ric*||^2 Id, whose (ad H)^T an accepted step forms for its
+six new stages at once.  The stepper does not advance h: an accepted step keeps
+its 4th-order Magnus increment, and a sample inside it that of the partial step;
+a run exponentiates all of them in one batched call when it ends and chains
+them.  FlowSpec.gauges = False keeps none and changes no sample or step.
 """
 
 import math
@@ -51,12 +48,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
 
 from .brackets import BracketTensor, bracket_stack, ensure_lie, neg_pi_apply, report_to_dict
 from .curvature import (coeff_ad_h_t, coeff_ric_star, coeff_ricci, coeff_scal_star, curvature_pack,
                         ricci_from)
-from .errors import GaugeMismatch, OutOfRange
+from .errors import GaugeMismatch, OutOfRange, SingularGauge
+from .linalg import expm_stack
 from .strata import check_gauged, beta_decomposition, project_qbeta
 
 DRIFT_TOL = 1e-7
@@ -91,8 +88,8 @@ class FlowSpec:
     max_steps: int = 2_000_000
     record_every: float = 0.5
     conv_tol: float = CONV_TOL
-    # Whether a gauged, scalstar or scal run carries both gauges h(t); raw
-    # runs carry none.
+    # Whether a gauged, scalstar or scal run keeps the increments of both
+    # gauges h(t); raw runs keep none.
     gauges: bool = True
 
 
@@ -205,13 +202,12 @@ def _shifted(m, ric_star):
     return m
 
 
-def _field(c, variant, dec, gauged=False, out=None):
-    """The field kernel: (dc/dt = -pi(A)c, into out if given, A, parts) at raw c (n, n, n)
-    or a stack, antisymmetric in its first two axes.  Ric is formed only for a raw A; parts,
-    None unless gauged, is (Ric*, (ad H)^T), which give Ric and then R."""
+def _field(c, variant, dec, out=None):
+    """The field kernel: (dc/dt = -pi(A)c, into out if given, A, Ric*) at raw c (n, n, n) or a
+    stack, antisymmetric in its first two axes.  Ric is formed only for a raw A."""
     ric, ric_star = coeff_ricci(c) if variant == Variant.RAW else (None, coeff_ric_star(c))
     a = _endomorphism(ric, ric_star, variant, dec)
-    return neg_pi_apply(a, c, out), a, (ric_star, coeff_ad_h_t(c)) if gauged else None
+    return neg_pi_apply(a, c, out), a, ric_star
 
 
 def flow_field(coeffs, variant, dec):
@@ -219,56 +215,43 @@ def flow_field(coeffs, variant, dec):
     return _field(coeffs, variant, dec)[0]
 
 
-def _dp_step(kernel, y, h, k0, a0):
+def _dp_step(kernel, y, h, k0, stages=None):
     """One Dormand-Prince step from each state of the stack y (B, n, n, n), slice b by h[b].
 
     Slice b's state y[b] and slopes k[b] are the rows of one buffer (8, n^3).  Each
     stage state, and the error estimate h (b5 - b4) @ k (not y5 - y4, which would
     cancel about five digits), is one product of a row of h[b] _DP_ROWS with the
     rows filled so far; _field(c, *kernel, out=) writes the slopes into their row.
-    k0 (B, n^3) and a0 (B, 2, n, n), None without gauges, are y's.  Returns y5, the
-    error estimates, k (B, 7, n^3) and the gauge coefficients a (B, 3, 7, n, n): A,
-    then R, which stages 2-7 hold as Ric* with their (ad H)^T in a[:, 2] until
-    _accept forms it; the last stage, at y5, is the next step's first.
-    """
+    k0 (B, n^3) are y's slopes.  Returns y5, the error estimates and k (B, 7, n^3); the list
+    stages, if given, receives (state, A, Ric*) of each new stage (2-7, the last at y5)."""
     b = len(y)
     rows = np.empty((b, 8, y[0].size))
     rows[:, 0], rows[:, 1] = y.reshape(b, -1), k0
     w = h[:, None, None] * _DP_ROWS
     w[:, :6, 0] = 1.0
-    a = None
-    if a0 is not None:
-        a = np.empty((b, 3, 7) + a0.shape[2:])
-        a[:, :2, 0] = a0
     # A stack of one is combined as its one state: the same bits at less cost per call.
     ws, rs, shape = (w[0], rows[0], y.shape[1:]) if b == 1 else (w, rows, y.shape)
     for i in range(1, 7):
         yi = np.vecmat(ws[..., i - 1, : i + 1], rs[..., : i + 1, :]).reshape(shape)
-        _, a_i, parts = _field(yi, *kernel, out=rs[..., i + 1, :].reshape(shape, copy=False))
-        if a is not None:
-            a[:, 0, i], a[:, 1, i], a[:, 2, i] = a_i, *parts
+        _, a_i, ric_star = _field(yi, *kernel, out=rs[..., i + 1, :].reshape(shape, copy=False))
+        if stages is not None:
+            stages.append((yi, a_i, ric_star))
     err = np.vecmat(ws[..., 6, 1:], rs[..., 1:, :]).reshape(y.shape)
-    return yi.reshape(y.shape), err, rows[:, 1:], a
+    return yi.reshape(y.shape), err, rows[:, 1:]
 
 
-def _magnus_step(gauges, a_stages, weights, d, spans, a_ends):
-    """Advance h' = -A h over P spans, span p = theta d[p] from the start of a step, 0 < theta <= 1.
-
-    4th-order Magnus step (Iserles & Norsett 1999) for G gauges at once: gauges
-    (P, G, n, n) are h at the start of span p's step, of size d[p], and a_stages
-    (P, G, 7, n, n) the stage values of A there.  Span p takes the quadrature
-    d[p] weights[p] @ a_stages[p] (weights (P, 7); one row (1, 7) serves all)
-    plus (spans[p]^2/12)[A(end), A(start)], A(end) from a_ends (P, G, n, n): a
-    whole step uses _DP_B5 and a_stages[:, :, -1], a partial span
-    _dense_weights(theta).  Exact when A is constant.  Returns the gauges at the
-    spans' ends from one expm call, which exponentiates slice by slice.
-    """
+def _magnus(a_stages, weights, d, spans, a_ends):
+    """4th-order Magnus increments Omega (P, G, n, n) of h' = -A h (Iserles & Norsett 1999),
+    h(end) = exp(Omega[p]) h(start), over spans p = theta d[p] from the start of a step of size
+    d[p], 0 < theta <= 1: d[p] weights[p] @ a_stages[p] plus (spans[p]^2/12)[A(end), A(start)],
+    from G coefficients' stages a_stages (P, G, 7, n, n), weights (P, 7) (_DP_B5, or a part's
+    _dense_weights(theta)) and a_ends (P, G, n, n); exact if A is constant."""
     p, g, _, n, _ = a_stages.shape
     a_first = a_stages[:, :, 0]
     integral = weights[:, None, None, :] @ a_stages.reshape(p, g, 7, n * n)
     omega = -d[:, None, None, None] * integral.reshape(p, g, n, n)
     omega += (spans * spans / 12.0)[:, None, None, None] * (a_ends @ a_first - a_first @ a_ends)
-    return expm(omega) @ gauges
+    return omega
 
 
 def _error_norms(err, y_old, y_new, rel_tol, abs_tol):
@@ -422,7 +405,7 @@ def integrate_stack(mu0s, spec):
 
     Each Dormand-Prince stage evaluates the field once on the stack of the
     trajectories still running, and their accepted steps share one record (see
-    the module docstring); the kernels and expm work slice by slice, so
+    the module docstring); the kernels work slice by slice, so
     trajectory b is integrate(mu0s[b], spec) bit for bit.  Every seed is
     checked before the first step, in order, and the first error the loop meets
     then ends the stack; so an error raised is one that integrate raises on
@@ -451,7 +434,8 @@ class _Run:
     """The scalar state of one trajectory of integrate_stack."""
 
     __slots__ = ("traj", "cap", "t", "h", "err", "err_prev", "steps", "rejected", "renorms",
-                 "streak", "kept", "count", "t_kept", "rows", "running", "end")
+                 "streak", "kept", "count", "t_kept", "omegas", "dense", "index", "running",
+                 "end")
 
     def __init__(self, traj, cap, h):
         self.traj, self.cap, self.h = traj, cap, h
@@ -460,9 +444,9 @@ class _Run:
         self.streak = 0  # the latest samples in a row that meet the convergence test
         self.kept = []  # (_Record, first, end): the samples kept, in time order
         self.count, self.t_kept = 0, None  # how many, and the time of the last
-        self.rows = []  # the (G, n, n) gauges of each kept sample
-        self.running = True
-        self.end = None  # (y, gauges) where the run stopped, for its final sample
+        # Gauge increments per accepted step and kept sample inside it; per sample (k, inside)
+        self.omegas, self.dense, self.index = [], [], []
+        self.running, self.end = True, None  # end: the state where it stopped, for its last sample
 
     def keep(self, rec, first, end):
         self.kept.append((rec, first, end))
@@ -473,10 +457,9 @@ class _Run:
 class _Lockstep:
     """The stepper loop of integrate_stack.
 
-    live lists the running _Runs in seed order, as do the stacks y (L, n, n, n)
-    of their states, k0 (L, n^3) of their first-stage slopes and, on runs that
-    carry gauges, a0 (L, 2, n, n) of their first-stage gauge coefficients and
-    gauges (L, 2, n, n); a run that stops leaves them at the next _compress.
+    live lists the running _Runs in seed order, as do the stacks y (L, n, n, n) of their
+    states, k0 (L, n^3) of their first-stage slopes and, with gauges, a0 (L, 2, n, n) of
+    their first-stage A and R; a run that stops leaves them at the next _compress.
     """
 
     def __init__(self, spec):
@@ -489,9 +472,9 @@ class _Lockstep:
     def run(self, mu0s):
         seeds = [self._seed(mu0) for mu0 in mu0s]
         self.gauged = self.dec is not None and self.spec.gauges
-        self.kernel = (self.core, self.dec, self.gauged)  # _field's arguments after the state
+        self.kernel = (self.core, self.dec)  # _field's arguments after the state
         # A record forms the curvature where the loop reads it: the gauges, the convergence test.
-        self.recording = self.kernel + (self.gauged or self.spec.conv_tol > 0.0,)
+        self.recording = self.kernel + (self.gauged, self.gauged or self.spec.conv_tol > 0.0)
         runs = [_Run(FlowTrajectory(variant=self.variant, label=self.label),
                      BLOWUP_FACTOR * max(mu0.norm, 1.0), min(1e-3, self.spec.t_end))
                 for mu0 in mu0s]
@@ -520,34 +503,34 @@ class _Lockstep:
             return mu0.coeffs * _scalstar_factor(coeff_scal_star(mu0.coeffs))
         return mu0.coeffs
 
-    def _stop(self, run, termination, y=None, gauges=None):
+    def _stop(self, run, termination, y=None):
         run.traj.termination = termination
-        run.running = False
-        run.end = (y, gauges)
-
-    def _first_stage(self, c):
-        """The slopes (B, n^3) and gauge coefficients (B, 2, n, n) or None at a stack c."""
-        slopes, a, parts = _field(c, *self.kernel)
-        return slopes.reshape(len(c), -1), None if parts is None else np.stack(
-            (a, _shifted(ricci_from(*parts), parts[0])), axis=1)
+        run.running, run.end = False, y
 
     def _start(self, runs, y):
         """Record each seed as its first sample and evaluate the first stages."""
-        identity = np.array([np.eye(y.shape[-1])] * len(GAUGE_COEFFICIENTS))
         rec, _ = _record_stack([0.0] * len(runs), y, *self.recording)
-        blocks = [(run, j, 1) for j, run in enumerate(runs)]
-        self._append_blocks(rec, [identity] * len(runs), blocks, self.spec.conv_tol)
+        self._append_blocks(rec, [(run, j, 1, 0) for j, run in enumerate(runs)], self.spec.conv_tol)
         self.live, self.y = list(runs), y.copy()  # rec keeps y; _accept writes into self.y
         self.k0, self.a0 = self._first_stage(y)
-        self.gauges = np.array([identity] * len(self.live)) if self.gauged else None
 
-    def _append_blocks(self, rec, rows, blocks, conv_tol):
-        """Give the _Record's samples to their runs, one block (run, first, count) per run,
-        through _append; each sample j kept takes its (G, n, n) gauges rows[j]."""
-        for run, first, count in blocks:
+    def _first_stage(self, c):
+        """The slopes (B, n^3) and, with gauges, A and R (B, 2, n, n) at a stack c."""
+        slopes, a, rs = _field(c, *self.kernel)
+        return slopes.reshape(len(c), -1), np.stack(
+            (a, _shifted(ricci_from(rs, coeff_ad_h_t(c)), rs)), axis=1) if self.gauged else None
+
+    def _append_blocks(self, rec, blocks, conv_tol, dense=None):
+        """Give the _Record's samples to their runs, one block (run, first, count, inside) per run,
+        through _append; the first `inside` lie inside the step, with the next rows of dense."""
+        for run, first, count, inside in blocks:
             count, converged = _append(run, rec, first, count, conv_tol)
             if self.gauged:
-                run.rows.extend(rows[first: first + count])
+                kept, k = min(inside, count), len(run.omegas)
+                run.index += [(k - 1, 1)] * kept + [(k, 0)] * (count - kept)
+                if inside:
+                    run.dense.append(dense[:kept])
+                    dense = dense[inside:]
             if converged:
                 self._stop(run, Termination.CONVERGED)
 
@@ -558,7 +541,7 @@ class _Lockstep:
             self.live = [self.live[j] for j in keep]
             self.y, self.k0 = self.y[keep], self.k0[keep]
             if self.gauged:
-                self.a0, self.gauges = self.a0[keep], self.gauges[keep]
+                self.a0 = self.a0[keep]
 
     def _step(self):
         """One Dormand-Prince step of every running trajectory, accepted or rejected per run."""
@@ -574,12 +557,13 @@ class _Lockstep:
                 if run.h >= 1e-14 * max(1.0, abs(run.t)):
                     continue
                 stop = Termination.STEP_FAILURE
-            self._stop(run, stop, self.y[j], None if self.gauges is None else self.gauges[j])
+            self._stop(run, stop, self.y[j])
         self._compress()
         if not self.live:
             return
         hs = np.array([run.h for run in self.live])
-        y_new, err, k, a = _dp_step(self.kernel, self.y, hs, self.k0, self.a0)
+        stages = [] if self.gauged else None  # per new stage, (state, A, Ric*) for the gauges
+        y_new, err, k = _dp_step(self.kernel, self.y, hs, self.k0, stages)
         errs = _error_norms(err, self.y, y_new, spec.rel_tol, spec.abs_tol)
         accepted = []
         for j, (run, e) in enumerate(zip(self.live, errs)):
@@ -591,30 +575,30 @@ class _Lockstep:
                 run.rejected += 1
                 run.h *= max(0.1, 0.9 * e ** (-0.2))
         if accepted:
-            self._accept(accepted, hs, y_new, k, a)
+            self._accept(accepted, hs, y_new, k, stages)
         self._compress()
 
-    def _accept(self, acc, hs, y, k, a):
+    def _accept(self, acc, hs, y, k, stages):
         """Advance the runs live[acc] over their accepted steps and record their grid samples."""
-        spec, gauged = self.spec, self.gauged
-        runs, y_old, g_old = self.live, self.y, self.gauges
+        spec = self.spec
+        runs, y_old = self.live, self.y
         whole = len(acc) == len(runs)
+        a = a0 = None
+        if self.gauged:  # A and R (P, 2, 7, n, n) at the seven stages; stage 1's come from a0
+            ys, a_new, ric_star = (np.stack(part)[None] if len(runs) == 1 else
+                                   np.stack(part, axis=1)[acc] for part in zip(*stages))
+            a = np.empty((len(acc), 2, 7) + a_new.shape[2:])
+            a[:, :, 0], a[:, 0, 1:] = self.a0[acc], a_new  # R from each stage's Ric* and (ad H)^T
+            a[:, 1, 1:] = _shifted(ricci_from(ric_star, coeff_ad_h_t(ys)), ric_star)
+            a0 = a[:, :, -1].copy()
         if not whole:
             runs, y_old, y, k, hs = [runs[j] for j in acc], y_old[acc], y[acc], k[acc], hs[acc]
-            if gauged:
-                g_old, a = g_old[acc], a[acc]
         t_old = [run.t for run in runs]
         for run in runs:
             run.t += run.h
             if abs(run.t - spec.t_end) <= 1e-12 * max(1.0, spec.t_end):
                 run.t = spec.t_end
         k0 = k[:, -1].copy()
-        a0 = gauges = None
-        if gauged:  # R at the six new stages, then A and R alone
-            a[:, 1, 1:] = _shifted(ricci_from(a[:, 1, 1:], a[:, 2, 1:]), a[:, 1, 1:])
-            a = a[:, :2]
-            a0 = a[:, :, -1].copy()
-            gauges = _magnus_step(g_old, a, _DP_B5[None], hs, hs, a[:, :, -1])
         if self.core == Variant.SCALSTAR:
             bumped = []
             for i, (run, s) in enumerate(zip(runs, coeff_scal_star(y))):
@@ -625,17 +609,17 @@ class _Lockstep:
                     bumped.append(i)
             if bumped:
                 k0[bumped], ends = self._first_stage(y[bumped])
-                if gauged:
+                if self.gauged:
                     a0[bumped] = ends
         # Blow-up ends a run before its samples.
         sampled = []
         for i, (run, norm) in enumerate(zip(runs, _row_norms(y))):
             if norm > run.cap:
-                self._stop(run, Termination.DIVERGED, y[i], None if gauges is None else gauges[i])
+                self._stop(run, Termination.DIVERGED, y[i])
             else:
                 sampled.append(i)
-        if sampled:
-            self._record(runs, sampled, t_old, y_old, y, k, a, g_old, gauges)
+        if sampled or a is not None:
+            self._record(runs, sampled, t_old, y_old, y, k, hs, a)
         for i in sampled:
             run = runs[i]
             if run.running:
@@ -644,24 +628,20 @@ class _Lockstep:
                 run.err_prev = max(e, 1e-4)
                 run.h *= min(5.0, max(0.2, fac))
         if whole:
-            self.y, self.k0, self.a0, self.gauges = y, k0, a0, gauges
+            self.y, self.k0 = y, k0
         else:
             self.y[acc], self.k0[acc] = y, k0
-            if gauged:
-                self.a0[acc], self.gauges[acc] = a0, gauges
+        if self.gauged:
+            self.a0[acc] = a0
 
-    def _record(self, runs, sampled, t_old, y_old, y, k, a, g_old, gauges):
-        """Sample every grid time in (t_old, t] of the runs[i], i in sampled, as one stack.
-
-        Each run adds its grid times in order: the continuous extension's points
-        from y_old to y5, then any at the step end, y.  Dense samples take their
-        gauges from partial Magnus steps, all in one exponential, and samples at
-        the step end the step's gauges.
-        """
+    def _record(self, runs, sampled, t_old, y_old, y, k, hs, a):
+        """Sample every grid time in (t_old, t] of the runs[i], i in sampled, as one stack: per run
+        the continuous extension's points from y_old to y5, then any at the step end, y.  With
+        gauges, one _magnus call forms every increment of the step and its samples."""
         spec = self.spec
         ts, states, blocks = [], [], []
-        # owner: each sample's run row; dense, spans: the dense samples; weights: per run.
-        owner, dense, spans, weights = [], [], [], []
+        # dense: the dense samples; rows, weights, spans: each step's Magnus row, then theirs
+        dense, rows, weights, spans = [], list(range(len(runs))), [_DP_B5] * len(runs), list(hs)
         for i in sampled:
             run = runs[i]
             t, h, first, thetas = run.t, run.h, len(ts), []
@@ -679,23 +659,23 @@ class _Lockstep:
                 w = _dense_weights(thetas)
                 states.append(y_old[i] + h * (w[:, None, :] @ k[i]).reshape(-1, *y.shape[1:]))
                 dense += range(first, first + len(thetas))
+                rows += [i] * len(thetas)
+                weights += list(w)
                 spans += [theta * h for theta in thetas]
-                weights.append(w)
             states += [y[i: i + 1]] * (count - len(thetas))
-            owner += [i] * count
-            blocks.append((run, first, count))
-        if not blocks:
-            return
-        rec, ends = _record_stack(ts, np.concatenate(states), *self.recording)
-        rows = None
-        if self.gauged:
-            rows = gauges[owner]
-            if dense:
-                at = [owner[j] for j in dense]
-                d = np.array([runs[i].h for i in at])
-                rows[dense] = _magnus_step(g_old[at], a[at], np.concatenate(weights), d,
-                                           np.array(spans), np.stack(ends, axis=1)[dense])
-        self._append_blocks(rec, rows, blocks, spec.conv_tol)
+            blocks.append((run, first, count, len(thetas)))
+        rec = ends = omega = None
+        if blocks:
+            rec, ends = _record_stack(ts, np.concatenate(states), *self.recording)
+        if a is not None:
+            ends = np.stack(ends, axis=1)[dense] if dense else a[:0, :, 0]
+            omega = _magnus(a[rows], np.array(weights), hs[rows], np.array(spans),
+                            np.concatenate((a[:, :, -1], ends)))
+            for i, run in enumerate(runs):
+                run.omegas.append(omega[i: i + 1])
+            omega = omega[len(runs):]
+        if blocks:
+            self._append_blocks(rec, blocks, spec.conv_tol, omega)
 
     def _finish(self, runs):
         """Record each run's final sample where it stopped off the grid, and fill its
@@ -706,20 +686,33 @@ class _Lockstep:
             and abs(run.t_kept - run.t) > 1e-12 * max(1.0, run.t)
         ]
         if final:
-            cs = np.stack([run.end[0] for run in final])
-            rec, _ = _record_stack([run.t for run in final], cs, *self.recording)
-            rows = [run.end[1] for run in final]
-            self._append_blocks(rec, rows, [(run, j, 1) for j, run in enumerate(final)], 0.0)
+            rec, _ = _record_stack([run.t for run in final], np.stack([run.end for run in final]),
+                                   *self.recording)
+            self._append_blocks(rec, [(run, j, 1, 0) for j, run in enumerate(final)], 0.0)
         for run in runs:
             traj = run.traj
             traj.samples, scal = _run_samples(run.kept, self.core, self.dec, self.label,
                                               self.variant == Variant.SCAL)
             traj.steps, traj.rejected, traj.renormalizations = run.steps, run.rejected, run.renorms
             if self.gauged:
-                traj.gauges = dict(zip(GAUGE_COEFFICIENTS, np.stack(run.rows, axis=1)))
-                if scal:  # keeps h(t).mu(0) = mu(t) for mu(t) scaled by |scal(t)|^-1/2
-                    factors = np.sqrt(np.abs(scal) / abs(scal[0]))[:, None, None]
-                    traj.gauges["variant"] = traj.gauges["variant"] * factors
+                incs = np.concatenate([self.a0[:0]] + run.omegas + run.dense)
+                traj.gauges = _gauge_paths(incs, run.index, len(run.omegas), scal)
+
+
+def _gauge_paths(omegas, index, steps, scal=None):
+    """FlowTrajectory.gauges of a run from the Magnus increments (K + D, G, n, n) of its K = steps
+    steps, then D dense samples, exponentiated in one call: h_0 = Id, h_k = E_k h_(k-1), sample
+    (k, inside) has h_k (times the next dense E if inside), scaled for a scal run's "variant"."""
+    exps = expm_stack(omegas.reshape((-1,) + omegas.shape[2:])).reshape(omegas.shape)
+    k, inside = np.array(index).T
+    chain = [np.array([np.eye(exps.shape[-1])] * exps.shape[1])]
+    for e in exps[: k.max()]:
+        chain.append(e @ chain[-1])
+    mats = np.array(chain)[k]
+    mats[inside == 1] = exps[steps:] @ mats[inside == 1]
+    if scal is not None:
+        mats[:, 0] *= np.sqrt(np.abs(scal) / abs(scal[0]))[:, None, None]  # h(t).mu(0) = mu(t)
+    return dict(zip(GAUGE_COEFFICIENTS, mats.swapaxes(0, 1).copy()))
 
 
 def _scalstar_factor(s, only_if_drifted=False):
@@ -774,14 +767,13 @@ def _time_index(times, t, tol):
 def recover_gauge(traj, h0=None, coefficient="variant"):
     """The gauge h' = -A h, h(0) = h0 (default Id), at the trajectory's sample times.
 
-    integrate carries h(t) with h(0) = Id through every accepted step of a run
-    whose FlowSpec.gauges is True, so this only applies h0 on the right.
-    coefficient="variant" uses the endomorphism driving the trajectory's own
-    vector field, so the path satisfies h(t).mu(0) = mu(t).  coefficient="ricci"
-    uses Ric + ||Ric*||^2 Id, the ungauged normalized coefficient whose solution
-    converges in GL exactly in the Einstein case; on a scal run it is the gauge
-    of the scalstar run the samples were rescaled from.  A trajectory that carries no gauge (a raw
-    run, or one with FlowSpec.gauges False) raises GaugeMismatch.
+    integrate_stack forms h(t), h(0) = Id, from a run's Magnus increments when it ends, so
+    this only applies h0 on the right.  coefficient="variant" uses the A driving the
+    trajectory's own field, so h(t).mu(0) = mu(t); "ricci" uses Ric + ||Ric*||^2 Id, the
+    ungauged normalized coefficient whose solution converges in GL exactly in the Einstein
+    case (on a scal run, the gauge of the scalstar run the samples were rescaled from).  No
+    gauges (a raw run, or FlowSpec.gauges False) or an h0 that is not a finite (n, n) matrix
+    raise GaugeMismatch; sigma_min(h0) <= n eps sigma_max(h0) raises SingularGauge.
     """
     if coefficient not in GAUGE_COEFFICIENTS:
         raise ValueError(f"unknown gauge coefficient {coefficient!r}; "
@@ -789,9 +781,17 @@ def recover_gauge(traj, h0=None, coefficient="variant"):
     if not traj.gauges:
         raise GaugeMismatch("gauge recovery needs a gauged, scalstar or scal trajectory run "
                             "with FlowSpec.gauges = True")
-    stored = traj.gauges[coefficient]
-    h = np.eye(stored.shape[1]) if h0 is None else np.array(h0, dtype=float)
-    return GaugePath(times=traj.times, mats=stored @ h, coefficient=coefficient)
+    n = traj.gauges[coefficient].shape[-1]
+    h = np.eye(n) if h0 is None else np.array(h0, dtype=float)
+    bad = h[~np.isfinite(h)]
+    if h.shape != (n, n) or bad.size:
+        raise GaugeMismatch(f"h0 must be a finite ({n}, {n}) matrix, got shape {h.shape}"
+                            + (f" with the entry {bad[0]}" if bad.size else ""))
+    sigma = np.ones(1) if h0 is None else np.linalg.svd(h, compute_uv=False)
+    if not sigma[-1] > n * np.finfo(float).eps * sigma[0]:
+        raise SingularGauge(f"h0 is singular: sigma_min / sigma_max = "
+                            f"{sigma[-1] / max(sigma[0], 1e-300):.3e} <= n eps")
+    return GaugePath(times=traj.times, mats=traj.gauges[coefficient] @ h, coefficient=coefficient)
 
 
 def blowdown_check(traj, s):

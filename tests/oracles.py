@@ -21,10 +21,13 @@ index, basis element or matrix entry at a time:
 - `clustered_from_first`: spectra clustered within EIG_TOL of each cluster's
   first value, the rule before the gap rule of `strata._gap_clusters`;
 - `field_reference`: the flow's stage as composed before the field kernel
-  `flows._field`, which must give the bits of its A and R: all of
-  `coeff_parts`, the q_beta projection by the three beta masks, A and R with
-  ||Ric*||^2 Id added on copies, then -pi_apply, which `_field`'s two-product
-  slopes match within a rounding bound.
+  `flows._field` and the gauges' `flows._gauge_coefficients`, which must give
+  the bits of its A and R: all of `coeff_parts`, the q_beta projection by the
+  three beta masks, A and R with ||Ric*||^2 Id added on copies, then
+  -pi_apply, which `_field`'s two-product slopes match within a rounding bound;
+- `gauge_paths_loop`: a run's gauges rebuilt from its Magnus increments with
+  one scipy `expm` per slice, chained step by step in a plain loop;
+- `expm_digits`: the matrix exponential in 40-digit arithmetic (mpmath).
 
 The test-only helpers `random_antisymmetric_bracket`, `random_orthogonal`,
 `scalstar_first_variation` and `grading_components` live here too, and so do
@@ -33,6 +36,7 @@ the property-test draws: the hypothesis settings `PROPERTY`, the strategies
 """
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -379,6 +383,37 @@ def field_reference(c, variant, dec, gauged=False):
     if variant == Variant.SCALSTAR:
         a = _plus_identity(a, shift)
     return -pi_apply(a, c), a, _plus_identity(ric, shift) if gauged else None
+
+
+def gauge_paths_loop(increments, index, steps, scal=None):
+    """h per coefficient, each (N, n, n), at a run's samples as flows._gauge_paths forms it,
+    from its Magnus increments (K + D, G, n, n) (the K = steps accepted steps', then the D
+    samples' inside a step) and (k, inside) per sample: scipy's expm of one increment at a
+    time, chained from Id in a plain loop; on a scal run, the first coefficient scaled by
+    |scal / scal(0)|^1/2."""
+    out = []
+    for g in range(increments.shape[1]):
+        starts = [np.eye(increments.shape[-1])]
+        for k in range(steps):
+            starts.append(expm(increments[k, g]) @ starts[-1])
+        mats, row = [], steps
+        for j, (k, inside) in enumerate(index):
+            h = starts[k]
+            if inside:
+                h, row = expm(increments[row, g]) @ h, row + 1
+            if scal is not None and g == 0:
+                h = h * np.sqrt(abs(scal[j]) / abs(scal[0]))
+            mats.append(h)
+        out.append(np.array(mats))
+    return out
+
+
+def expm_digits(a):
+    """exp(a) of one matrix, computed by mpmath with 40 digits and rounded to floats."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        e = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array([[float(e[i, j]) for j in range(a.shape[1])] for i in range(a.shape[0])])
 
 
 def random_antisymmetric_bracket(rng, dim, scale=1.0):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -30,8 +31,10 @@ from bracketflow import (
 from bracketflow import curvature, experiments, flows, strata
 from bracketflow.catalog import almost_abelian, random_solvable_bracket
 from bracketflow.curvature import curvature_parts
-from bracketflow.errors import BracketFlowError, GaugeMismatch, NotALieBracket, OutOfRange
+from bracketflow.errors import (BracketFlowError, GaugeMismatch, NotALieBracket, OutOfRange,
+                               SingularGauge)
 from bracketflow.experiments import random_parabolic_gauge, run_uniqueness_experiment
+from bracketflow.linalg import expm_stack
 from bracketflow.flows import (
     CONV_TOL,
     CONV_WINDOW,
@@ -46,7 +49,7 @@ from bracketflow.flows import (
 )
 from bracketflow.strata import beta_decomposition
 
-from oracles import random_antisymmetric_bracket
+from oracles import gauge_paths_loop, random_antisymmetric_bracket
 
 
 def estimate_cubic_bound(dim, samples=2000, seed=0):
@@ -546,6 +549,94 @@ class TestGaugeRecovery:
         assert np.all(np.diff(traj.times) > 0)
 
 
+def _assembled(run):
+    """run() with each gauge assembly recorded: its trajectories and, per trajectory, the
+    arguments of flows._gauge_paths (increments (K + D, 2, n, n), index, K, scal)."""
+    calls, paths = [], flows._gauge_paths
+
+    def recording(*args):
+        calls.append(args)
+        return paths(*args)
+
+    flows._gauge_paths = recording
+    try:
+        trajs = run()
+    finally:
+        flows._gauge_paths = paths
+    return list(zip(trajs, calls, strict=True))
+
+
+def _oracle_runs():
+    """The runs whose gauges are checked against gauge_paths_loop, by name."""
+    s3, h3 = catalog("s3").bracket, catalog("h3").bracket
+    s3_label, h3_label = stratum_label(s3), stratum_label(h3)
+    lam_label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
+
+    def spec(variant, t_end, label, record_every=0.25):
+        return FlowSpec(variant=variant, t_end=t_end, label=label, record_every=record_every)
+
+    return {
+        "s3 scalstar": _assembled(lambda: [integrate(s3, spec(Variant.SCALSTAR, 100.0, s3_label))]),
+        "h3 scalstar": _assembled(lambda: [integrate(h3, spec(Variant.SCALSTAR, 100.0, h3_label))]),
+        "off-grid t_end": _assembled(
+            lambda: [integrate(s3, spec(Variant.SCALSTAR, 2.3, s3_label, 0.5))]),
+        "scal": _assembled(lambda: [integrate(s3, spec(Variant.SCAL, 10.0, s3_label))]),
+        "rejecting stack": _assembled(lambda: integrate_stack(
+            [_s3_lambda_gauge(7, draw) for draw in range(3)],
+            spec(Variant.SCALSTAR, 100.0, lam_label))),
+    }
+
+
+class TestGaugeAssembly:
+    """Each run's gauges, from one batched exponential of the runs' Magnus increments and
+    their chaining (flows._gauge_paths), against the loop oracle (oracles.gauge_paths_loop:
+    scipy's expm per increment, chained step by step), within 1e-12 of each sample's
+    largest entry; and recover_gauge's checks of h0."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return _oracle_runs()
+
+    def test_the_runs_cover_each_case(self, runs):
+        ((s3, (_, index, _, _)),) = runs["s3 scalstar"]
+        assert sum(inside for _, inside in index) > 300  # samples inside a step
+        ((h3, (_, index, steps, _)),) = runs["h3 scalstar"]
+        assert h3.termination == Termination.CONVERGED and index[-1] == (steps - 1, 1)
+        assert runs["off-grid t_end"][0][0].times[-2:].tolist() == [2.0, 2.3]
+        assert runs["scal"][0][1][3] is not None
+        assert all(traj.rejected > 0 for traj, _ in runs["rejecting stack"])
+
+    @pytest.mark.parametrize("name", ["s3 scalstar", "h3 scalstar", "off-grid t_end", "scal",
+                                      "rejecting stack"])
+    @pytest.mark.parametrize("with_h0", [False, True])
+    def test_gauges_match_the_loop_oracle(self, runs, name, with_h0):
+        h0 = sla.expm(0.3 * np.random.default_rng(5).standard_normal((3, 3))) if with_h0 else None
+        for traj, parts in runs[name]:
+            for coefficient, want in zip(GAUGE_COEFFICIENTS, gauge_paths_loop(*parts)):
+                got = recover_gauge(traj, h0=h0, coefficient=coefficient).mats
+                want = want if h0 is None else want @ h0
+                assert got.shape == want.shape == (len(traj.samples), 3, 3)
+                gaps = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+                assert gaps.max() <= 1e-12
+
+    @pytest.mark.parametrize("h0, match", [
+        (np.eye(2), r"finite \(3, 3\) matrix, got shape \(2, 2\)$"),
+        (np.full((3, 3), np.nan), r"got shape \(3, 3\) with the entry nan"),
+        (np.diag([1.0, np.inf, 1.0]), r"with the entry inf"),
+    ])
+    def test_h0_of_the_wrong_shape_or_not_finite_raises(self, s3_short, h0, match):
+        with pytest.raises(GaugeMismatch, match=match):
+            recover_gauge(s3_short, h0=h0)
+
+    @pytest.mark.parametrize("h0, ratio", [(np.zeros((3, 3)), "0.000e+00"),
+                                           (np.diag([1.0, 1.0, 1e-17]), "1.000e-17")])
+    def test_singular_h0_raises(self, s3_short, h0, ratio):
+        with pytest.raises(SingularGauge, match=re.escape(f"sigma_min / sigma_max = {ratio} <=")):
+            recover_gauge(s3_short, h0=h0)
+        # Just above n eps sigma_max the matrix is accepted.
+        recover_gauge(s3_short, h0=np.diag([1.0, 1.0, 1e-15]))
+
+
 class TestDenseOutput:
     def test_recording_grid_does_not_shorten_steps(self, mu_s3, s3_label):
         def steps(record_every):
@@ -958,29 +1049,31 @@ class TestGaugeSelection:
             assert (g.nilradical_dim, g.derived_dims) == (w.nilradical_dim, w.derived_dims)
 
     def test_exponentials_only_for_carried_gauges(self, monkeypatch, mu_s3, s3_label):
-        calls, accepted = [], []
+        # The stepper keeps Magnus increments and takes no exponential: each run exponentiates
+        # all of its increments, both coefficients, in one batched call when it ends.
+        calls = []
 
-        def counting_expm(omega):
-            calls.append(omega.shape)
-            return sla.expm(omega)
+        def counting_expm(omegas):
+            calls.append(len(omegas))
+            return expm_stack(omegas)
 
-        accept = flows._Lockstep._accept
-
-        def counting_accept(self, acc, *args):
-            accepted.append(len(acc))
-            return accept(self, acc, *args)
-
-        monkeypatch.setattr(flows, "expm", counting_expm)
-        monkeypatch.setattr(flows._Lockstep, "_accept", counting_accept)
+        monkeypatch.setattr(flows, "expm_stack", counting_expm)
+        assert not hasattr(flows, "expm")
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=s3_label, record_every=0.25)
-        integrate(mu_s3, dataclasses.replace(spec, gauges=False))
-        assert calls == [] and sum(accepted) > 0
-        accepted.clear()
-        # One exponential for each accepted step's gauges, and at most one for
-        # the dense samples inside it.
-        integrate(mu_s3, spec)
-        assert sum(accepted) <= len(calls) <= 2 * sum(accepted)
+        assert integrate(mu_s3, dataclasses.replace(spec, gauges=False)).gauges == {}
+        assert calls == []
+        traj = integrate(mu_s3, spec)
+        assert len(calls) == 1 and calls[0] > 2 * traj.steps
         calls.clear()
+        mu0s = [_s3_lambda_gauge(7, draw) for draw in range(3)]
+        label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
+        trajs = integrate_stack(mu0s, dataclasses.replace(spec, label=label))
+        assert len(calls) == len(trajs)  # one call per run
+        assert all(c > 2 * t.steps for c, t in zip(calls, trajs))
+        calls.clear()
+        for t in [traj] + trajs:
+            for coefficient in GAUGE_COEFFICIENTS:
+                recover_gauge(t, coefficient=coefficient)
         run_uniqueness_experiment(catalog("s3_lambda", lam=0.5), 5, t_end=100.0, seed=0)
         assert calls == []
 

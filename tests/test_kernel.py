@@ -40,6 +40,7 @@ from bracketflow.brackets import (
 )
 from bracketflow.catalog import random_solvable_bracket
 from bracketflow.curvature import (
+    coeff_ad_h_t,
     coeff_moment,
     coeff_parts,
     coeff_ric_star,
@@ -51,13 +52,14 @@ from bracketflow.curvature import (
 from bracketflow.errors import NotALieBracket
 from bracketflow.flows import _field, _shifted, flow_field
 from bracketflow.strata import beta_decomposition, label_from_beta
-from bracketflow.linalg import RANK_TOL, null_space, subspace_distance
+from bracketflow.linalg import RANK_TOL, expm_stack, null_space, subspace_distance
 
 from oracles import (
     DIM,
     PROPERTY,
     SEED,
     draw_bracket,
+    expm_digits,
     field_reference,
     lie_bracket,
     null_space_full_svd,
@@ -210,9 +212,10 @@ def _draw_field_input(rng, dim, variant, count):
     return c, beta_decomposition(label_from_beta(-weights / weights.sum()))
 
 
-def _ricci_of(parts):
-    """R = Ric + ||Ric*||^2 Id from the parts (Ric*, (ad H)^T) that _field keeps."""
-    return None if parts is None else _shifted(ricci_from(*parts), parts[0])
+def _ricci_of(c, ric_star, gauged):
+    """R = Ric + ||Ric*||^2 Id as an accepted step forms it from a stage's state c and the
+    Ric* that _field returns there, when gauged; else None."""
+    return _shifted(ricci_from(ric_star, coeff_ad_h_t(c)), ric_star) if gauged else None
 
 
 FIELD_VARIANTS = st.sampled_from([Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
@@ -220,19 +223,20 @@ COUNT = st.none() | st.integers(1, 5)
 
 
 class TestFieldKernel:
-    """flows._field against the stage composed step by step (oracles.field_reference):
-    A and R bit for bit; the slopes, which take two products where the reference's
-    pi_apply takes three, within a rounding bound, and exactly antisymmetric."""
+    """flows._field, with R formed as an accepted step forms it, against the stage composed
+    step by step (oracles.field_reference): A and R bit for bit; the slopes, which take two
+    products where the reference's pi_apply takes three, within a rounding bound, and
+    exactly antisymmetric."""
 
     @PROPERTY
     @given(dim=DIM, seed=SEED, variant=FIELD_VARIANTS, gauged=st.booleans(), count=COUNT)
     def test_slopes_and_endomorphisms_match_the_reference(self, dim, seed, variant, gauged, count):
         c, dec = _draw_field_input(np.random.default_rng(seed), dim, variant, count)
         gauged = gauged and variant != Variant.RAW  # raw runs carry no gauge
-        slopes, a, parts = _field(c, variant, dec, gauged)
+        slopes, a, ric_star = _field(c, variant, dec)
         want_slopes, want_a, want_r = field_reference(c, variant, dec, gauged)
         assert a.shape == want_a.shape and a.tobytes() == want_a.tobytes()
-        r = _ricci_of(parts)
+        r = _ricci_of(c, ric_star, gauged)
         assert (r is None and want_r is None) or (r.shape == want_r.shape
                                                   and r.tobytes() == want_r.tobytes())
         # Each entry of pi(A)c is three length-n sums; either composition is within
@@ -259,24 +263,23 @@ class TestFieldKernel:
     def test_one_state_has_the_bits_of_a_stack_of_one(self, dim, seed, variant, gauged):
         c, dec = _draw_field_input(np.random.default_rng(seed), dim, variant, None)
         gauged = gauged and variant != Variant.RAW
-        one, stacked = _field(c, variant, dec, gauged), _field(c[None], variant, dec, gauged)
-        for g, w in zip(one[:2] + (_ricci_of(one[2]),), stacked[:2] + (_ricci_of(stacked[2]),)):
+        one, stacked = _field(c, variant, dec), _field(c[None], variant, dec)
+        for g, w in zip(one + (_ricci_of(c, one[2], gauged),),
+                        stacked + (_ricci_of(c[None], stacked[2], gauged),)):
             assert (g is None and w is None) or g.tobytes() == w[0].tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3, 9, DIM_CAP])
     def test_r_formed_for_a_step_at_once_has_each_stage_bits(self, dim):
-        # An accepted step forms R for its six new stages as one (B, 6, n, n)
-        # stack, from the parts each stage kept.
+        # An accepted step forms R for its six new stages as one (B, 6, n, n) stack,
+        # from their states and the Ric* each stage kept.
         rng = np.random.default_rng(dim)
         for variant in (Variant.GAUGED, Variant.SCALSTAR):
             c, dec = _draw_field_input(rng, dim, variant, 12)
-            parts = [_field(state, variant, dec, gauged=True)[2] for state in c]
-            # The step's gauge buffer (B, 3, 7, n, n): A, Ric* in place of R, (ad H)^T.
-            a = np.full((2, 3, 7, dim, dim), np.nan)
-            a[:, 1:, 1:] = np.array(parts).reshape(2, 6, 2, dim, dim).transpose(0, 2, 1, 3, 4)
-            r = _shifted(ricci_from(a[:, 1, 1:], a[:, 2, 1:]), a[:, 1, 1:]).reshape(12, dim, dim)
-            for got, part in zip(r, parts, strict=True):
-                assert got.tobytes() == _ricci_of(part).tobytes()
+            ric_stars = [_field(state, variant, dec)[2] for state in c]
+            stack = np.array(ric_stars).reshape(2, 6, dim, dim)
+            r = _ricci_of(c.reshape(2, 6, dim, dim, dim), stack, True).reshape(12, dim, dim)
+            for got, state, ric_star in zip(r, c, ric_stars, strict=True):
+                assert got.tobytes() == _ricci_of(state, ric_star, True).tobytes()
 
     def test_slopes_are_written_into_out(self):
         c, _ = _draw_field_input(np.random.default_rng(4), 5, Variant.RAW, 2)
@@ -302,8 +305,8 @@ class TestFieldKernel:
         for variant, gauged in ((Variant.RAW, False), (Variant.GAUGED, False),
                                 (Variant.GAUGED, True), (Variant.SCALSTAR, False),
                                 (Variant.SCALSTAR, True)):
-            slopes, a, parts = _field(c, variant, None if variant == Variant.RAW else dec, gauged)
-            for out in (slopes, a, _ricci_of(parts)):
+            slopes, a, ric_star = _field(c, variant, None if variant == Variant.RAW else dec)
+            for out in (slopes, a, ric_star, _ricci_of(c, ric_star, gauged)):
                 assert out is None or np.all(np.isfinite(out))
 
 
@@ -528,3 +531,44 @@ def test_public_names_resolve_and_oracles_stay_in_tests():
         for name in names:
             assert name in public or not hasattr(bracketflow, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class TestExpmStack:
+    """linalg.expm_stack, the gauges' one batched exponential: Pade-13 with scaling and
+    squaring chosen per slice, within 1e-13 of scipy.linalg.expm slice by slice (Frobenius
+    norm, relative).  Where scipy misses by more, the 40-digit exponential decides: scipy
+    then errs itself (it scales some non-normal slices of 1-norm 5-60 less, and misses the
+    40-digit exponential by up to 6e-13), and a slice whose exponential is that ill-conditioned
+    may also miss it by up to twice scipy's own error."""
+
+    @PROPERTY
+    @given(n=st.integers(2, 16), size=st.integers(0, 40), seed=SEED)
+    def test_matches_scipy_slice_by_slice(self, n, size, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((size, n, n))
+        # 1-norms from 1e-8 to 60, mixed in one stack
+        norms = 10.0 ** rng.uniform(-8.0, np.log10(60.0), size)
+        a *= (norms / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+        got = expm_stack(a)
+        assert got.shape == a.shape
+        for x, e in zip(a, got):
+            want = sla.expm(x)
+            if np.linalg.norm(e - want) > 1e-13 * np.linalg.norm(want):
+                exact = expm_digits(x)
+                scale = np.linalg.norm(exact)
+                bound = max(1e-13, 2.0 * np.linalg.norm(want - exact) / scale)
+                assert np.linalg.norm(e - exact) <= bound * scale
+
+    @PROPERTY
+    @given(n=st.integers(2, 16), seed=SEED)
+    def test_zero_and_diagonal_slices(self, n, seed):
+        d = np.random.default_rng(seed).uniform(-60.0, 60.0, (2, n))
+        d[1] *= 1e-3
+        a = np.zeros((3, n, n))
+        a[1:, range(n), range(n)] = d
+        got = expm_stack(a)
+        assert np.array_equal(got[0], np.eye(n))
+        for e, diag in zip(got[1:], d):
+            assert np.array_equal(e, np.diag(np.diagonal(e)))
+            want = np.exp(diag)
+            assert np.linalg.norm(np.diagonal(e) - want) <= 1e-13 * np.linalg.norm(want)
