@@ -25,13 +25,19 @@ runs that keep gauges or check convergence it also forms Ric, Ric*, A and the
 field norms.  Each run forms its Monitors and FlowSamples once, when it ends,
 in one pass over its samples that also forms whatever its records left out.
 
+Every accepted scalstar (and scal) step is projected back onto scal* = -1, y <- lam y
+with lam = |scal*(y)|^-1/2 (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+IV.4).  The field splits by degree: with q = ||Ric*(c)||^2, F(lam c) = lam^3 F(c) +
+(lam^5 - lam^3) q c, and A and R rescale as lam^2 X + (lam^4 - lam^2) q Id, so the next
+step's first slope and gauge coefficients follow in closed form from the last stage's.
+
 There is one stepper loop, over a stack of B trajectories of one FlowSpec
 (`integrate_stack`); `integrate` is that loop with B = 1.  Each trajectory keeps
-its own time, step size, PI-controller state, grid position, renormalizations,
-step counts and termination, and drops out of the stack when it ends.  The
-running trajectories share each stage evaluation, and their accepted steps one
-record and one formation of gauge increments; the kernels work slice by slice,
-so every trajectory is bit for bit integrate's on its seed alone.
+its own time, step size, PI-controller state, grid position, step counts and
+termination, and drops out of the stack when it ends.  The running trajectories
+share each stage evaluation, and their accepted steps one record and one
+formation of gauge increments; the kernels work slice by slice, so every
+trajectory is bit for bit integrate's on its seed alone.
 
 The gauge h' = -A(mu) h, h(0) = Id, of gauged, scalstar and scal runs has two
 coefficients: "variant", the A driving the field (so that h(t).mu(0) = mu(t)),
@@ -56,7 +62,6 @@ from .errors import GaugeMismatch, OutOfRange, SingularGauge
 from .linalg import expm_stack
 from .strata import check_gauged, beta_decomposition, project_qbeta
 
-DRIFT_TOL = 1e-7
 CONV_TOL = 1e-10
 F_TOL = 1e-8
 BLOWUP_FACTOR = 1e12
@@ -125,7 +130,7 @@ class FlowTrajectory:
     termination: Termination = Termination.REACHED_T_END
     steps: int = 0  # the steps tried, rejected ones included
     rejected: int = 0
-    renormalizations: int = 0
+    renormalizations: int = 0  # steps - rejected on scalstar and scal runs, else 0
     # coefficient name -> (len(samples), n, n) stack of h at the sample times;
     # empty on raw runs and on runs whose FlowSpec.gauges is False.
     gauges: dict = field(default_factory=dict)
@@ -222,8 +227,9 @@ def _dp_step(kernel, y, h, k0, stages=None):
     stage state, and the error estimate h (b5 - b4) @ k (not y5 - y4, which would
     cancel about five digits), is one product of a row of h[b] _DP_ROWS with the
     rows filled so far; _field(c, *kernel, out=) writes the slopes into their row.
-    k0 (B, n^3) are y's slopes.  Returns y5, the error estimates and k (B, 7, n^3); the list
-    stages, if given, receives (state, A, Ric*) of each new stage (2-7, the last at y5)."""
+    k0 (B, n^3) are y's slopes.  Returns y5, the error estimates, k (B, 7, n^3) and
+    ||Ric*(y5)||^2 (B,); the list stages, if given, receives (state, A, Ric*) of each new
+    stage (2-7, the last at y5)."""
     b = len(y)
     rows = np.empty((b, 8, y[0].size))
     rows[:, 0], rows[:, 1] = y.reshape(b, -1), k0
@@ -237,7 +243,8 @@ def _dp_step(kernel, y, h, k0, stages=None):
         if stages is not None:
             stages.append((yi, a_i, ric_star))
     err = np.vecmat(ws[..., 6, 1:], rs[..., 1:, :]).reshape(y.shape)
-    return yi.reshape(y.shape), err, rows[:, 1:]
+    ric_star = ric_star.reshape(b, -1)
+    return yi.reshape(y.shape), err, rows[:, 1:], np.vecdot(ric_star, ric_star)
 
 
 def _magnus(a_stages, weights, d, spans, a_ends):
@@ -281,16 +288,16 @@ class _Record:
 def _record_stack(ts, cs, variant, dec, gauged=False, curved=True):
     """Record the states cs (B, n, n, n) at times ts: returns (_Record, (A, R) or None).
 
-    Scalstar states, up to drift_tol/2 off the scal* = -1 slice, are moved onto
-    it, and their drifts kept.  bracket_stack validates the stack (_append
-    raises its failed entries); a curved record also forms Ric, Ric*, the field
-    and bracket norms of the convergence streak, and (A, R) for the gauges.
+    Scalstar states (a step's end on the scal* = -1 slice, samples inside it off it by
+    its error) are moved onto it, and their drifts kept.  bracket_stack validates the
+    stack (_append raises its failed entries); a curved record also forms Ric, Ric*, the
+    field and bracket norms of the convergence streak, and (A, R) for the gauges.
     """
     drift = [float("nan")] * len(ts)
     if variant == Variant.SCALSTAR:
-        s = coeff_scal_star(cs).tolist()
-        drift = [abs(v + 1.0) for v in s]
-        cs = cs * np.array([abs(v) ** -0.5 for v in s])[:, None, None, None]
+        s = coeff_scal_star(cs)
+        drift = np.abs(s + 1.0).tolist()
+        cs = cs * _scalstar_factor(s)[:, None, None, None]
     rec = _Record()
     rec.ts, rec.cs, rec.drift = ts, cs, drift
     rec.coeffs, rec.norm_sq, rec.brackets = bracket_stack(cs)
@@ -433,14 +440,13 @@ def integrate_stack(mu0s, spec):
 class _Run:
     """The scalar state of one trajectory of integrate_stack."""
 
-    __slots__ = ("traj", "cap", "t", "h", "err", "err_prev", "steps", "rejected", "renorms",
-                 "streak", "kept", "count", "t_kept", "omegas", "dense", "index", "running",
-                 "end")
+    __slots__ = ("traj", "cap", "t", "h", "err", "err_prev", "steps", "rejected", "streak",
+                 "kept", "count", "t_kept", "omegas", "dense", "index", "running", "end")
 
     def __init__(self, traj, cap, h):
         self.traj, self.cap, self.h = traj, cap, h
         self.t, self.err, self.err_prev = 0.0, 0.0, 1.0
-        self.steps = self.rejected = self.renorms = 0
+        self.steps = self.rejected = 0
         self.streak = 0  # the latest samples in a row that meet the convergence test
         self.kept = []  # (_Record, first, end): the samples kept, in time order
         self.count, self.t_kept = 0, None  # how many, and the time of the last
@@ -512,13 +518,10 @@ class _Lockstep:
         rec, _ = _record_stack([0.0] * len(runs), y, *self.recording)
         self._append_blocks(rec, [(run, j, 1, 0) for j, run in enumerate(runs)], self.spec.conv_tol)
         self.live, self.y = list(runs), y.copy()  # rec keeps y; _accept writes into self.y
-        self.k0, self.a0 = self._first_stage(y)
-
-    def _first_stage(self, c):
-        """The slopes (B, n^3) and, with gauges, A and R (B, 2, n, n) at a stack c."""
-        slopes, a, rs = _field(c, *self.kernel)
-        return slopes.reshape(len(c), -1), np.stack(
-            (a, _shifted(ricci_from(rs, coeff_ad_h_t(c)), rs)), axis=1) if self.gauged else None
+        slopes, a, rs = _field(y, *self.kernel)
+        self.k0 = slopes.reshape(len(y), -1)
+        self.a0 = np.stack((a, _shifted(ricci_from(rs, coeff_ad_h_t(y)), rs)),
+                           axis=1) if self.gauged else None
 
     def _append_blocks(self, rec, blocks, conv_tol, dense=None):
         """Give the _Record's samples to their runs, one block (run, first, count, inside) per run,
@@ -563,7 +566,7 @@ class _Lockstep:
             return
         hs = np.array([run.h for run in self.live])
         stages = [] if self.gauged else None  # per new stage, (state, A, Ric*) for the gauges
-        y_new, err, k = _dp_step(self.kernel, self.y, hs, self.k0, stages)
+        y_new, err, k, q = _dp_step(self.kernel, self.y, hs, self.k0, stages)
         errs = _error_norms(err, self.y, y_new, spec.rel_tol, spec.abs_tol)
         accepted = []
         for j, (run, e) in enumerate(zip(self.live, errs)):
@@ -575,10 +578,10 @@ class _Lockstep:
                 run.rejected += 1
                 run.h *= max(0.1, 0.9 * e ** (-0.2))
         if accepted:
-            self._accept(accepted, hs, y_new, k, stages)
+            self._accept(accepted, hs, y_new, k, q, stages)
         self._compress()
 
-    def _accept(self, acc, hs, y, k, stages):
+    def _accept(self, acc, hs, y, k, q, stages):
         """Advance the runs live[acc] over their accepted steps and record their grid samples."""
         spec = self.spec
         runs, y_old = self.live, self.y
@@ -592,25 +595,22 @@ class _Lockstep:
             a[:, 1, 1:] = _shifted(ricci_from(ric_star, coeff_ad_h_t(ys)), ric_star)
             a0 = a[:, :, -1].copy()
         if not whole:
-            runs, y_old, y, k, hs = [runs[j] for j in acc], y_old[acc], y[acc], k[acc], hs[acc]
+            runs = [runs[j] for j in acc]
+            y_old, y, k, q, hs = (x[acc] for x in (y_old, y, k, q, hs))
         t_old = [run.t for run in runs]
         for run in runs:
             run.t += run.h
             if abs(run.t - spec.t_end) <= 1e-12 * max(1.0, spec.t_end):
                 run.t = spec.t_end
-        k0 = k[:, -1].copy()
-        if self.core == Variant.SCALSTAR:
-            bumped = []
-            for i, (run, s) in enumerate(zip(runs, coeff_scal_star(y))):
-                factor = _scalstar_factor(s, only_if_drifted=True)
-                if factor is not None:
-                    y[i] = y[i] * factor
-                    run.renorms += 1
-                    bumped.append(i)
-            if bumped:
-                k0[bumped], ends = self._first_stage(y[bumped])
-                if self.gauged:
-                    a0[bumped] = ends
+        k0 = k[:, -1]
+        if self.core == Variant.SCALSTAR:  # back onto scal* = -1, k0 and a0 by the degree split
+            lam = _scalstar_factor(coeff_scal_star(y))[:, None]
+            l2 = lam * lam
+            shift = (l2 - 1.0) * l2 * q[:, None]
+            k0 = l2 * lam * k0 + shift * lam * y.reshape(len(y), -1)
+            y = lam[..., None, None] * y
+            if self.gauged:
+                a0 = l2[..., None, None] * a0 + shift[..., None, None] * np.eye(y.shape[-1])
         # Blow-up ends a run before its samples.
         sampled = []
         for i, (run, norm) in enumerate(zip(runs, _row_norms(y))):
@@ -693,7 +693,9 @@ class _Lockstep:
             traj = run.traj
             traj.samples, scal = _run_samples(run.kept, self.core, self.dec, self.label,
                                               self.variant == Variant.SCAL)
-            traj.steps, traj.rejected, traj.renormalizations = run.steps, run.rejected, run.renorms
+            traj.steps, traj.rejected = run.steps, run.rejected
+            if self.core == Variant.SCALSTAR:  # each accepted step was projected onto scal* = -1
+                traj.renormalizations = run.steps - run.rejected
             if self.gauged:
                 incs = np.concatenate([self.a0[:0]] + run.omegas + run.dense)
                 traj.gauges = _gauge_paths(incs, run.index, len(run.omegas), scal)
@@ -715,16 +717,13 @@ def _gauge_paths(omegas, index, steps, scal=None):
     return dict(zip(GAUGE_COEFFICIENTS, mats.swapaxes(0, 1).copy()))
 
 
-def _scalstar_factor(s, only_if_drifted=False):
-    """|s|^-1/2, which moves a state of scal* = s onto the scal* = -1 slice.
-
-    None when only_if_drifted and s lies within DRIFT_TOL/2 of -1.
-    """
-    if s >= 0.0:
-        raise OutOfRange(f"scal* = {s:.3e} is not negative; cannot normalize")
-    if only_if_drifted and abs(s + 1.0) <= DRIFT_TOL / 2.0:
-        return None
-    return abs(s) ** -0.5
+def _scalstar_factor(s):
+    """|s|^-1/2 for a scal* s or an array of them, which moves each state onto scal* = -1;
+    a scal* >= 0 raises OutOfRange."""
+    s = np.asarray(s)
+    if (s >= 0.0).any():
+        raise OutOfRange(f"scal* = {s[s >= 0.0][0]:.3e} is not negative; cannot normalize")
+    return (-s) ** -0.5
 
 
 @dataclass(slots=True)

@@ -566,6 +566,20 @@ def _assembled(run):
     return list(zip(trajs, calls, strict=True))
 
 
+def _rejecting(run):
+    """run() with every seventh try of each trajectory of a stack rejected (error norm 2), the
+    trajectories' rejected tries staggered, so that the stack accepts its steps apart."""
+    norms, tries = flows._error_norms, []
+
+    def rejecting(*args):
+        tries.append(1)
+        return [2.0 if (len(tries) + j) % 7 == 0 else e for j, e in enumerate(norms(*args))]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(flows, "_error_norms", rejecting)
+        return run()
+
+
 def _oracle_runs():
     """The runs whose gauges are checked against gauge_paths_loop, by name."""
     s3, h3 = catalog("s3").bracket, catalog("h3").bracket
@@ -581,9 +595,9 @@ def _oracle_runs():
         "off-grid t_end": _assembled(
             lambda: [integrate(s3, spec(Variant.SCALSTAR, 2.3, s3_label, 0.5))]),
         "scal": _assembled(lambda: [integrate(s3, spec(Variant.SCAL, 10.0, s3_label))]),
-        "rejecting stack": _assembled(lambda: integrate_stack(
+        "rejecting stack": _assembled(lambda: _rejecting(lambda: integrate_stack(
             [_s3_lambda_gauge(7, draw) for draw in range(3)],
-            spec(Variant.SCALSTAR, 100.0, lam_label))),
+            spec(Variant.SCALSTAR, 100.0, lam_label)))),
     }
 
 
@@ -699,8 +713,8 @@ class TestStackSampler:
         spec = FlowSpec(variant=variant, t_end=5.0, label=label, record_every=0.5)
         traj = integrate(mu_s3, spec)
         ts = [s.t for s in traj.samples]
-        # Off the scal* = -1 slice and off antisymmetry by round-off, as
-        # integrator states are between renormalizations.
+        # Off the scal* = -1 slice and off antisymmetry by round-off, as the
+        # dense samples inside a step are.
         rng = np.random.default_rng(3)
         cs = np.stack([s.bracket.coeffs for s in traj.samples])
         cs = cs * np.linspace(1.0, 1.001, len(ts))[:, None, None, None]
@@ -981,19 +995,27 @@ class TestLockstep:
             integrate(mu_s3, FlowSpec(variant=Variant.RAW, t_end=1.0))
 
     def test_a_failed_renormalization_raises_its_own_error(self, monkeypatch, mu_s3, s3_label):
-        factor = flows._scalstar_factor
+        # The seeds and the seed samples normalize; the projection of the first
+        # accepted step onto scal* = -1 raises.
+        factor, step, stepped = flows._scalstar_factor, flows._dp_step, []
 
-        def no_renormalization(s, only_if_drifted=False):
-            if only_if_drifted:
+        def stepping(*args):
+            stepped.append(1)
+            return step(*args)
+
+        def no_renormalization(s):
+            if stepped:
                 raise OutOfRange("renormalization")
             return factor(s)
 
+        monkeypatch.setattr(flows, "_dp_step", stepping)
         monkeypatch.setattr(flows, "_scalstar_factor", no_renormalization)
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=1.0, label=s3_label)
-        with pytest.raises(OutOfRange, match="renormalization"):
-            integrate(mu_s3, spec)
-        with pytest.raises(OutOfRange, match="renormalization"):
-            integrate_stack([mu_s3, mu_s3], spec)
+        for run in (lambda: integrate(mu_s3, spec), lambda: integrate_stack([mu_s3, mu_s3], spec)):
+            stepped.clear()
+            with pytest.raises(OutOfRange, match="renormalization") as got:
+                run()
+            assert len(stepped) == 1 and got.traceback[-2].name == "_accept"
 
     def test_empty_stack_and_one_dimension(self, mu_h3):
         spec = FlowSpec(variant=Variant.RAW, t_end=1.0)
@@ -1083,9 +1105,10 @@ class TestWorkCounts:
     to the step-size controller, the tableau or the kernel that moves them shows,
     and fewer steps can be told apart from cheaper ones.
 
-    Each run evaluates the field kernel on 1 + 6 steps + renormalizations
-    slices: its first stage, six new stages per step tried (the seventh is the
-    next step's first) and one re-evaluation after each renormalization.
+    Each run evaluates the field kernel on 1 + 6 steps slices: its first stage
+    and six new stages per step tried.  The seventh is the next step's first; on
+    scalstar runs, whose every accepted step is projected onto scal* = -1
+    (renormalizations = steps - rejected), it is rescaled in closed form.
     """
 
     @staticmethod
@@ -1104,8 +1127,19 @@ class TestWorkCounts:
         slices = self._stage_slices(monkeypatch)
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
         traj = integrate(mu_s3, spec)
-        assert (traj.steps, len(traj.samples), traj.renormalizations) == (159, 401, 32)
-        assert sum(slices) == 1 + 6 * traj.steps + traj.renormalizations == 987
+        assert (traj.steps, len(traj.samples), traj.renormalizations) == (161, 401, 161)
+        assert sum(slices) == 1 + 6 * traj.steps == 967
+
+    def test_flow_on_the_soliton(self, monkeypatch):
+        # s3_lambda(0.5) is a solvsoliton, a fixed point of the scalstar flow: h
+        # grows fivefold a step until one try (h = 25.7) is rejected.
+        mu = catalog("s3_lambda", lam=0.5).bracket
+        slices = self._stage_slices(monkeypatch)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=stratum_label(mu),
+                        record_every=100.0, conv_tol=0.0)
+        traj = integrate(mu, spec)
+        assert (traj.steps, traj.rejected, traj.renormalizations) == (12, 1, 11)
+        assert sum(slices) == 1 + 6 * traj.steps
 
     @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
     def test_stage_slices_per_run(self, monkeypatch, mu_s3, s3_label, variant):
@@ -1113,17 +1147,20 @@ class TestWorkCounts:
         label = None if variant == Variant.RAW else s3_label
         traj = integrate(mu_s3, FlowSpec(variant=variant, t_end=20.0, label=label))
         assert traj.steps > 0
-        assert sum(slices) == 1 + 6 * traj.steps + traj.renormalizations
+        assert sum(slices) == 1 + 6 * traj.steps
+        assert traj.renormalizations == (traj.steps - traj.rejected
+                                         if variant == Variant.SCALSTAR else 0)
 
     def test_stage_slices_per_stack(self, monkeypatch):
-        # The gauges take different steps, so runs are accepted, rejected and
-        # renormalized apart; each still costs its own 1 + 6 steps + renormalizations.
+        # The gauges take different steps, so runs are accepted and end apart;
+        # each still costs its own 1 + 6 steps.
         mu0s = [_s3_lambda_gauge(7, draw) for draw in range(3)]
         label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
         slices = self._stage_slices(monkeypatch)
         trajs = integrate_stack(mu0s, FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label))
         assert len({traj.steps for traj in trajs}) > 1
-        assert sum(slices) == sum(1 + 6 * t.steps + t.renormalizations for t in trajs)
+        assert sum(slices) == sum(1 + 6 * t.steps for t in trajs)
+        assert all(t.renormalizations == t.steps - t.rejected for t in trajs)
 
     def test_flowhd_shaped_runs(self, monkeypatch, rng):
         # Raw n = 8 and n = 16 draws at norm 3 and a scalstar heisenberg(9)
@@ -1144,7 +1181,56 @@ class TestWorkCounts:
             slices.clear()
             traj = integrate(mu0, spec)
             counts.append((traj.steps, traj.renormalizations, sum(slices)))
-        assert counts == [(119, 0, 715), (108, 0, 649), (132, 6, 799)]
+        assert counts == [(119, 0, 715), (108, 0, 649), (132, 132, 793)]
+
+
+class TestSliceProjection:
+    """Every accepted scalstar step is moved back onto scal* = -1, y <- lam y, and the next
+    step's first slope and gauge coefficients are rescaled in closed form by the degree
+    split, F(lam c) = lam^3 F(c) + (lam^5 - lam^3) q c and X(lam c) = lam^2 X + (lam^4 -
+    lam^2) q Id for X = A, R, with q = ||Ric*(c)||^2; they match a fresh field kernel call
+    at the projected state within 1e-14 of F's scale ||F|| + q ||c|| (and A's ||A|| + q)."""
+
+    @staticmethod
+    def _carried_gaps(monkeypatch):
+        """Per accepted step, the relative gaps of the carried (slope, A, R) of each run."""
+        gaps, accept = [], flows._Lockstep._accept
+
+        def checking(lockstep, acc, *args):
+            accept(lockstep, acc, *args)
+            y = lockstep.y[acc]
+            slopes, a, rs = flows._field(y, *lockstep.kernel)
+            r = flows._shifted(curvature.ricci_from(rs, curvature.coeff_ad_h_t(y)), rs)
+            q = (rs * rs).sum(axis=(1, 2))
+            k0, a0 = lockstep.k0[acc], lockstep.a0[acc]
+            scale = np.abs(slopes).max(axis=(1, 2, 3)) + q * np.abs(y).max(axis=(1, 2, 3))
+            gap = [np.abs(k0 - slopes.reshape(len(y), -1)).max(axis=1) / scale]
+            for got, want in ((a0[:, 0], a), (a0[:, 1], r)):
+                gap.append(np.abs(got - want).max(axis=(1, 2))
+                           / (np.abs(want).max(axis=(1, 2)) + q))
+            gaps.append(np.array(gap))
+            assert np.abs(flows.coeff_scal_star(y) + 1.0).max() <= 1e-14
+
+        monkeypatch.setattr(flows._Lockstep, "_accept", checking)
+        return gaps
+
+    def test_s3_scalstar_to_t_100(self, monkeypatch, mu_s3, s3_label):
+        gaps = self._carried_gaps(monkeypatch)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
+        traj = integrate(mu_s3, spec)
+        assert len(gaps) == traj.renormalizations == traj.steps - traj.rejected
+        assert max(g.max() for g in gaps) <= 1e-14
+
+    def test_stack_of_three_gauges(self, monkeypatch):
+        # With staggered rejected tries, so that the stack also projects part of its runs.
+        mu0s = [_s3_lambda_gauge(7, draw) for draw in range(3)]
+        label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
+        gaps = self._carried_gaps(monkeypatch)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=label, record_every=0.25)
+        trajs = _rejecting(lambda: integrate_stack(mu0s, spec))
+        assert all(t.rejected > 0 for t in trajs)
+        assert sum(g.shape[1] for g in gaps) == sum(t.renormalizations for t in trajs)
+        assert max(g.max() for g in gaps) <= 1e-14
 
 
 class TestExactAntisymmetry:
@@ -1167,8 +1253,8 @@ class TestExactAntisymmetry:
     def test_s3_scalstar_to_t_100(self, monkeypatch, mu_s3, s3_label):
         defects = self._stage_defects(monkeypatch)
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
-        assert integrate(mu_s3, spec).steps == 159
-        assert len(defects) == 1 + 6 * 159 + 32 and max(defects) == 0.0
+        assert integrate(mu_s3, spec).steps == 161
+        assert len(defects) == 1 + 6 * 161 and max(defects) == 0.0
 
     def test_raw_n8_draw(self, monkeypatch, rng):
         mu = random_solvable_bracket(rng, 8)
@@ -1235,8 +1321,27 @@ class TestStepControl:
                 traj = integrate(mu_s3, spec)
             runs.append((traj.steps, np.array([h for h, e in log if e <= 1.0])))
         (steps, hs), (steps_patched, hs_patched) = runs
-        assert steps == steps_patched == 159
+        assert steps == steps_patched == 161
         np.testing.assert_allclose(hs_patched, hs, rtol=1e-5, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_uniqueness_step_counts_are_free_of_the_kernel_rounding(self, monkeypatch, seed):
+        # Each accepted step is projected onto scal* = -1, so no renormalization
+        # follows the drift's last bits: every gauge of the uniqueness op takes
+        # the same steps with Ric* formed as M - K/2.
+        entry, run, counts = catalog("s3_lambda", lam=0.5), flows._Lockstep.run, []
+
+        def counting(lockstep, mu0s):
+            trajs = run(lockstep, mu0s)
+            counts.append([(t.steps, t.rejected) for t in trajs])
+            return trajs
+
+        monkeypatch.setattr(flows._Lockstep, "run", counting)
+        run_uniqueness_experiment(entry, 5, t_end=100.0, seed=seed)
+        monkeypatch.setattr(flows, "coeff_ric_star", lambda c: curvature.coeff_moment(c)
+                            - 0.5 * curvature.coeff_killing(c))
+        run_uniqueness_experiment(entry, 5, t_end=100.0, seed=seed)
+        assert len(counts[0]) == 5 and counts[0] == counts[1]
 
     def test_rejected_steps_are_counted(self, monkeypatch, mu_s3):
         # steps counts every step tried; rejected, the tries whose error norm exceeds 1.
