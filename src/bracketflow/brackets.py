@@ -11,8 +11,11 @@ The coefficient-level kernels `act_apply`, `pi_apply`, `neg_pi_apply` and
 `jacobi_norm` act on raw (n, n, n) arrays by reshapes and BLAS products,
 without validation; the BracketTensor functions wrap them.  All of them also
 take a stack (..., n, n, n) of states and return the stack of results, each
-slice equal to the bits of the one-state call; `bracket_stack` validates such
-a stack slice by slice, as BracketTensor and `ensure_lie` validate one array.
+slice equal to the bits of the one-state call.  Validation happens where data
+comes in: BracketTensor checks one array's size and antisymmetry.  The flows'
+states are exactly antisymmetric by construction, so `bracket_stack` checks an
+integrator's stack, slice by slice, only for the size cap and the Jacobi
+identity, which DOPRI5 does not keep.
 
 The JSON wire format is decided here: `bracket_to_dict` and
 `bracket_from_dict` for brackets, `report_to_dict` for the report dataclasses.
@@ -52,11 +55,10 @@ def _size_error(cmax):
     return ValueError(f"largest |coefficient| {cmax:.3e} exceeds the cap {COEFF_CAP:.0e}")
 
 
-def _check_shape(shape, stacked=False):
-    """Raise unless shape is (n, n, n), or (B, n, n, n) if stacked, with 1 <= n <= DIM_CAP."""
-    if len(shape) != 3 + stacked or len(set(shape[-3:])) != 1:
-        want = "(B, n, n, n)" if stacked else "(n, n, n)"
-        raise ValueError(f"expected an {want} array, got shape {shape}")
+def _check_shape(shape):
+    """Raise unless shape is (n, n, n) with 1 <= n <= DIM_CAP."""
+    if len(shape) != 3 or len(set(shape)) != 1:
+        raise ValueError(f"expected an (n, n, n) array, got shape {shape}")
     n = shape[-1]
     if n < 1 or n > DIM_CAP:
         raise ValueError(f"dimension {n} outside the supported range 1..{DIM_CAP}")
@@ -82,17 +84,15 @@ class BracketTensor:
     __slots__ = ("dim", "coeffs", "_jacobi")
 
     def __init__(self, coeffs, antisymmetrize=False):
-        c, errors = _validated(coeffs, stacked=False, antisymmetrize=antisymmetrize)
-        if errors[0] is not None:
-            raise errors[0]
-        self.dim = c.shape[-1]
-        self.coeffs = c[0]
+        self.coeffs = _validated(coeffs, antisymmetrize)
+        self.dim = self.coeffs.shape[0]
         self._jacobi = None
 
     @classmethod
     def _checked(cls, c, jacobi):
-        """Wrap coefficients that passed BracketTensor's checks, read-only, with
-        their Jacobi residual; nothing is checked or copied again."""
+        """Wrap read-only coefficients that meet BracketTensor's conditions (bracket_stack's
+        slices are antisymmetric by construction), with their Jacobi residual; nothing is
+        checked or copied."""
         mu = cls.__new__(cls)
         mu.dim = c.shape[0]
         mu.coeffs = c
@@ -153,62 +153,47 @@ class BracketTensor:
         return f"BracketTensor(dim={self.dim}, norm={self.norm:.6g})"
 
 
-def _validated(coeffs, stacked, antisymmetrize):
-    """BracketTensor's checks on one (n, n, n) array, or slice by slice on a (B, n, n, n) stack.
+def _validated(coeffs, antisymmetrize):
+    """BracketTensor's checks on one (n, n, n) array: returns it as a float copy, read-only.
 
-    Returns the float stack, one array as B = 1, read-only, with any
-    non-finite or over-cap slice zeroed and every slice with a symmetric part
-    projected onto its antisymmetric part; and per slice the ValueError its
-    checks raise, or None.  A slice whose largest |c| is not at most
-    COEFF_CAP (NaN and inf included) is an error, and so is a symmetric part
-    above _asym_bound unless antisymmetrize is set.  The zeroing, the errors
-    and the slice-by-slice projection are formed only where a slice needs
-    them.  When every slice has a symmetric part, the whole stack is
-    projected at once; the integrator's states are exactly antisymmetric
-    and are kept as they are.
+    Its largest |c| must be at most COEFF_CAP (NaN and inf fail), and a
+    symmetric part above _asym_bound raises unless antisymmetrize is set.  A
+    symmetric part is projected away; an exactly antisymmetric array is kept as
+    it is, signed zeros included.
     """
     c = np.asarray(coeffs, dtype=float)
-    _check_shape(c.shape, stacked)
-    if not stacked:
-        c = c[None]
-    # The per-slice decisions are taken on Python floats: a stack holds few slices.
-    cmax = np.abs(c).max(axis=(1, 2, 3)).tolist()
-    errors = [None] * len(c)
-    fits = [m <= COEFF_CAP for m in cmax]  # NaN compares False
-    if not all(fits):
-        errors = [None if ok else _size_error(m) for ok, m in zip(fits, cmax)]
-        c = np.where(np.array(fits)[:, None, None, None], c, 0.0)
-    asym = np.abs(c + c.swapaxes(1, 2)).max(axis=(1, 2, 3)).tolist()
-    if not antisymmetrize:
-        for j, (defect, m) in enumerate(zip(asym, cmax)):
-            if defect > _asym_bound(m):
-                errors[j] = ValueError(f"coefficients are not antisymmetric (defect {defect:.3e}); "
-                                       "pass antisymmetrize=True to project")
-    project = [defect > 0.0 for defect in asym]
-    if all(project):
-        c = 0.5 * (c - c.swapaxes(1, 2))
-    else:
-        # An exactly antisymmetric slice is kept as it is, signed zeros included.
-        c = np.array(c)
-        if any(project):
-            part = c[project]
-            c[project] = 0.5 * (part - part.swapaxes(1, 2))
+    _check_shape(c.shape)
+    cmax = float(np.abs(c).max())
+    if not cmax <= COEFF_CAP:  # NaN compares False
+        raise _size_error(cmax)
+    defect = float(np.abs(c + c.swapaxes(0, 1)).max())
+    if defect > _asym_bound(cmax) and not antisymmetrize:
+        raise ValueError(f"coefficients are not antisymmetric (defect {defect:.3e}); "
+                         "pass antisymmetrize=True to project")
+    c = 0.5 * (c - c.swapaxes(0, 1)) if defect > 0.0 else np.array(c)
     c.flags.writeable = False
-    return c, errors
+    return c
 
 
-def bracket_stack(coeffs):
-    """Lie brackets BracketTensor(c) of the slices c of a (B, n, n, n) stack, from one pass.
+def bracket_stack(c):
+    """Lie brackets BracketTensor(c) of the slices c of an integrator's (B, n, n, n) stack.
 
-    Each slice is checked and projected as BracketTensor.__init__ does one
-    array; then it must pass ensure_lie.  Returns the validated stack,
-    read-only, with any non-finite slice zeroed; the squared norms of its
-    slices, as norm_sq gives them; and one entry per slice: the BracketTensor
-    over that slice, with its Jacobi residual from one stacked sum, or the
-    exception that the checks raise on it, left for the caller to raise when
-    it reaches the slice.
+    The stack must be fresh and exactly antisymmetric in its first two axes,
+    as every state the flows form is: it is neither copied nor projected, and
+    it comes back read-only.  Each slice's largest |c| must be at most
+    COEFF_CAP (NaN and inf fail; such a slice is zeroed before the stacked
+    Jacobi sum), and then the slice must pass ensure_lie.  Returns the squared
+    norms of the slices, as norm_sq gives them, and one entry per slice: the
+    BracketTensor over that slice, with its Jacobi residual from one stacked
+    sum, or the exception that the checks raise on it, left for the caller to
+    raise when it reaches the slice.
     """
-    c, errors = _validated(coeffs, stacked=True, antisymmetrize=False)
+    cmax = np.abs(c).max(axis=(1, 2, 3)).tolist()
+    errors = [None if m <= COEFF_CAP else _size_error(m) for m in cmax]  # NaN compares False
+    for j, err in enumerate(errors):
+        if err is not None:
+            c[j] = 0.0
+    c.flags.writeable = False
     res = jacobi_norm(c).tolist()
     norm_sq = (c * c).reshape(len(c), -1).sum(axis=1)
     out = []
@@ -216,7 +201,7 @@ def bracket_stack(coeffs):
         if err is None and r > _lie_bound(sq):
             err = _lie_error(r)
         out.append(BracketTensor._checked(c[j], r) if err is None else err)
-    return c, norm_sq, out
+    return norm_sq, out
 
 
 def jacobi_residual(mu):

@@ -18,12 +18,13 @@ slopes so far, and calls the field kernel `_field` once: no flow forms M or K,
 Ric* is one product, Ric is formed only for a raw A, and -pi(A)c takes two
 (brackets.neg_pi_apply), so every stage state stays exactly antisymmetric.  A
 record (the seeds, one step's grid samples or the final samples) decides, as
-one stack, only what the loop needs: it validates the states through
-bracket_stack, the flow's one Jacobi check (DOPRI5 does not keep the Jacobi
-identity, and a record past jacobi_tolerance raises NotALieBracket), and on
-runs that keep gauges or check convergence it also forms Ric, Ric*, A and the
-field norms.  Each run forms its Monitors and FlowSamples once, when it ends,
-in one pass over its samples that also forms whatever its records left out.
+one stack, only what the loop needs.  bracket_stack checks the states against
+COEFF_CAP and for the Jacobi identity, the flow's one Jacobi check (DOPRI5 does
+not keep the Jacobi identity, and a record past jacobi_tolerance raises
+NotALieBracket); the states are exactly antisymmetric, so nothing is projected
+or copied.  On runs that keep gauges or check convergence a record also forms
+A, R and the field norms.  Each run forms its Ric, Ric*, Monitors and
+FlowSamples once, when it ends, in one pass over its samples.
 
 Every accepted scalstar (and scal) step is projected back onto scal* = -1, y <- lam y
 with lam = |scal*(y)|^-1/2 (Hairer, Lubich & Wanner, Geometric Numerical Integration,
@@ -195,15 +196,14 @@ def _endomorphism(ric, ric_star, variant, dec):
 
 
 def _shifted(m, ric_star):
-    """m + ||Ric*||^2 Id, in place on a fresh m (n, n) or C-contiguous stack (..., n, n) of
-    Ric*'s shape: the scalstar A, and for m = Ric the "ricci" gauge's coefficient R."""
-    n = m.shape[-1]
+    """m + ||Ric*||^2 Id, in place on a fresh m (n, n) or stack (..., n, n) of Ric*'s shape,
+    in any memory layout: the scalstar A, and for m = Ric the "ricci" gauge's coefficient R."""
     flat = ric_star.reshape(ric_star.shape[:-2] + (-1,))
     shift = np.vecdot(flat, flat)
     if m.ndim == 2:
-        m.flat[:: n + 1] += shift
+        m.flat[:: m.shape[0] + 1] += shift
     else:
-        m.reshape(-1, n * n, copy=False)[:, :: n + 1] += shift.reshape(-1, 1)
+        np.einsum("...ii->...i", m)[...] += shift[..., None]  # a writeable view of the diagonals
     return m
 
 
@@ -281,17 +281,18 @@ def _row_norms(x):
 class _Record:
     """What one record decides at a stack of samples; _record_stack forms it."""
 
-    __slots__ = ("ts", "cs", "drift", "coeffs", "norm_sq", "brackets", "ric", "ric_star",
-                 "field_norm", "norms")
+    __slots__ = ("ts", "cs", "drift", "norm_sq", "brackets", "field_norm", "norms")
 
 
 def _record_stack(ts, cs, variant, dec, gauged=False, curved=True):
     """Record the states cs (B, n, n, n) at times ts: returns (_Record, (A, R) or None).
 
+    cs is a fresh, exactly antisymmetric stack, which the record keeps read-only.
     Scalstar states (a step's end on the scal* = -1 slice, samples inside it off it by
-    its error) are moved onto it, and their drifts kept.  bracket_stack validates the
-    stack (_append raises its failed entries); a curved record also forms Ric, Ric*, the
-    field and bracket norms of the convergence streak, and (A, R) for the gauges.
+    its error) are moved onto it, and their drifts kept.  bracket_stack checks the
+    stack's size and Jacobi identity (_append raises its failed entries); a curved
+    record also forms the field and bracket norms of the convergence streak, and (A, R)
+    for the gauges.
     """
     drift = [float("nan")] * len(ts)
     if variant == Variant.SCALSTAR:
@@ -300,23 +301,23 @@ def _record_stack(ts, cs, variant, dec, gauged=False, curved=True):
         cs = cs * _scalstar_factor(s)[:, None, None, None]
     rec = _Record()
     rec.ts, rec.cs, rec.drift = ts, cs, drift
-    rec.coeffs, rec.norm_sq, rec.brackets = bracket_stack(cs)
-    rec.ric = rec.ric_star = rec.field_norm = rec.norms = None
+    rec.norm_sq, rec.brackets = bracket_stack(cs)
+    rec.field_norm = rec.norms = None
     if not curved:
         return rec, None
-    rec.ric, rec.ric_star = coeff_ricci(rec.coeffs)
-    a = _endomorphism(rec.ric, rec.ric_star, variant, dec)
-    rec.field_norm, rec.norms = _row_norms(neg_pi_apply(a, cs)), _row_norms(rec.coeffs)
-    r = _shifted(rec.ric.copy(), rec.ric_star) if gauged and variant != Variant.RAW else None
+    ric, ric_star = coeff_ricci(cs)
+    a = _endomorphism(ric, ric_star, variant, dec)
+    rec.field_norm, rec.norms = _row_norms(neg_pi_apply(a, cs)), _row_norms(cs)
+    r = _shifted(ric, ric_star) if gauged and variant != Variant.RAW else None
     return rec, (a, r)
 
 
 def _run_samples(kept, variant, dec, label, scal=False):
     """(FlowSamples, scal of each state if scal) of one run, in one pass over its kept slices.
 
-    Ric, Ric* and field norms that its records left out are formed here.  With
-    scal, the scalstar samples are rescaled by |scal|^-1/2, keeping their field
-    norms and drifts.
+    The run's Ric, Ric* and field norms are formed here, from its stacked states.
+    With scal, the scalstar samples are rescaled by |scal|^-1/2, keeping their
+    field norms and drifts.
     """
     parts = [(rec, slice(first, end)) for rec, first, end in kept]
 
@@ -326,26 +327,22 @@ def _run_samples(kept, variant, dec, label, scal=False):
     def stacked(name):
         return np.concatenate([getattr(rec, name)[part] for rec, part in parts])
 
-    ts, brackets, norm_sq, coeffs = (joined("ts"), joined("brackets"), stacked("norm_sq"),
-                                     stacked("coeffs"))
-    if kept[0][0].ric is None:
-        ric, ric_star = coeff_ricci(coeffs)
-        a = _endomorphism(ric, ric_star, variant, dec)
-        field_norm = _row_norms(neg_pi_apply(a, stacked("cs")))
-    else:
-        ric, ric_star, field_norm = stacked("ric"), stacked("ric_star"), joined("field_norm")
+    ts, brackets, norm_sq, cs = joined("ts"), joined("brackets"), stacked("norm_sq"), stacked("cs")
+    ric, ric_star = coeff_ricci(cs)
+    field_norm = _row_norms(neg_pi_apply(_endomorphism(ric, ric_star, variant, dec), cs))
     scals = None
     if scal:
         scals = ric.trace(axis1=-2, axis2=-1).tolist()
         # A zero scal raises below before its scale is used.
         scales = np.array([abs(v) ** -0.5 if v else 1.0 for v in scals])
-        coeffs, new_sq, brackets = bracket_stack(coeffs * scales[:, None, None, None])
+        cs = cs * scales[:, None, None, None]
+        new_sq, brackets = bracket_stack(cs)
         for t, v, sq, mu in zip(ts, scals, norm_sq.tolist(), brackets):
             if abs(v) < 1e-12 * (1.0 + sq):
                 raise OutOfRange(f"scal = {v:.3e} at t = {t}; cannot rescale")
             if isinstance(mu, Exception):
                 raise mu
-        norm_sq, (ric, ric_star) = new_sq, coeff_ricci(coeffs)
+        norm_sq, (ric, ric_star) = new_sq, coeff_ricci(cs)
     ric_norm = _row_norms(ric)
     nan = float("nan")
     rstar, beta_sq = [(nan, nan, nan)] * len(ts), nan

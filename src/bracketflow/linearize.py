@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import derivation_matrix, derivation_space, pi_action, pi_apply, report_to_dict
+from .brackets import derivation_matrix, derivation_space, pi_apply, report_to_dict
 from .curvature import coeff_ric_star, killing_matrix
 from .errors import GaugeMismatch
 from .flows import Variant, flow_field
@@ -72,7 +72,7 @@ class POperator:
 
 def _require_gauged_soliton(mu, dec, tol=1e-7):
     beta_plus = dec.label.beta_plus
-    leak = float(np.linalg.norm(pi_action(beta_plus, mu).coeffs))
+    leak = float(np.linalg.norm(pi_apply(beta_plus, mu.coeffs)))
     if leak > tol * (1.0 + mu.norm):
         raise GaugeMismatch(
             f"bracket is not fixed by pi(beta+): residual {leak:.3e}; "

@@ -20,7 +20,7 @@ from .brackets import (
     derivation_space,
     ensure_lie,
     nilradical,
-    pi_action,
+    pi_apply,
     report_to_dict,
 )
 from .curvature import curvature_pack, killing_matrix, moment_map_fast
@@ -115,7 +115,7 @@ def normalize_soliton(mu, cert):
     rstar_sq = float(np.sum(rstar * rstar))
     beta_plus = rstar + rstar_sq * np.eye(mu.dim)
     _check(
-        float(np.linalg.norm(pi_action(beta_plus, normalized).coeffs)) <= IDENTITY_TOL,
+        float(np.linalg.norm(pi_apply(beta_plus, normalized.coeffs))) <= IDENTITY_TOL,
         "beta+ is not a derivation of the normalized bracket",
     )
     w, v = np.linalg.eigh(0.5 * (beta_plus + beta_plus.T))

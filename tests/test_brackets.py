@@ -70,17 +70,13 @@ class TestConstruction:
 
     def test_an_antisymmetric_slice_keeps_its_signed_zeros(self, mu_s3):
         # -c has -0 on every zero entry, c[i, i, k] included; 0.5 (c - c^T) would
-        # turn those into +0, so only a slice with a symmetric part is projected.
+        # turn those into +0, so only an array with a symmetric part is projected.
+        # bracket_stack projects nothing: its stacks are antisymmetric by construction.
         neg = -mu_s3.coeffs
         assert np.signbit(neg[0, 0, 0]) and np.signbit(neg[1, 2, 0])
         assert BracketTensor(neg).coeffs.tobytes() == neg.tobytes()
-        tilted = mu_s3.coeffs.copy()
-        tilted[0, 1, 2] += 1e-14
-        projected = 0.5 * (tilted - tilted.swapaxes(0, 1))
-        for stack, want in (([neg, tilted], [neg, projected]),
-                            ([tilted, 2.0 * tilted], [projected, 2.0 * projected])):
-            coeffs, _, _ = bracket_stack(np.stack(stack))
-            assert [c.tobytes() for c in coeffs] == [w.tobytes() for w in want]
+        _, items = bracket_stack(np.stack([neg, 2.0 * neg]))
+        assert [mu.coeffs.tobytes() for mu in items] == [neg.tobytes(), (2.0 * neg).tobytes()]
 
     def test_validation_leaves_its_input_unchanged(self, mu_s3):
         c = mu_s3.coeffs.copy()

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -713,12 +714,13 @@ class TestStackSampler:
         spec = FlowSpec(variant=variant, t_end=5.0, label=label, record_every=0.5)
         traj = integrate(mu_s3, spec)
         ts = [s.t for s in traj.samples]
-        # Off the scal* = -1 slice and off antisymmetry by round-off, as the
-        # dense samples inside a step are.
+        # Off the scal* = -1 slice, as the dense samples inside a step are, and
+        # exactly antisymmetric, as every state a flow records is.
         rng = np.random.default_rng(3)
         cs = np.stack([s.bracket.coeffs for s in traj.samples])
         cs = cs * np.linspace(1.0, 1.001, len(ts))[:, None, None, None]
-        cs += 1e-16 * rng.standard_normal(cs.shape)
+        noise = 1e-16 * rng.standard_normal(cs.shape)
+        cs += noise - noise.swapaxes(1, 2)
         return ts, cs, dec, label
 
     @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
@@ -1270,6 +1272,78 @@ class TestExactAntisymmetry:
         trajs = integrate_stack(mu0s, FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label))
         assert all(traj.gauges for traj in trajs)
         assert max(defects) == 0.0
+
+
+class TestRecordedStacksAreExactlyAntisymmetric:
+    """bracket_stack neither checks nor projects antisymmetry, because every stack a flow
+    gives it is exactly antisymmetric: the records' seeds, dense and step-end samples and
+    final samples, and a scal run's rescaled samples."""
+
+    @staticmethod
+    def _defects(run):
+        """run() with, per kind of sample, the largest |c + c^T| of each state that the
+        flows give bracket_stack."""
+        defects, ends = {}, []
+        record, stack = flows._Lockstep._record, flows.bracket_stack
+
+        def recording(lockstep, runs, sampled, *args):
+            ends[:] = [runs[i].t for i in sampled]  # the step ends of this record
+            return record(lockstep, runs, sampled, *args)
+
+        def checking(cs):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_run_samples":
+                kinds = ["scal rescale"] * len(cs)
+            else:
+                kind = {"_start": "seed", "_finish": "final"}.get(caller.f_back.f_code.co_name)
+                kinds = [kind or ("step end" if any(abs(t - e) <= 1e-12 * max(1.0, e)
+                                                    for e in ends) else "dense")
+                         for t in caller.f_locals["ts"]]
+            for kind, defect in zip(kinds, np.abs(cs + cs.swapaxes(1, 2)).max(axis=(1, 2, 3)),
+                                    strict=True):
+                defects.setdefault(kind, []).append(float(defect))
+            return stack(cs)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(flows._Lockstep, "_record", recording)
+            m.setattr(flows, "bracket_stack", checking)
+            run()
+        return defects
+
+    def test_s3_scalstar_to_t_100(self, mu_s3, s3_label):
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
+        defects = self._defects(lambda: integrate(mu_s3, spec))
+        assert sorted(defects) == ["dense", "seed", "step end"]
+        assert len(defects["dense"]) > 300
+        assert max(max(d) for d in defects.values()) == 0.0
+
+    def test_scal_rescale_and_final_samples(self, mu_s3, s3_label):
+        spec = FlowSpec(variant=Variant.SCAL, t_end=10.3, label=s3_label)
+        defects = self._defects(lambda: integrate(mu_s3, spec))
+        assert sorted(defects) == ["dense", "final", "scal rescale", "seed"]
+        assert len(defects["scal rescale"]) == 22
+        assert max(max(d) for d in defects.values()) == 0.0
+
+    def test_gauged_stack_of_three_with_rejected_steps(self):
+        mu0s = [_s3_lambda_gauge(7, draw) for draw in range(3)]
+        label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label, record_every=0.25)
+        defects = self._defects(lambda: _rejecting(lambda: integrate_stack(mu0s, spec)))
+        assert len(defects["seed"]) == 3 and len(defects["dense"]) > 100
+        assert max(max(d) for d in defects.values()) == 0.0
+
+    def test_raw_n8_draw(self, rng):
+        mu = random_solvable_bracket(rng, 8)
+        spec = FlowSpec(variant=Variant.RAW, t_end=20.0, record_every=3.0)
+        defects = self._defects(lambda: integrate(mu.scaled(3.0 / mu.norm), spec))
+        assert sorted(defects) == ["dense", "final", "seed"]
+        assert max(max(d) for d in defects.values()) == 0.0
+
+    def test_collapse_flow_off_flat_e2(self, mu_e2):
+        defects = self._defects(lambda: experiments.run_collapse_experiment(
+            catalog("e2"), gauge=np.diag([1.0, 1.0, 1.5])))
+        assert sum(len(d) for d in defects.values()) == 201
+        assert max(max(d) for d in defects.values()) == 0.0
 
 
 class TestStepControl:

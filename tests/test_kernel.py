@@ -7,6 +7,7 @@ kernel in `curvature.coeff_parts`, `brackets.pi_apply` and
 `act` used to call, bit for bit.  Every bound is relative to 1 + ||mu||^2.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -50,8 +51,8 @@ from bracketflow.curvature import (
     ricci_from,
 )
 from bracketflow.errors import NotALieBracket
-from bracketflow.flows import _field, _shifted, flow_field
-from bracketflow.strata import beta_decomposition, label_from_beta
+from bracketflow.flows import _endomorphism, _field, _shifted, flow_field
+from bracketflow.strata import beta_decomposition, label_from_beta, project_qbeta
 from bracketflow.linalg import RANK_TOL, expm_stack, null_space, subspace_distance
 
 from oracles import (
@@ -281,6 +282,19 @@ class TestFieldKernel:
             for got, state, ric_star in zip(r, c, ric_stars, strict=True):
                 assert got.tobytes() == _ricci_of(state, ric_star, True).tobytes()
 
+    @pytest.mark.parametrize("dim", [3, 9])
+    def test_scalstar_a_of_a_stack_in_any_layout(self, dim):
+        # A (P, 7, n, n) view of a stage-major (7, P, n, n) Ric* stack, on which
+        # project_qbeta returns a stack that is not C-contiguous: _shifted still
+        # adds ||Ric*||^2 on its diagonals in place, with each slice's bits.
+        c, dec = _draw_field_input(np.random.default_rng(dim), dim, Variant.SCALSTAR, 14)
+        ric_stars = np.stack([_field(state, Variant.SCALSTAR, dec)[2] for state in c])
+        stack = ric_stars.reshape(7, 2, dim, dim).swapaxes(0, 1)
+        assert not project_qbeta(stack, dec).flags.c_contiguous
+        a = _endomorphism(None, stack, Variant.SCALSTAR, dec)
+        for got, ric_star in zip(a.reshape(14, dim, dim), stack.reshape(14, dim, dim)):
+            assert got.tobytes() == _endomorphism(None, ric_star, Variant.SCALSTAR, dec).tobytes()
+
     def test_slopes_are_written_into_out(self):
         c, _ = _draw_field_input(np.random.default_rng(4), 5, Variant.RAW, 2)
         rows = np.zeros((2, 3, c[0].size))
@@ -369,37 +383,67 @@ class TestStackedKernels:
                 assert np.array_equal(acts[j], act_apply(h[j], c))
 
     def test_bracket_stack_checks_each_slice_as_bracket_tensor(self):
+        # Each slice of an antisymmetric stack passes or fails as BracketTensor and
+        # ensure_lie decide, with their messages: the size cap, then the Jacobi identity.
         lie = catalog("s3").bracket.coeffs
         not_lie = random_antisymmetric_bracket(np.random.default_rng(5), 3).coeffs
-        tilted = lie.copy()
-        tilted[0, 1, 2] += 1e-14  # projected onto its antisymmetric part
-        skew = lie.copy()
-        skew[0, 1, 2] += 1e-3
         nan = lie.copy()
         nan[1, 2, 0] = np.nan
         inf = np.where(lie != 0.0, np.inf, 0.0)
         # max |c| of s3 is 1: the cap itself is accepted, twice it is not.
-        cs = np.stack([lie, not_lie, tilted, skew, nan, inf, COEFF_CAP * lie, 2.0 * COEFF_CAP * lie])
-        coeffs, norm_sq, items = bracket_stack(cs)
-        assert not coeffs.flags.writeable
+        slices = [lie, not_lie, nan, inf, COEFF_CAP * lie, 2.0 * COEFF_CAP * lie]
+        norm_sq, items = bracket_stack(np.stack(slices))
         kinds = []
-        for c, sq, got in zip(cs, norm_sq, items):
+        for c, sq, got in zip(slices, norm_sq, items, strict=True):
             try:
                 want = BracketTensor(c)
                 ensure_lie(want)
             except (ValueError, NotALieBracket) as exc:
                 assert type(got) is type(exc) and str(got) == str(exc)
+                assert sq == 0.0 or type(exc) is NotALieBracket  # a failed size check zeroes
                 kinds.append(type(exc))
                 continue
             assert np.array_equal(got.coeffs, want.coeffs) and not got.coeffs.flags.writeable
             assert got.jacobi_residual() == want.jacobi_residual()
             assert sq == want.norm_sq
             kinds.append(BracketTensor)
-        assert kinds == [BracketTensor, NotALieBracket, BracketTensor, ValueError, ValueError,
-                         ValueError, BracketTensor, ValueError]
-        assert not np.array_equal(items[2].coeffs, tilted)
-        assert str(items[4]) == str(items[5]) == "structure constants must be finite"
-        assert str(items[7]) == "largest |coefficient| 2.000e+25 exceeds the cap 1e+25"
+        assert kinds == [BracketTensor, NotALieBracket, ValueError, ValueError, BracketTensor,
+                         ValueError]
+        assert str(items[2]) == str(items[3]) == "structure constants must be finite"
+        assert str(items[5]) == "largest |coefficient| 2.000e+25 exceeds the cap 1e+25"
+
+    def test_bracket_stack_keeps_its_stack_read_only_without_copy_or_projection(self):
+        # The stack is the brackets' storage, and a symmetric part, which the
+        # integrator's states never have, is neither checked nor projected.
+        lie = catalog("s3").bracket.coeffs
+        tilted = lie.copy()
+        tilted[0, 1, 2] += 1e-3
+        cs = np.stack([lie, tilted, 2.0 * lie])
+        want = cs.copy()
+        _, items = bracket_stack(cs)
+        assert not cs.flags.writeable and cs.tobytes() == want.tobytes()
+        for mu, c in zip(items, cs, strict=True):
+            assert mu.coeffs.base is cs and np.shares_memory(mu.coeffs, c)
+        assert items[1].coeffs.tobytes() == tilted.tobytes()
+
+    def test_no_record_runs_the_bracket_tensor_validator(self, monkeypatch):
+        # Records check their stacks through bracket_stack alone: no call of
+        # BracketTensor's validator comes from one.
+        callers, validated = [], brackets._validated
+
+        def watching(*args, **kwargs):
+            frame, names = sys._getframe(1), []
+            while frame is not None:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            callers.append(names)
+            return validated(*args, **kwargs)
+
+        mu = catalog("s3").bracket
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=10.0, label=stratum_label(mu))
+        monkeypatch.setattr(brackets, "_validated", watching)
+        assert len(integrate(mu, spec).samples) == 21
+        assert [names for names in callers if "_record_stack" in names] == []
 
 
 @pytest.mark.parametrize("dim", [1, 3, 7])
