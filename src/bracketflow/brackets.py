@@ -15,7 +15,7 @@ slice equal to the bits of the one-state call.  Validation happens where data
 comes in: BracketTensor checks one array's size and antisymmetry.  The flows'
 states are exactly antisymmetric by construction, so `bracket_stack` checks an
 integrator's stack, slice by slice, only for the size cap and the Jacobi
-identity, which DOPRI5 does not keep.
+identity, which DOP853 does not keep.
 
 The JSON wire format is decided here: `bracket_to_dict` and
 `bracket_from_dict` for brackets, `report_to_dict` for the report dataclasses.

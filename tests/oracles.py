@@ -20,14 +20,13 @@ index, basis element or matrix entry at a time:
   double loop;
 - `clustered_from_first`: spectra clustered within EIG_TOL of each cluster's
   first value, the rule before the gap rule of `strata._gap_clusters`;
+- `gauge_paths_loop`: a run's gauges rebuilt sample to sample by scipy's
+  `solve_ivp` of the joint system, restarted at each recorded bracket;
 - `field_reference`: the flow's stage as composed before the field kernel
   `flows._field` and the gauges' `flows._gauge_coefficients`, which must give
   the bits of its A and R: all of `coeff_parts`, the q_beta projection by the
   three beta masks, A and R with ||Ric*||^2 Id added on copies, then
   -pi_apply, which `_field`'s two-product slopes match within a rounding bound;
-- `gauge_paths_loop`: a run's gauges rebuilt from its Magnus increments with
-  one scipy `expm` per slice, chained step by step in a plain loop;
-- `expm_digits`: the matrix exponential in 40-digit arithmetic (mpmath).
 
 The test-only helpers `random_antisymmetric_bracket`, `random_orthogonal`,
 `scalstar_first_variation` and `grading_components` live here too, and so do
@@ -385,35 +384,43 @@ def field_reference(c, variant, dec, gauged=False):
     return -pi_apply(a, c), a, _plus_identity(ric, shift) if gauged else None
 
 
-def gauge_paths_loop(increments, index, steps, scal=None):
-    """h per coefficient, each (N, n, n), at a run's samples as flows._gauge_paths forms it,
-    from its Magnus increments (K + D, G, n, n) (the K = steps accepted steps', then the D
-    samples' inside a step) and (k, inside) per sample: scipy's expm of one increment at a
-    time, chained from Id in a plain loop; on a scal run, the first coefficient scaled by
-    |scal / scal(0)|^1/2."""
-    out = []
-    for g in range(increments.shape[1]):
-        starts = [np.eye(increments.shape[-1])]
-        for k in range(steps):
-            starts.append(expm(increments[k, g]) @ starts[-1])
-        mats, row = [], steps
-        for j, (k, inside) in enumerate(index):
-            h = starts[k]
-            if inside:
-                h, row = expm(increments[row, g]) @ h, row + 1
-            if scal is not None and g == 0:
-                h = h * np.sqrt(abs(scal[j]) / abs(scal[0]))
-            mats.append(h)
-        out.append(np.array(mats))
-    return out
+def gauge_paths_loop(traj, dec):
+    """h per coefficient ("variant", "ricci"), each (N, n, n), at the samples of a scalstar
+    or scal run that carries its gauges, rebuilt in a plain loop over the samples: from each
+    one to the next, scipy's solve_ivp (DOP853, rtol 1e-12) of the joint scalstar system for
+    (c, h_variant, h_ricci), restarted at the recorded bracket moved onto scal* = -1, with h
+    chained from Id; on a scal run the variant gauge is scaled by |scal / scal(0)|^1/2."""
+    from scipy.integrate import solve_ivp
 
+    n = traj.samples[0].bracket.dim
+    m = n ** 3
 
-def expm_digits(a):
-    """exp(a) of one matrix, computed by mpmath with 40 digits and rounded to floats."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        e = mpmath.expm(mpmath.matrix(a.tolist()))
-        return np.array([[float(e[i, j]) for j in range(a.shape[1])] for i in range(a.shape[0])])
+    def rhs(_, y):
+        mu = BracketTensor(y[:m].reshape(n, n, n), antisymmetrize=True)
+        _, _, _, ric, rs = coeff_parts(mu.coeffs)
+        shift = float(np.sum(rs * rs)) * np.eye(n)
+        a = project_qbeta(rs, dec) + shift
+        return np.concatenate([-pi_apply(a, mu.coeffs).ravel(),
+                               (-a @ y[m: m + n * n].reshape(n, n)).ravel(),
+                               (-(ric + shift) @ y[m + n * n:].reshape(n, n)).ravel()])
+
+    def on_slice(c):
+        return c / np.sqrt(abs(np.trace(coeff_parts(c)[4])))
+
+    h = [np.eye(n), np.eye(n)]
+    out = [[h[0]], [h[1]]]
+    for s0, s1 in zip(traj.samples, traj.samples[1:]):
+        y0 = np.concatenate([on_slice(s0.bracket.coeffs).ravel(), h[0].ravel(), h[1].ravel()])
+        ref = solve_ivp(rhs, (s0.t, s1.t), y0, method="DOP853", rtol=1e-12, atol=1e-14)
+        assert ref.success
+        h = [ref.y[m: m + n * n, -1].reshape(n, n), ref.y[m + n * n:, -1].reshape(n, n)]
+        out[0].append(h[0])
+        out[1].append(h[1])
+    mats = [np.array(out[0]), np.array(out[1])]
+    if traj.variant == Variant.SCAL:
+        scal = [np.trace(coeff_parts(on_slice(s.bracket.coeffs))[3]) for s in traj.samples]
+        mats[0] = mats[0] * np.sqrt(np.abs(scal) / abs(scal[0]))[:, None, None]
+    return mats
 
 
 def random_antisymmetric_bracket(rng, dim, scale=1.0):

@@ -285,7 +285,7 @@ class TestCli:
                 "--record-every", "0.5", "--out", str(tmp_path / "t.csv")]
         assert main(args) == 0
         assert capsys.readouterr().err == (
-            "# termination=ReachedTEnd steps=36 rejected=0 samples=5\n")
+            "# termination=ReachedTEnd steps=12 rejected=0 samples=5\n")
 
     def test_flow_snapshots(self, tmp_path, capsys):
         snap = tmp_path / "snap.jsonl"

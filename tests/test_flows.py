@@ -35,7 +35,6 @@ from bracketflow.curvature import curvature_parts
 from bracketflow.errors import (BracketFlowError, GaugeMismatch, NotALieBracket, OutOfRange,
                                SingularGauge)
 from bracketflow.experiments import random_parabolic_gauge, run_uniqueness_experiment
-from bracketflow.linalg import expm_stack
 from bracketflow.flows import (
     CONV_TOL,
     CONV_WINDOW,
@@ -518,6 +517,39 @@ class TestGaugeRecovery:
             mats = recover_gauge(s3_short, coefficient=coefficient).mats
             assert np.max(np.abs(np.reshape(mats, (len(times), 9)) - ref.y[rows].T)) <= 1e-8
 
+    def test_stack_gauges_match_joint_solve_ivp(self):
+        # Three parabolic gauges of s3_lambda(0.5), stepped as one stack, each against
+        # the joint system for (c, h_variant, h_ricci).
+        from scipy.integrate import solve_ivp
+
+        entry = catalog("s3_lambda", lam=0.5)
+        label = stratum_label(entry.bracket)
+        dec = beta_decomposition(label)
+        mu0s = [_s3_lambda_gauge(7, draw) for draw in range(3)]
+        trajs = integrate_stack(mu0s, FlowSpec(variant=Variant.SCALSTAR, t_end=2.0, label=label,
+                                               record_every=0.25))
+
+        def rhs(_, y):
+            mu = BracketTensor(y[:27].reshape(3, 3, 3), antisymmetrize=True)
+            _, _, _, ric, ric_star = curvature_parts(mu)
+            shift = float(np.sum(ric_star * ric_star)) * np.eye(3)
+            a = project_qbeta(ric_star, dec) + shift
+            return np.concatenate([-pi_action(a, mu).coeffs.ravel(),
+                                   (-a @ y[27:36].reshape(3, 3)).ravel(),
+                                   (-(ric + shift) @ y[36:].reshape(3, 3)).ravel()])
+
+        for traj in trajs:
+            c0 = traj.samples[0].bracket.coeffs
+            ref = solve_ivp(rhs, (0.0, 2.0), np.concatenate([c0.ravel(), np.eye(3).ravel(),
+                                                             np.eye(3).ravel()]),
+                            method="DOP853", rtol=1e-13, atol=1e-15, t_eval=traj.times)
+            assert ref.success
+            brackets = np.array([s.bracket.coeffs.ravel() for s in traj.samples])
+            assert np.max(np.abs(brackets - ref.y[:27].T)) <= 1e-8
+            for coefficient, rows in (("variant", slice(27, 36)), ("ricci", slice(36, 45))):
+                mats = recover_gauge(traj, coefficient=coefficient).mats
+                assert np.max(np.abs(mats.reshape(len(traj.times), 9) - ref.y[rows].T)) <= 1e-8
+
     def test_h0_multiplies_on_the_right(self, s3_short, rng):
         g = sla.expm(0.3 * rng.standard_normal((3, 3)))
         for coefficient in ("variant", "ricci"):
@@ -550,29 +582,14 @@ class TestGaugeRecovery:
         assert np.all(np.diff(traj.times) > 0)
 
 
-def _assembled(run):
-    """run() with each gauge assembly recorded: its trajectories and, per trajectory, the
-    arguments of flows._gauge_paths (increments (K + D, 2, n, n), index, K, scal)."""
-    calls, paths = [], flows._gauge_paths
-
-    def recording(*args):
-        calls.append(args)
-        return paths(*args)
-
-    flows._gauge_paths = recording
-    try:
-        trajs = run()
-    finally:
-        flows._gauge_paths = paths
-    return list(zip(trajs, calls, strict=True))
-
-
 def _rejecting(run):
     """run() with every seventh try of each trajectory of a stack rejected (error norm 2), the
     trajectories' rejected tries staggered, so that the stack accepts its steps apart."""
     norms, tries = flows._error_norms, []
 
     def rejecting(*args):
+        if sys._getframe(1).f_code.co_name != "_step":  # the gauges' pieces
+            return norms(*args)
         tries.append(1)
         return [2.0 if (len(tries) + j) % 7 == 0 else e for j, e in enumerate(norms(*args))]
 
@@ -582,7 +599,8 @@ def _rejecting(run):
 
 
 def _oracle_runs():
-    """The runs whose gauges are checked against gauge_paths_loop, by name."""
+    """The runs whose gauges are checked against gauge_paths_loop, by name: (trajectories,
+    beta-decomposition)."""
     s3, h3 = catalog("s3").bracket, catalog("h3").bracket
     s3_label, h3_label = stratum_label(s3), stratum_label(h3)
     lam_label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
@@ -590,49 +608,55 @@ def _oracle_runs():
     def spec(variant, t_end, label, record_every=0.25):
         return FlowSpec(variant=variant, t_end=t_end, label=label, record_every=record_every)
 
+    def runs(run, label):
+        return run(), beta_decomposition(label)
+
     return {
-        "s3 scalstar": _assembled(lambda: [integrate(s3, spec(Variant.SCALSTAR, 100.0, s3_label))]),
-        "h3 scalstar": _assembled(lambda: [integrate(h3, spec(Variant.SCALSTAR, 100.0, h3_label))]),
-        "off-grid t_end": _assembled(
-            lambda: [integrate(s3, spec(Variant.SCALSTAR, 2.3, s3_label, 0.5))]),
-        "scal": _assembled(lambda: [integrate(s3, spec(Variant.SCAL, 10.0, s3_label))]),
-        "rejecting stack": _assembled(lambda: _rejecting(lambda: integrate_stack(
+        "s3 scalstar": runs(lambda: [integrate(s3, spec(Variant.SCALSTAR, 20.0, s3_label))],
+                            s3_label),
+        "h3 scalstar": runs(lambda: [integrate(h3, spec(Variant.SCALSTAR, 100.0, h3_label))],
+                            h3_label),
+        "off-grid t_end": runs(
+            lambda: [integrate(s3, spec(Variant.SCALSTAR, 2.3, s3_label, 0.5))], s3_label),
+        "scal": runs(lambda: [integrate(s3, spec(Variant.SCAL, 10.0, s3_label))], s3_label),
+        "rejecting stack": runs(lambda: _rejecting(lambda: integrate_stack(
             [_s3_lambda_gauge(7, draw) for draw in range(3)],
-            spec(Variant.SCALSTAR, 100.0, lam_label)))),
+            spec(Variant.SCALSTAR, 20.0, lam_label))), lam_label),
     }
 
 
 class TestGaugeAssembly:
-    """Each run's gauges, from one batched exponential of the runs' Magnus increments and
-    their chaining (flows._gauge_paths), against the loop oracle (oracles.gauge_paths_loop:
-    scipy's expm per increment, chained step by step), within 1e-12 of each sample's
-    largest entry; and recover_gauge's checks of h0."""
+    """Each run's gauges, integrated along each accepted step's dense output
+    (flows._Lockstep._gauges), against the loop oracle (oracles.gauge_paths_loop: scipy's
+    solve_ivp of the joint system from each recorded sample to the next), within 1e-9 of each
+    sample's largest entry; and recover_gauge's checks of h0."""
 
     @pytest.fixture(scope="class")
     def runs(self):
         return _oracle_runs()
 
     def test_the_runs_cover_each_case(self, runs):
-        ((s3, (_, index, _, _)),) = runs["s3 scalstar"]
-        assert sum(inside for _, inside in index) > 300  # samples inside a step
-        ((h3, (_, index, steps, _)),) = runs["h3 scalstar"]
-        assert h3.termination == Termination.CONVERGED and index[-1] == (steps - 1, 1)
+        ((s3,), _) = runs["s3 scalstar"]
+        assert 4 * s3.steps < len(s3.samples)  # most samples lie inside a step
+        ((h3,), _) = runs["h3 scalstar"]
+        assert (h3.termination, h3.steps, len(h3.samples)) == (Termination.CONVERGED, 1, 10)
         assert runs["off-grid t_end"][0][0].times[-2:].tolist() == [2.0, 2.3]
-        assert runs["scal"][0][1][3] is not None
-        assert all(traj.rejected > 0 for traj, _ in runs["rejecting stack"])
+        assert runs["scal"][0][0].variant == Variant.SCAL
+        assert all(traj.rejected > 0 for traj in runs["rejecting stack"][0])
 
     @pytest.mark.parametrize("name", ["s3 scalstar", "h3 scalstar", "off-grid t_end", "scal",
                                       "rejecting stack"])
     @pytest.mark.parametrize("with_h0", [False, True])
     def test_gauges_match_the_loop_oracle(self, runs, name, with_h0):
         h0 = sla.expm(0.3 * np.random.default_rng(5).standard_normal((3, 3))) if with_h0 else None
-        for traj, parts in runs[name]:
-            for coefficient, want in zip(GAUGE_COEFFICIENTS, gauge_paths_loop(*parts)):
+        trajs, dec = runs[name]
+        for traj in trajs:
+            for coefficient, want in zip(GAUGE_COEFFICIENTS, gauge_paths_loop(traj, dec)):
                 got = recover_gauge(traj, h0=h0, coefficient=coefficient).mats
                 want = want if h0 is None else want @ h0
                 assert got.shape == want.shape == (len(traj.samples), 3, 3)
                 gaps = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
-                assert gaps.max() <= 1e-12
+                assert gaps.max() <= 1e-9
 
     @pytest.mark.parametrize("h0, match", [
         (np.eye(2), r"finite \(3, 3\) matrix, got shape \(2, 2\)$"),
@@ -693,10 +717,12 @@ def _same_sample(got, want):
     assert values[0] == values[1]
 
 
-def _recorded(ts, cs, variant, dec, label, gauged=False, curved=True):
+def _recorded(ts, cs, variant, dec, label, curved=True):
     """The FlowSamples of one record of the states cs, built as a run's trajectory is."""
-    rec, ends = _record_stack(ts, cs, variant, dec, gauged, curved)
-    return _run_samples([(rec, 0, len(ts))], variant, dec, label)[0], ends
+    rec = _record_stack(ts, cs, variant, dec, curved=curved)
+    run = _Run(FlowTrajectory(variant, label), np.inf, 1.0)
+    _append(run, rec, 0, len(ts), 0.0)
+    return _kept(run, variant, dec, label)
 
 
 def _kept(run, variant, dec, label):
@@ -726,31 +752,26 @@ class TestStackSampler:
     @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
     def test_stack_equals_each_slice_alone(self, mu_s3, s3_label, variant):
         ts, cs, dec, label = self._states(mu_s3, s3_label, variant)
-        stacked, ends = _recorded(ts, cs, variant, dec, label, gauged=True)
-        assert (ends[1] is None) == (variant == Variant.RAW)
+        stacked = _recorded(ts, cs, variant, dec, label)
         for j in range(len(ts)):
-            alone, ends_j = _recorded(ts[j : j + 1], cs[j : j + 1], variant, dec, label,
-                                      gauged=True)
+            alone = _recorded(ts[j : j + 1], cs[j : j + 1], variant, dec, label)
             _same_sample(stacked[j], alone[0])
-            for got, want in zip(ends, ends_j):
-                assert (got is None and want is None) or np.array_equal(got[j], want[0])
 
     @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
     def test_a_record_that_forms_no_curvature_gives_the_same_samples(self, mu_s3, s3_label,
                                                                        variant):
-        # Runs that neither carry gauges nor check convergence leave Ric, Ric*
-        # and the field norms to the one pass over the run's samples.
+        # Runs that do not check convergence leave the field norms to the one
+        # pass over the run's samples.
         ts, cs, dec, label = self._states(mu_s3, s3_label, variant)
-        curved, _ = _recorded(ts, cs, variant, dec, label)
-        deferred, ends = _recorded(ts, cs, variant, dec, label, curved=False)
-        assert ends is None
+        curved = _recorded(ts, cs, variant, dec, label)
+        deferred = _recorded(ts, cs, variant, dec, label, curved=False)
         for got, want in zip(deferred, curved, strict=True):
             _same_sample(got, want)
 
     def test_failed_middle_sample_raises_when_reached(self, mu_s3):
         bad = random_antisymmetric_bracket(np.random.default_rng(1), 3).coeffs
         cs = np.stack([mu_s3.coeffs, bad, mu_s3.coeffs])
-        rec, _ = _record_stack([0.0, 1.0, 2.0], cs, Variant.RAW, None)
+        rec = _record_stack([0.0, 1.0, 2.0], cs, Variant.RAW, None)
         run = _Run(FlowTrajectory(Variant.RAW, None), np.inf, 1.0)
         with pytest.raises(NotALieBracket) as got:
             _append(run, rec, 0, 3, CONV_TOL)
@@ -767,7 +788,7 @@ class TestStackSampler:
 
         def stack(count):
             cs = np.stack([hyp_norm.coeffs] * count)
-            return _record_stack([0.0] * count, cs, Variant.SCALSTAR, dec)[0]
+            return _record_stack([0.0] * count, cs, Variant.SCALSTAR, dec)
 
         run = _Run(FlowTrajectory(Variant.SCALSTAR, hyp_label), np.inf, 1.0)
         before = CONV_WINDOW - 1 - j
@@ -779,16 +800,19 @@ class TestStackSampler:
     def test_a_sample_above_the_threshold_restarts_the_window(self, hyp_norm, hyp_label):
         dec = beta_decomposition(hyp_label)
         cs = np.stack([hyp_norm.coeffs] * (2 * CONV_WINDOW))
-        rec = _record_stack([0.0] * len(cs), cs, Variant.SCALSTAR, dec)[0]
+        rec = _record_stack([0.0] * len(cs), cs, Variant.SCALSTAR, dec)
         j = CONV_WINDOW // 2
+        rec.measure(0, len(cs))
         rec.field_norm[j] = 1.0
         run = _Run(FlowTrajectory(Variant.SCALSTAR, hyp_label), np.inf, 1.0)
         assert _append(run, rec, 0, len(cs), CONV_TOL) == (j + 1 + CONV_WINDOW, True)
 
     def test_one_curvature_pass_per_stack(self, monkeypatch, mu_e2):
-        # e2's raw flow to t = 200 takes 9 steps for 201 grid samples: six new
-        # stages a step, the first stage, and at most one pass per recorded
-        # stack.  Every curvature pass goes through the Ric*-only half.
+        # e2 is flat: its raw field vanishes, so the flow to t = 200 is one step
+        # (the first step is t_end) for 201 grid samples: the first stage, the
+        # starting step's Euler stage, eleven new stages a step, the last, three
+        # for the dense output and one pass per recorded stack.  Every curvature
+        # pass goes through the Ric*-only half.
         calls = []
         half = curvature.coeff_ric_star
 
@@ -800,8 +824,8 @@ class TestStackSampler:
         monkeypatch.setattr(flows, "coeff_ric_star", counting)
         spec = FlowSpec(variant=Variant.RAW, t_end=200.0, record_every=1.0, conv_tol=0.0)
         traj = integrate(mu_e2, spec)
-        assert (traj.steps, len(traj.samples)) == (9, 201)
-        assert len(calls) <= 7 * traj.steps + 3
+        assert (traj.steps, len(traj.samples)) == (1, 201)
+        assert len(calls) <= 2 + 15 * traj.steps + 2
 
     def test_no_flow_forms_m_or_k(self, monkeypatch, mu_s3, s3_label):
         # Ric* is one product: no stage, record or sample pass forms the moment
@@ -948,7 +972,7 @@ class TestLockstep:
         assert [isinstance(w, NotALieBracket) for w in want] == [False, False, True, False, False]
         with pytest.raises(NotALieBracket) as got:
             integrate_stack(mu0s, spec)
-        assert str(got.value) == str(want[2]) == "Jacobi residual 3.135e-10 exceeds tolerance"
+        assert str(got.value) == str(want[2]) == "Jacobi residual 3.143e-10 exceeds tolerance"
         for g, w in zip(integrate_stack(mu0s[:2], spec), want[:2]):
             _same_trajectory(g, w)
         for g, w in zip(integrate_stack(mu0s[3:], spec), want[3:]):
@@ -956,14 +980,14 @@ class TestLockstep:
 
     def test_the_error_met_first_wins_over_the_lower_index(self):
         # Alone, the first seed records a Jacobi residual past the tolerance
-        # at its 80th step and the second at its 43rd, so the stack meets the
+        # at its 14th step and the second at its 8th, so the stack meets the
         # second one's error first.
         mu0s = [_s3_lambda_gauge(2, 0), _s3_lambda_gauge(3, 4)]
         label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label, record_every=0.5)
         want = [str(w) for w in _integrate_each(mu0s, spec)]
-        assert want == ["Jacobi residual 4.044e-10 exceeds tolerance",
-                        "Jacobi residual 4.025e-10 exceeds tolerance"]
+        assert want == ["Jacobi residual 4.042e-10 exceeds tolerance",
+                        "Jacobi residual 4.024e-10 exceeds tolerance"]
         with pytest.raises(NotALieBracket) as got:
             integrate_stack(mu0s, spec)
         assert str(got.value) == want[1]
@@ -988,17 +1012,17 @@ class TestLockstep:
         record_stack = flows._record_stack
 
         def seed_sample_fails(ts, *args):
-            rec, ends = record_stack(ts, *args)
+            rec = record_stack(ts, *args)
             rec.brackets = [NotALieBracket("seed sample")] * len(ts)
-            return rec, ends
+            return rec
 
         monkeypatch.setattr(flows, "_record_stack", seed_sample_fails)
         with pytest.raises(NotALieBracket, match="seed sample"):
             integrate(mu_s3, FlowSpec(variant=Variant.RAW, t_end=1.0))
 
     def test_a_failed_renormalization_raises_its_own_error(self, monkeypatch, mu_s3, s3_label):
-        # The seeds and the seed samples normalize; the projection of the first
-        # accepted step onto scal* = -1 raises.
+        # The seeds and the seed samples normalize; the first stage of the first
+        # step, whose state the field moves onto scal* = -1, raises.
         factor, step, stepped = flows._scalstar_factor, flows._dp_step, []
 
         def stepping(*args):
@@ -1017,7 +1041,7 @@ class TestLockstep:
             stepped.clear()
             with pytest.raises(OutOfRange, match="renormalization") as got:
                 run()
-            assert len(stepped) == 1 and got.traceback[-2].name == "_accept"
+            assert len(stepped) == 1 and got.traceback[-2].name == "_slopes"
 
     def test_empty_stack_and_one_dimension(self, mu_h3):
         spec = FlowSpec(variant=Variant.RAW, t_end=1.0)
@@ -1072,28 +1096,27 @@ class TestGaugeSelection:
             assert g.as_vector().tobytes() == w.as_vector().tobytes()
             assert (g.nilradical_dim, g.derived_dims) == (w.nilradical_dim, w.derived_dims)
 
-    def test_exponentials_only_for_carried_gauges(self, monkeypatch, mu_s3, s3_label):
-        # The stepper keeps Magnus increments and takes no exponential: each run exponentiates
-        # all of its increments, both coefficients, in one batched call when it ends.
-        calls = []
+    def test_gauge_integration_only_for_carried_gauges(self, monkeypatch, mu_s3, s3_label):
+        # No flow takes an exponential: the gauges are integrated along each accepted step's
+        # dense output (flows._Lockstep._gauges), once per step of a run that carries them.
+        calls, gauges = [], flows._Lockstep._gauges
 
-        def counting_expm(omegas):
-            calls.append(len(omegas))
-            return expm_stack(omegas)
+        def counting(lockstep, run, *args):
+            calls.append(run)
+            return gauges(lockstep, run, *args)
 
-        monkeypatch.setattr(flows, "expm_stack", counting_expm)
-        assert not hasattr(flows, "expm")
+        monkeypatch.setattr(flows._Lockstep, "_gauges", counting)
+        assert not any(hasattr(flows, name) for name in ("expm", "expm_stack", "_magnus"))
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=s3_label, record_every=0.25)
         assert integrate(mu_s3, dataclasses.replace(spec, gauges=False)).gauges == {}
         assert calls == []
         traj = integrate(mu_s3, spec)
-        assert len(calls) == 1 and calls[0] > 2 * traj.steps
+        assert len(calls) == traj.steps - traj.rejected
         calls.clear()
         mu0s = [_s3_lambda_gauge(7, draw) for draw in range(3)]
         label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
         trajs = integrate_stack(mu0s, dataclasses.replace(spec, label=label))
-        assert len(calls) == len(trajs)  # one call per run
-        assert all(c > 2 * t.steps for c, t in zip(calls, trajs))
+        assert len(calls) == sum(t.steps - t.rejected for t in trajs)
         calls.clear()
         for t in [traj] + trajs:
             for coefficient in GAUGE_COEFFICIENTS:
@@ -1103,65 +1126,92 @@ class TestGaugeSelection:
 
 
 class TestWorkCounts:
-    """The steps, samples and stage evaluations are pinned exactly, so that a change
+    """The steps, samples and field evaluations are pinned exactly, so that a change
     to the step-size controller, the tableau or the kernel that moves them shows,
     and fewer steps can be told apart from cheaper ones.
 
-    Each run evaluates the field kernel on 1 + 6 steps slices: its first stage
-    and six new stages per step tried.  The seventh is the next step's first; on
-    scalstar runs, whose every accepted step is projected onto scal* = -1
-    (renormalizations = steps - rejected), it is rescaled in closed form.
+    Each run evaluates the field kernel on its first state (_start), on the Euler
+    state of its starting step (_first_steps), on the eleven new stages of each
+    step tried (_dp_step) and on the new state of each accepted step (_accept, the
+    dense output's k_12; on scalstar runs, whose every accepted step is projected
+    onto scal* = -1, the next step's first slope follows from it in closed form).
+    The dense output's three extra stages (_extra_stages) are evaluated on the
+    accepted steps with grid samples inside them, and on every accepted step of a
+    run that carries gauges.  Records measure their states' field norms apart.
     """
 
     @staticmethod
     def _stage_slices(monkeypatch):
-        slices = []
+        """Per caller, the number of states the field kernel is evaluated on."""
+        slices = {}
         kernel = flows._field
 
         def counting(c, *args, **kwargs):
-            slices.append(1 if c.ndim == 3 else len(c))
+            caller = sys._getframe(1).f_code.co_name
+            if caller == "_slopes":
+                caller = sys._getframe(2).f_code.co_name
+            slices[caller] = slices.get(caller, 0) + (1 if c.ndim == 3 else len(c))
             return kernel(c, *args, **kwargs)
 
         monkeypatch.setattr(flows, "_field", counting)
         return slices
 
+    @staticmethod
+    def _stages(traj, extended):
+        """The stage slices of one run, extended the accepted steps with the extra stages."""
+        return {"_start": 1, "_first_steps": 1, "_dp_step": 11 * traj.steps,
+                "_accept": traj.steps - traj.rejected, "_extra_stages": 3 * extended}
+
+    @staticmethod
+    def _without_records(slices):
+        return {k: v for k, v in slices.items() if k != "measure"}
+
     def test_s3_scalstar_to_t_100(self, monkeypatch, mu_s3, s3_label):
         slices = self._stage_slices(monkeypatch)
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
         traj = integrate(mu_s3, spec)
-        assert (traj.steps, len(traj.samples), traj.renormalizations) == (161, 401, 161)
-        assert sum(slices) == 1 + 6 * traj.steps == 967
+        assert (traj.steps, traj.rejected, len(traj.samples), traj.renormalizations) == (
+            25, 0, 401, 25)
+        assert self._without_records(slices) == self._stages(traj, 25)
+        assert slices["measure"] == 401
 
     def test_flow_on_the_soliton(self, monkeypatch):
-        # s3_lambda(0.5) is a solvsoliton, a fixed point of the scalstar flow: h
-        # grows fivefold a step until one try (h = 25.7) is rejected.
+        # s3_lambda(0.5) is a solvsoliton, a fixed point of the scalstar flow: its
+        # field is round-off, too small to move the state by its tolerance before
+        # t_end, so the one step is t_end.
         mu = catalog("s3_lambda", lam=0.5).bracket
         slices = self._stage_slices(monkeypatch)
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=stratum_label(mu),
                         record_every=100.0, conv_tol=0.0)
         traj = integrate(mu, spec)
-        assert (traj.steps, traj.rejected, traj.renormalizations) == (12, 1, 11)
-        assert sum(slices) == 1 + 6 * traj.steps
+        assert (traj.steps, traj.rejected, traj.renormalizations) == (1, 0, 1)
+        assert slices == self._stages(traj, 1)
 
     @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
     def test_stage_slices_per_run(self, monkeypatch, mu_s3, s3_label, variant):
         slices = self._stage_slices(monkeypatch)
         label = None if variant == Variant.RAW else s3_label
         traj = integrate(mu_s3, FlowSpec(variant=variant, t_end=20.0, label=label))
-        assert traj.steps > 0
-        assert sum(slices) == 1 + 6 * traj.steps
+        steps, rejected, extended = {Variant.RAW: (32, 0, 17), Variant.GAUGED: (29, 0, 29),
+                                     Variant.SCALSTAR: (16, 0, 16)}[variant]
+        assert (traj.steps, traj.rejected) == (steps, rejected)
+        assert self._without_records(slices) == self._stages(traj, extended)
         assert traj.renormalizations == (traj.steps - traj.rejected
                                          if variant == Variant.SCALSTAR else 0)
 
     def test_stage_slices_per_stack(self, monkeypatch):
         # The gauges take different steps, so runs are accepted and end apart;
-        # each still costs its own 1 + 6 steps.
+        # each still costs its own stages.
         mu0s = [_s3_lambda_gauge(7, draw) for draw in range(3)]
         label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
         slices = self._stage_slices(monkeypatch)
         trajs = integrate_stack(mu0s, FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label))
         assert len({traj.steps for traj in trajs}) > 1
-        assert sum(slices) == sum(1 + 6 * t.steps for t in trajs)
+        want = {}
+        for t in trajs:  # gauged: every accepted step evaluates the extra stages
+            for key, value in self._stages(t, t.steps - t.rejected).items():
+                want[key] = want.get(key, 0) + value
+        assert self._without_records(slices) == {**want, "_start": 3, "_first_steps": 3}
         assert all(t.renormalizations == t.steps - t.rejected for t in trajs)
 
     def test_flowhd_shaped_runs(self, monkeypatch, rng):
@@ -1182,35 +1232,66 @@ class TestWorkCounts:
         for mu0, spec in runs:
             slices.clear()
             traj = integrate(mu0, spec)
-            counts.append((traj.steps, traj.renormalizations, sum(slices)))
-        assert counts == [(119, 0, 715), (108, 0, 649), (132, 132, 793)]
+            counts.append((traj.steps, traj.rejected, traj.renormalizations,
+                           sum(self._without_records(slices).values())))
+        assert counts == [(35, 0, 0, 422), (33, 0, 0, 398), (34, 4, 30, 496)]
+
+    def test_raw_flat_bracket_takes_one_step(self, mu_e2):
+        # e2's raw field vanishes, so the starting step is t_end.
+        spec = FlowSpec(variant=Variant.RAW, t_end=200.0, record_every=1.0, conv_tol=0.0)
+        traj = integrate(mu_e2, spec)
+        assert (traj.steps, traj.rejected, len(traj.samples)) == (1, 0, 201)
+
+    def test_h3_scalstar_converges_inside_its_first_step(self, monkeypatch, mu_h3):
+        # The run's one step to t = 100 has 400 grid points; the convergence window
+        # fills at the tenth sample, and only the ten are built and checked, their
+        # field norms measured in one chunk.
+        built, stack = [], flows.bracket_stack
+
+        def counting(cs):
+            built.append(len(cs))
+            return stack(cs)
+
+        monkeypatch.setattr(flows, "bracket_stack", counting)
+        slices = self._stage_slices(monkeypatch)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=stratum_label(mu_h3),
+                        record_every=0.25)
+        traj = integrate(mu_h3, spec)
+        assert (traj.termination, traj.steps, len(traj.samples)) == (
+            Termination.CONVERGED, 1, 10)
+        assert traj.times.tolist() == [0.25 * j for j in range(10)]
+        assert built == [1, 9] and slices["measure"] == 1 + 10
+        assert all(len(mats) == 10 for mats in traj.gauges.values())
+
+    def test_zero_t_end_records_the_seed_and_steps_nothing(self, monkeypatch, mu_h3):
+        slices = self._stage_slices(monkeypatch)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=0.0, label=stratum_label(mu_h3))
+        traj = integrate(mu_h3, spec)
+        assert (traj.steps, traj.times.tolist(), traj.termination) == (
+            0, [0.0], Termination.REACHED_T_END)
+        assert self._without_records(slices) == {"_start": 1}
 
 
 class TestSliceProjection:
     """Every accepted scalstar step is moved back onto scal* = -1, y <- lam y, and the next
-    step's first slope and gauge coefficients are rescaled in closed form by the degree
-    split, F(lam c) = lam^3 F(c) + (lam^5 - lam^3) q c and X(lam c) = lam^2 X + (lam^4 -
-    lam^2) q Id for X = A, R, with q = ||Ric*(c)||^2; they match a fresh field kernel call
-    at the projected state within 1e-14 of F's scale ||F|| + q ||c|| (and A's ||A|| + q)."""
+    step's first slope is rescaled in closed form by the degree split of the field at the
+    step's new state, F(lam c) = lam^3 F(c) + (lam^5 - lam^3) q c with q = ||Ric*(c)||^2; it
+    matches a fresh field kernel call at the projected state within 1e-14 of F's scale
+    ||F|| + q ||c||."""
 
     @staticmethod
     def _carried_gaps(monkeypatch):
-        """Per accepted step, the relative gaps of the carried (slope, A, R) of each run."""
+        """Per accepted step, the relative gaps of the carried slope of each run."""
         gaps, accept = [], flows._Lockstep._accept
 
         def checking(lockstep, acc, *args):
             accept(lockstep, acc, *args)
-            y = lockstep.y[acc]
-            slopes, a, rs = flows._field(y, *lockstep.kernel)
-            r = flows._shifted(curvature.ricci_from(rs, curvature.coeff_ad_h_t(y)), rs)
+            n = lockstep.n
+            y = lockstep.y[acc].reshape(len(acc), n, n, n)
+            slopes, _, rs = flows._field(y, *lockstep.kernel)
             q = (rs * rs).sum(axis=(1, 2))
-            k0, a0 = lockstep.k0[acc], lockstep.a0[acc]
             scale = np.abs(slopes).max(axis=(1, 2, 3)) + q * np.abs(y).max(axis=(1, 2, 3))
-            gap = [np.abs(k0 - slopes.reshape(len(y), -1)).max(axis=1) / scale]
-            for got, want in ((a0[:, 0], a), (a0[:, 1], r)):
-                gap.append(np.abs(got - want).max(axis=(1, 2))
-                           / (np.abs(want).max(axis=(1, 2)) + q))
-            gaps.append(np.array(gap))
+            gaps.append(np.abs(lockstep.k0[acc] - slopes.reshape(len(y), -1)).max(axis=1) / scale)
             assert np.abs(flows.coeff_scal_star(y) + 1.0).max() <= 1e-14
 
         monkeypatch.setattr(flows._Lockstep, "_accept", checking)
@@ -1231,7 +1312,7 @@ class TestSliceProjection:
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=label, record_every=0.25)
         trajs = _rejecting(lambda: integrate_stack(mu0s, spec))
         assert all(t.rejected > 0 for t in trajs)
-        assert sum(g.shape[1] for g in gaps) == sum(t.renormalizations for t in trajs)
+        assert sum(len(g) for g in gaps) == sum(t.renormalizations for t in trajs)
         assert max(g.max() for g in gaps) <= 1e-14
 
 
@@ -1255,14 +1336,15 @@ class TestExactAntisymmetry:
     def test_s3_scalstar_to_t_100(self, monkeypatch, mu_s3, s3_label):
         defects = self._stage_defects(monkeypatch)
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
-        assert integrate(mu_s3, spec).steps == 161
-        assert len(defects) == 1 + 6 * 161 and max(defects) == 0.0
+        traj = integrate(mu_s3, spec)
+        assert (traj.steps, traj.rejected) == (25, 0)
+        assert len(defects) >= 2 + 12 * 25 and max(defects) == 0.0
 
     def test_raw_n8_draw(self, monkeypatch, rng):
         mu = random_solvable_bracket(rng, 8)
         defects = self._stage_defects(monkeypatch)
         spec = FlowSpec(variant=Variant.RAW, t_end=20.0, record_every=20.0)
-        assert integrate(mu.scaled(3.0 / mu.norm), spec).steps > 100
+        assert integrate(mu.scaled(3.0 / mu.norm), spec).steps > 30
         assert max(defects) == 0.0
 
     def test_gauged_stack_of_three(self, monkeypatch):
@@ -1277,7 +1359,8 @@ class TestExactAntisymmetry:
 class TestRecordedStacksAreExactlyAntisymmetric:
     """bracket_stack neither checks nor projects antisymmetry, because every stack a flow
     gives it is exactly antisymmetric: the records' seeds, dense and step-end samples and
-    final samples, and a scal run's rescaled samples."""
+    final samples, and a scal run's rescaled samples.  A raw or gauged run's seed sample is
+    the caller's bracket, checked already, so only scalstar seeds reach bracket_stack."""
 
     @staticmethod
     def _defects(run):
@@ -1286,19 +1369,22 @@ class TestRecordedStacksAreExactlyAntisymmetric:
         defects, ends = {}, []
         record, stack = flows._Lockstep._record, flows.bracket_stack
 
-        def recording(lockstep, runs, sampled, *args):
-            ends[:] = [runs[i].t for i in sampled]  # the step ends of this record
-            return record(lockstep, runs, sampled, *args)
+        def recording(lockstep, runs, *args):
+            ends[:] = [run.t for run in runs]  # the step ends of this record
+            return record(lockstep, runs, *args)
 
         def checking(cs):
             caller = sys._getframe(1)
             if caller.f_code.co_name == "_run_samples":
                 kinds = ["scal rescale"] * len(cs)
-            else:
-                kind = {"_start": "seed", "_finish": "final"}.get(caller.f_back.f_code.co_name)
+            else:  # _keep, from _keep_blocks in _start or _finish, or from _record
+                keeper = caller.f_back
+                if keeper.f_code.co_name == "_keep_blocks":
+                    keeper = keeper.f_back
+                kind = {"_start": "seed", "_finish": "final"}.get(keeper.f_code.co_name)
                 kinds = [kind or ("step end" if any(abs(t - e) <= 1e-12 * max(1.0, e)
                                                     for e in ends) else "dense")
-                         for t in caller.f_locals["ts"]]
+                         for t in caller.f_locals["rec"].ts]
             for kind, defect in zip(kinds, np.abs(cs + cs.swapaxes(1, 2)).max(axis=(1, 2, 3)),
                                     strict=True):
                 defects.setdefault(kind, []).append(float(defect))
@@ -1336,20 +1422,20 @@ class TestRecordedStacksAreExactlyAntisymmetric:
         mu = random_solvable_bracket(rng, 8)
         spec = FlowSpec(variant=Variant.RAW, t_end=20.0, record_every=3.0)
         defects = self._defects(lambda: integrate(mu.scaled(3.0 / mu.norm), spec))
-        assert sorted(defects) == ["dense", "final", "seed"]
+        assert sorted(defects) == ["dense", "final"]
         assert max(max(d) for d in defects.values()) == 0.0
 
     def test_collapse_flow_off_flat_e2(self, mu_e2):
         defects = self._defects(lambda: experiments.run_collapse_experiment(
             catalog("e2"), gauge=np.diag([1.0, 1.0, 1.5])))
-        assert sum(len(d) for d in defects.values()) == 201
+        assert sum(len(d) for d in defects.values()) == 200  # all but the seed
         assert max(max(d) for d in defects.values()) == 0.0
 
 
 class TestStepControl:
-    """dopri5's step-size controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4):
-    an accepted step scales h by 0.9 e^-0.17 e_prev^0.04, clamped to [0.2, 5], with
-    e_prev = max(e, 1e-4)."""
+    """dop853's step-size controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5):
+    a step scales h by 0.9 e^(-1/8), clamped to [1/3, 6], and not up after a rejection;
+    scalstar error estimates leave out the part the projection onto scal* = -1 undoes."""
 
     @staticmethod
     def _step_log(monkeypatch):
@@ -1362,7 +1448,8 @@ class TestStepControl:
 
         def measuring(*args):
             errs = norms(*args)
-            log[-1].append(errs[0])
+            if sys._getframe(1).f_code.co_name == "_step":  # not the gauges' pieces
+                log[-1].append(errs[0])
             return errs
 
         monkeypatch.setattr(flows, "_dp_step", stepping)
@@ -1370,20 +1457,21 @@ class TestStepControl:
         return log
 
     def test_accepted_error_norms_sit_near_the_controller_equilibrium(self, monkeypatch, rng):
-        # With an integral gain of 0.13 the 0.9 safety factor holds the error norm
-        # near 0.9^(1 / 0.13) = 0.44 of the tolerance; the gains 0.14 and 0.08
-        # (integral gain 0.06) hold it near 0.17 and take about a fifth more steps.
+        # The 0.9 safety factor aims at 0.9^8 = 0.43 of the tolerance for an error
+        # norm that grows like h^8; on this run it grows more slowly, and the
+        # accepted norms' median is 0.13.
         mu = random_solvable_bracket(rng, 8)
         log = self._step_log(monkeypatch)
         integrate(mu.scaled(3.0 / mu.norm), FlowSpec(variant=Variant.RAW, t_end=20.0,
                                                      record_every=20.0))
         accepted = [e for _, e in log if e <= 1.0]
-        assert 0.2 <= float(np.median(accepted)) <= 1.0
+        assert 0.05 <= float(np.median(accepted)) <= 0.43
 
     def test_step_sequence_is_free_of_the_kernel_rounding(self, monkeypatch, mu_s3, s3_label):
-        # Ric* formed as M - K/2 has the same values in other rounding; the 1e-4
-        # floor on e_prev keeps the round-off error norms of the first steps (down
-        # to 1e-10) from steering h.
+        # Ric* formed as M - K/2 has the same values in other rounding.  The
+        # starting step puts the first error norms near 1, not at round-off, and
+        # the scalstar error estimate leaves out the slice's unstable normal, which
+        # inside a long step carries round-off grown by up to e^(2h).
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
         runs = []
         for patched in (False, True):
@@ -1395,7 +1483,7 @@ class TestStepControl:
                 traj = integrate(mu_s3, spec)
             runs.append((traj.steps, np.array([h for h, e in log if e <= 1.0])))
         (steps, hs), (steps_patched, hs_patched) = runs
-        assert steps == steps_patched == 161
+        assert steps == steps_patched == 25
         np.testing.assert_allclose(hs_patched, hs, rtol=1e-5, atol=0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 4])
@@ -1427,7 +1515,79 @@ class TestStepControl:
                             lambda *args: [2.0] if len(log) == 1 else norms(*args))
         traj = integrate(mu_s3, spec)
         assert traj.rejected == 1 and traj.steps == len(log)
-        assert log[1][0] == pytest.approx(log[0][0] * 0.9 * 2.0 ** -0.2)
+        assert log[1][0] == pytest.approx(log[0][0] * 0.9 * 2.0 ** -0.125)
+
+
+class TestTableau:
+    """flows writes Hairer's DOP853 as literals (importing scipy.integrate would cost memory
+    and import time); they satisfy the quadrature conditions and equal scipy's."""
+
+    @staticmethod
+    def _scipy():
+        from scipy.integrate._ivp import dop853_coefficients
+        return dop853_coefficients
+
+    def test_quadrature_order_conditions(self):
+        b, c = flows._A[11, :12], np.concatenate(([0.0], flows._C))
+        for k in range(1, 9):
+            assert abs(b @ c ** (k - 1) - 1.0 / k) <= 2e-15, k
+
+    def test_row_sums_are_the_nodes(self):
+        dc = self._scipy()
+        np.testing.assert_allclose(flows._A[:11].sum(axis=1), dc.C[1:12], rtol=0, atol=2e-15)
+        np.testing.assert_allclose(flows._A[12:].sum(axis=1), dc.C[13:16], rtol=0, atol=2e-15)
+
+    def test_coefficients_equal_scipys(self):
+        dc = self._scipy()
+        assert np.array_equal(flows._A[:11, :12], dc.A[1:12, :12])
+        assert np.array_equal(flows._A[11, :12], dc.B)
+        assert np.array_equal(flows._A[12:, :15], dc.A[13:16, :15])
+        assert np.array_equal(flows._E, np.stack([dc.E5[:12], dc.E3[:12]]))
+        assert not dc.E5[12:].any() and not dc.E3[12:].any()
+        assert np.array_equal(flows._D, dc.D)
+
+    def test_dense_weights_end_at_b_and_match_scipys_interpolant(self, rng):
+        from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+        w = flows._dense_weights([0.0, 1.0])
+        assert not w[0].any()
+        np.testing.assert_allclose(w[1], np.pad(flows._A[11, :12], (0, 4)), rtol=0, atol=1e-15)
+        # scipy's interpolant from the same slopes: F = (dy, h f0 - dy, 2 dy - h (f1 + f0),
+        # h D K), with dy = h b K and f1 = K[12].
+        h, y0, k = 0.7, rng.standard_normal(5), rng.standard_normal((16, 5))
+        dy = h * flows._A[11, :12] @ k[:12]
+        f = np.stack([dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]),
+                      *(h * self._scipy().D @ k)])
+        dense = Dop853DenseOutput(0.0, h, y0, f)
+        thetas = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_allclose(y0 + h * flows._dense_weights(thetas) @ k,
+                                   dense(h * thetas).T, rtol=0, atol=1e-14)
+
+
+class TestSeedSample:
+    """A raw or gauged run's first sample is the caller's bracket itself, already checked
+    by integrate; scalstar seeds are moved onto scal* = -1 and checked as a record."""
+
+    @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED])
+    def test_first_sample_is_mu0_with_the_stacked_monitors(self, mu_s3, s3_label, variant):
+        label = None if variant == Variant.RAW else s3_label
+        dec = None if label is None else beta_decomposition(label)
+        traj = integrate(mu_s3, FlowSpec(variant=variant, t_end=2.0, label=label))
+        assert traj.samples[0].bracket is mu_s3
+        # the monitors of the seed recorded as a stacked copy, checked as a record
+        want = _recorded([0.0], mu_s3.coeffs[None].copy(), variant, dec, label)[0]
+        _same_sample(traj.samples[0], want)
+        assert want.bracket is not mu_s3
+
+    def test_stack_keeps_each_seed(self, mu_s3):
+        mu0s = [mu_s3, mu_s3.scaled(2.0)]
+        trajs = integrate_stack(mu0s, FlowSpec(variant=Variant.RAW, t_end=1.0))
+        assert all(t.samples[0].bracket is mu for t, mu in zip(trajs, mu0s, strict=True))
+
+    def test_scalstar_seed_is_on_the_slice(self, mu_s3, s3_label):
+        traj = integrate(mu_s3, FlowSpec(variant=Variant.SCALSTAR, t_end=1.0, label=s3_label))
+        assert traj.samples[0].bracket is not mu_s3
+        assert abs(traj.samples[0].pack.scalStar + 1.0) <= 1e-14
 
 
 class TestFlowSpecValidation:
