@@ -47,11 +47,12 @@ bit integrate's on its seed alone.
 The gauge h' = -A(mu) h, h(0) = Id, of gauged, scalstar and scal runs has two
 coefficients: "variant", the A driving the field (so that h(t).mu(0) = mu(t)),
 and "ricci", Ric + ||Ric*||^2 Id.  The gauges never move a step: after each accepted step
-they are integrated along its dense output, in pieces short enough for their own error
-norm (dop853's on the gauges), up to the samples kept inside the step and its end.  The
-equation is linear, so a piece's DOP853 step is a matrix, the same tableau's stages on the
-identity; all pieces of a step are formed as one stack and chained.  No exponential is
-taken.  FlowSpec.gauges = False keeps none and changes no sample or step.
+they are integrated along its dense output, up to the samples kept inside the step and its
+end, in sixth-order Magnus sub-steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009),
+section 5) short enough for their own error estimate.  The step g <- exp(Omega) g is
+multiplicative, so the error is relative to g at any size of g.  A step forms X at all its
+sub-steps' Gauss-Legendre nodes as one stack, and takes all their exponentials in one
+scipy.linalg.expm call.  FlowSpec.gauges = False keeps none and changes no sample or step.
 """
 
 import math
@@ -60,6 +61,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import expm
 
 from .brackets import BracketTensor, bracket_stack, ensure_lie, neg_pi_apply, report_to_dict
 from .curvature import coeff_ric_star, coeff_ricci, coeff_scal_star, curvature_pack
@@ -217,10 +219,13 @@ _D = np.array((
      29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
      -149.72683625798564),
 ))
-# The nodes c_1, ..., c_11 of the stages (_A's row sums), and the dense output's Hermite
-# terms: b (padded to 16), k_0 and k_12 as weight vectors.
-_C = _A[:11].sum(axis=1)
+# The dense output's Hermite terms: b (padded to 16), k_0 and k_12 as weight vectors.
 _B, _K0, _K12 = np.pad(_A[11], (0, 1)), np.eye(16)[0], np.eye(16)[12]
+# The four Gauss-Legendre nodes on [0, 1], where the gauges' Magnus steps take X, and the
+# rows of weights over them of its moments int_0^1 (t - 1/2)^i X dt, i = 0, 1, 2 (order 8).
+_x, _w = np.polynomial.legendre.leggauss(4)
+_NODES, _MOMENTS = 0.5 + 0.5 * _x, 0.5 * _w * (0.5 * _x) ** np.arange(3)[:, None]
+del _x, _w
 
 
 def _dense_weights(thetas):
@@ -270,6 +275,11 @@ def _field(c, variant, dec, out=None):
 def flow_field(coeffs, variant, dec):
     """dc/dt for the given variant at a bracket's (antisymmetric) coefficients; no validation."""
     return _field(coeffs, variant, dec)[0]
+
+
+def _commutator(a, b):
+    """[a, b] = ab - ba of two stacks of square matrices."""
+    return a @ b - b @ a
 
 
 def _one(x):
@@ -426,14 +436,6 @@ def _run_samples(kept, variant, dec, label, scal=False):
     return samples, scals
 
 
-def _append(run, rec, first, count, conv_tol):
-    """Keep the samples first, ..., first + count - 1 of the _Record for the _Run until it
-    converges: returns (number kept, converged)."""
-    ((_, _, count, converged),) = kept = _converging(rec, [(run, first, count)], conv_tol)
-    _keep(rec, kept)
-    return count, converged
-
-
 def _converging(rec, blocks, conv_tol):
     """Cut the _Record's samples, one block (run, first, count) per run, at each run's
     convergence; returns the blocks (run, first, count, converged) of the cut record.
@@ -530,7 +532,7 @@ class _Run:
     """The scalar state of one trajectory of integrate_stack."""
 
     __slots__ = ("traj", "cap", "t", "h", "err", "retried", "steps", "rejected", "streak", "kept",
-                 "count", "t_kept", "running", "end", "piece")
+                 "count", "t_kept", "running", "end", "substep")
 
     def __init__(self, traj, cap, h):
         self.traj, self.cap, self.h = traj, cap, h
@@ -541,7 +543,7 @@ class _Run:
         self.count, self.t_kept = 0, None  # how many, and the time of the last
         # end: (state, gauges) where the run stopped, for its last sample
         self.running, self.end = True, None
-        self.piece = math.inf  # the gauge piece length that the last gauge integration proposes
+        self.substep = math.inf  # the gauge sub-step length that the last _gauges proposes
 
     def keep(self, rec, first, end):
         self.kept.append((rec, first, end))
@@ -604,13 +606,15 @@ class _Lockstep:
 
     def _slopes(self, y, out):
         """The field -pi(A)c at the flat states y (..., n^3), into out of y's shape; at scalstar
-        states moved onto scal* = -1 first."""
+        states moved onto scal* = -1 first, by the factors that it returns (flat), else None."""
         c = y.reshape(y.shape[:-1] + (self.n,) * 3)
+        factor = None
         if self.core == Variant.SCALSTAR:  # as a stack: a stack of one has the bits of a slice
             flat = c.reshape((-1,) + c.shape[-3:])
-            flat = flat * _scalstar_factor(coeff_scal_star(flat))[:, None, None, None]
-            c = flat.reshape(c.shape)
+            factor = _scalstar_factor(coeff_scal_star(flat))
+            c = (flat * factor[:, None, None, None]).reshape(c.shape)
         _field(c, *self.kernel, out=out.reshape(c.shape, copy=False))
+        return factor
 
     def _start(self, runs, mu0s, cs):
         """Record each seed as its first sample (a raw or gauged run's is mu0 itself), evaluate
@@ -722,10 +726,10 @@ class _Lockstep:
             run.t += run.h
             if abs(run.t - spec.t_end) <= 1e-12 * max(1.0, spec.t_end):
                 run.t = spec.t_end
-        self._slopes(_one(y), _one(rows[:, 13]))
+        factor = self._slopes(_one(y), _one(rows[:, 13]))
         k0 = rows[:, 13]
-        if self.core == Variant.SCALSTAR:  # back onto scal* = -1
-            y *= _scalstar_factor(coeff_scal_star(y.reshape(len(y), *(self.n,) * 3)))[:, None]
+        if factor is not None:  # back onto scal* = -1, by the factor k_12 was evaluated with
+            y *= factor[:, None]
         cap = [i for i, (run, norm) in enumerate(zip(runs, _row_norms(y))) if norm > run.cap]
         g = self._record(runs, cap, t_old, y_old, y, rows, hs, g)
         for i in cap:  # blow-up ends a run before its samples
@@ -825,53 +829,62 @@ class _Lockstep:
         the state c0 with slopes k (16, n^3) and the gauges g0 (2, n, n), integrated for
         h' = -X(t) h, X = (A, R) at the dense output's c.
 
-        The gaps between 0 and the times are cut into equal pieces no longer than a length d,
-        at first the longest gap or run.piece, the length that the run's last call proposed
-        (on its first, half the reciprocal of X's largest Frobenius norm at c0).
-        The equation is linear, so a DOP853 step over a piece is a matrix, its stages' products
-        with the identity (_pieces): the pieces' matrices are chained, and each piece's error
-        norm is dop853's on the gauges it carries.  While one exceeds 1 (or overflows), d is
-        cut by dop853's factor for a rejected step; on success the next call proposes d scaled
-        by its factor for an accepted one.  A d below 1e-12 h raises OutOfRange.
+        The gaps between 0 and the times are cut into equal sub-steps no longer than a length
+        d, at first the longest gap or run.substep, the length that the run's last call
+        proposed.  A sub-step of length d takes the sixth-order Magnus step g <- exp(Omega6) g
+        (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009), section 5), from the moments
+        m_i = int_0^1 (s - 1/2)^i (-d X) ds of X over the sub-step, i = 0, 1, 2: with
+        a1 = 9/4 m0 - 15 m2, a2 = 12 m1 and a3 = 180 m2 - 15 m0,
+        Omega6 = m0 + [-20 a1 - a3 + [a1, a2], a2 - [a1, 2 a3 + [a1, a2]] / 60] / 240.
+        The error of a sub-step is ||Omega6 - Omega4|| / rel_tol (abs_tol if rel_tol is 0),
+        with Omega4 = m0 - [a1, a2] / 12; the step is multiplicative, so the error is relative
+        to g.  While the largest exceeds 1, d is cut by 0.9 e^(-1/5), at most 3-fold; on
+        success the next call proposes d scaled by 0.9 e^(-1/5), at most 6-fold.
+        Coefficients that are not finite raise OutOfRange.
+
+        The moments come from X at four Gauss-Legendre nodes, an eighth-order rule like the
+        step's own.  The error estimate sees only commutators, so the rule's error on the
+        part of X that commutes (mostly ||Ric*||^2 Id) must be small by itself: with three
+        nodes it reached 7e-9 in one step of a heisenberg(9) gauge.  X is formed at all the
+        sub-steps' nodes as one stack, and all their exponentials in one expm call, with a
+        sub-step's two coefficients as one block-diagonal (2n, 2n) matrix.
         """
-        spec = self.spec
+        spec, n = self.spec, self.n
         edges = np.concatenate(([0.0], times))
         gaps = np.diff(edges)
-        if run.piece == math.inf:  # a run's first call: 1/2 over the coefficients' size at c0
-            x = self._coefficients(c0.reshape(1, *(self.n,) * 3)).reshape(2, -1)
-            run.piece = 0.5 / max(math.sqrt(np.vecdot(x, x).max()), 1e-300)
-        longest = min(gaps.max(), run.piece)
+        d = min(gaps.max(), run.substep)
         while True:
-            if not longest >= 1e-12 * h:
-                raise OutOfRange(f"gauge pieces of {longest:.3e} in a step of {h:.3e}: the gauges "
-                                 f"cannot be integrated to tolerance")
-            counts = np.ceil(gaps / longest - 1e-9).astype(int)
+            counts = np.ceil(gaps / d - 1e-9).astype(int)
             ends = np.cumsum(counts)
-            g, out, worst = g0, [], 0.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                for first in range(0, ends[-1], 64):  # at most 64 pieces' stages at a time
-                    q = np.arange(first, min(ends[-1], first + 64))
-                    gap = np.searchsorted(ends, q, side="right")
-                    d = gaps[gap] / counts[gap]
-                    starts = edges[gap] + d * (q - ends[gap] + counts[gap])
-                    pieces, errs = self._pieces(c0, k, h, starts, d)
-                    path = np.empty((len(q) + 1,) + g0.shape)
-                    path[0] = g
-                    for j, piece in enumerate(pieces):
-                        path[j + 1] = piece @ path[j]
-                    norms = _error_norms((errs @ path[:-1, None]).reshape(len(q), 2, -1),
-                                         path[:-1].reshape(len(q), -1),
-                                         path[1:].reshape(len(q), -1), d, spec.rel_tol,
-                                         spec.abs_tol)
-                    worst = max(worst, *norms) if np.isfinite(path).all() else math.inf
-                    if not worst <= 1.0:
-                        break
-                    g = path[-1]
-                    out += [path[j + 1] for j in np.flatnonzero(q + 1 == ends[gap])]
+            gap = np.repeat(np.arange(len(gaps)), counts)
+            step = gaps[gap] / counts[gap]
+            starts = edges[gap] + step * (np.arange(ends[-1]) - ends[gap] + counts[gap])
+            thetas = ((starts[:, None] + step[:, None] * _NODES) / h).ravel()
+            x = self._coefficients((c0 + h * (_dense_weights(thetas) @ k)).reshape(-1, n, n, n))
+            x = x.reshape(len(step), len(_NODES), -1) * -step[:, None, None]
+            m0, m1, m2 = (_MOMENTS @ x).reshape(len(step), 3, 2, n, n).swapaxes(0, 1)
+            a1, a2, a3 = 2.25 * m0 - 15.0 * m2, 12.0 * m1, 180.0 * m2 - 15.0 * m0
+            c1 = _commutator(a1, a2)
+            c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+            high = _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0  # Omega6 - m0
+            diff = (high + c1 / 12.0).reshape(len(step), -1)  # Omega6 - Omega4
+            worst = math.sqrt(np.vecdot(diff, diff).max()) / (spec.rel_tol or spec.abs_tol)
             if worst <= 1.0:
-                run.piece = longest * (6.0 if worst == 0.0 else min(6.0, 0.9 * worst ** -0.125))
-                return np.array(out)
-            longest *= max(1.0 / 3.0, 0.9 * worst ** -0.125)  # 1/3 on an overflow
+                break
+            if not math.isfinite(worst):
+                raise OutOfRange(f"gauge coefficients that are not finite in the step of {h:.3e} "
+                                 f"to t = {run.t:.6g}: the gauges cannot be integrated")
+            d *= max(1.0 / 3.0, 0.9 * worst ** -0.2)
+        run.substep = d * (6.0 if worst == 0.0 else min(6.0, 0.9 * worst ** -0.2))
+        omega = m0 + high
+        blocks = np.zeros((len(step), 2 * n, 2 * n))
+        blocks[:, :n, :n], blocks[:, n:, n:] = omega[:, 0], omega[:, 1]
+        g = g0.reshape(2 * n, n)  # the two gauges stacked, which the blocks map one each
+        path = []
+        for e in expm(blocks):
+            g = e @ g
+            path.append(g)
+        return np.array([path[j] for j in ends - 1]).reshape(len(times), 2, n, n)
 
     def _coefficients(self, cs):
         """The gauges' coefficients (A, R) (S, 2, n, n) at the states cs (S, n, n, n), scalstar
@@ -881,26 +894,6 @@ class _Lockstep:
         ric, ric_star = coeff_ricci(cs)
         return np.stack((_endomorphism(ric, ric_star, *self.kernel), _shifted(ric, ric_star)),
                         axis=1)
-
-    def _pieces(self, c0, k, h, starts, d):
-        """The DOP853 step matrices (P, 2, n, n) of the gauges over the pieces [starts, starts + d]
-        of a step of size h from c0 with slopes k, and their error estimates _E @ k (P, 2, 2, n,
-        n), not scaled by d.  X is formed at the dense output's states."""
-        n = self.n
-        thetas = ((starts[:, None] + d[:, None] * np.concatenate(([0.0], _C))) / h).ravel()
-        x = self._coefficients((c0 + h * (_dense_weights(thetas) @ k)).reshape(-1, n, n, n))
-        x = x.reshape(len(d), 12, 2, n, n)
-        w = np.empty((len(d), 12, 13))
-        w[:, :, 0] = 1.0
-        w[:, :, 1:] = d[:, None, None] * _A[:12, :12]
-        k_id = np.empty((len(d), 13, 2, n, n))  # the identity, then the stages' slopes
-        k_id[:, 0] = np.eye(n)
-        flat = k_id.reshape(len(d), 13, -1)
-        for s in range(12):
-            state = k_id[:, 0] if s == 0 else np.vecmat(w[:, s - 1, : s + 1], flat[:, : s + 1])
-            np.negative(x[:, s] @ state.reshape(k_id[:, 0].shape), out=k_id[:, s + 1])
-        errs = np.stack([np.vecmat(e, flat[:, 1:13]) for e in _E], axis=1)
-        return np.vecmat(w[:, 11], flat).reshape(k_id[:, 0].shape), errs.reshape(len(d), 2, 2, n, n)
 
     def _finish(self, runs):
         """Record each run's final sample where it stopped off the grid, and fill its

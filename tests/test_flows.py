@@ -40,7 +40,8 @@ from bracketflow.flows import (
     CONV_WINDOW,
     GAUGE_COEFFICIENTS,
     FlowTrajectory,
-    _append,
+    _converging,
+    _keep,
     _record_stack,
     _Run,
     _run_samples,
@@ -550,6 +551,57 @@ class TestGaugeRecovery:
                 mats = recover_gauge(traj, coefficient=coefficient).mats
                 assert np.max(np.abs(mats.reshape(len(traj.times), 9) - ref.y[rows].T)) <= 1e-8
 
+    def test_decaying_gauges_are_accurate_relative_to_their_size(self):
+        # A scalstar heisenberg(9) parabolic gauge to t = 20: its gauges decay from 1 to about
+        # 1e-11, and each recovered one lies within 1e-8 of a tight joint solve_ivp relative
+        # to its own norm (the gauges' steps are multiplicative).  The reference, like the
+        # flow, evaluates the field and both coefficients at the state moved onto
+        # scal* = -1, where Ric and Ric* are 1 / |scal*| of the state's: off the slice the
+        # scalstar field grows along c.
+        from scipy.integrate import solve_ivp
+
+        heis = catalog("heisenberg", dim=9).bracket
+        label = stratum_label(heis)
+        dec = beta_decomposition(label)
+        mu0 = act(random_parabolic_gauge(np.random.default_rng(0), dec), heis)
+        traj = integrate(mu0, FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label,
+                                       record_every=5.0))
+        n, m = 9, 9 ** 3
+
+        def rhs(_, y):
+            mu = BracketTensor(y[:m].reshape(n, n, n), antisymmetrize=True)
+            _, _, _, ric, ric_star = curvature_parts(mu)
+            scale = 1.0 / abs(np.trace(ric_star))
+            ric, ric_star = scale * ric, scale * ric_star
+            shift = float(np.sum(ric_star * ric_star)) * np.eye(n)
+            a = project_qbeta(ric_star, dec) + shift
+            return np.concatenate([-np.sqrt(scale) * pi_action(a, mu).coeffs.ravel(),
+                                   (-a @ y[m: m + n * n].reshape(n, n)).ravel(),
+                                   (-(ric + shift) @ y[m + n * n:].reshape(n, n)).ravel()])
+
+        y0 = np.concatenate([traj.samples[0].bracket.coeffs.ravel(), np.eye(n).ravel(),
+                             np.eye(n).ravel()])
+        ref = solve_ivp(rhs, (0.0, 20.0), y0, method="DOP853", rtol=1e-13, atol=1e-40,
+                        t_eval=traj.times)
+        assert ref.success and traj.times.tolist() == [0.0, 5.0, 10.0, 15.0, 20.0]
+        rows = {"variant": slice(m, m + n * n), "ricci": slice(m + n * n, None)}
+        for coefficient in GAUGE_COEFFICIENTS:
+            want = ref.y[rows[coefficient]].T
+            got = recover_gauge(traj, coefficient=coefficient).mats.reshape(len(want), -1)
+            assert np.linalg.norm(want[-1]) <= 1e-10  # it has decayed
+            gaps = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+            assert gaps.max() <= 1e-8, gaps
+
+    def test_absolute_tolerance_alone_bounds_the_gauge_steps(self, mu_s3, s3_label):
+        # With rel_tol = 0 the gauges' relative error per sub-step is held at abs_tol.
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=10.0, label=s3_label, record_every=0.25,
+                        rel_tol=0.0, abs_tol=1e-9)
+        traj = integrate(mu_s3, spec)
+        mu0 = traj.samples[0].bracket
+        for t in (2.0, 5.0, 10.0):
+            moved = act(recover_gauge(traj).at(t), mu0)
+            assert np.linalg.norm(moved.coeffs - traj.sample_at(t).bracket.coeffs) <= 1e-8
+
     def test_h0_multiplies_on_the_right(self, s3_short, rng):
         g = sla.expm(0.3 * rng.standard_normal((3, 3)))
         for coefficient in ("variant", "ricci"):
@@ -588,8 +640,6 @@ def _rejecting(run):
     norms, tries = flows._error_norms, []
 
     def rejecting(*args):
-        if sys._getframe(1).f_code.co_name != "_step":  # the gauges' pieces
-            return norms(*args)
         tries.append(1)
         return [2.0 if (len(tries) + j) % 7 == 0 else e for j, e in enumerate(norms(*args))]
 
@@ -715,6 +765,14 @@ def _same_sample(got, want):
     assert got.bracket.jacobi_residual() == want.bracket.jacobi_residual()
     values = [np.array(dataclasses.astuple(s.monitors)).tobytes() for s in (got, want)]
     assert values[0] == values[1]
+
+
+def _append(run, rec, first, count, conv_tol):
+    """Keep the samples first, ..., first + count - 1 of the _Record for the _Run until it
+    converges: returns (number kept, converged)."""
+    ((_, _, count, converged),) = kept = _converging(rec, [(run, first, count)], conv_tol)
+    _keep(rec, kept)
+    return count, converged
 
 
 def _recorded(ts, cs, variant, dec, label, curved=True):
@@ -1097,32 +1155,41 @@ class TestGaugeSelection:
             assert (g.nilradical_dim, g.derived_dims) == (w.nilradical_dim, w.derived_dims)
 
     def test_gauge_integration_only_for_carried_gauges(self, monkeypatch, mu_s3, s3_label):
-        # No flow takes an exponential: the gauges are integrated along each accepted step's
-        # dense output (flows._Lockstep._gauges), once per step of a run that carries them.
-        calls, gauges = [], flows._Lockstep._gauges
+        # The gauges are integrated along each accepted step's dense output
+        # (flows._Lockstep._gauges), once per step of a run that carries them, with one call
+        # of scipy's expm each; nothing else takes an exponential.
+        calls, exps, gauges = [], [], flows._Lockstep._gauges
 
         def counting(lockstep, run, *args):
             calls.append(run)
             return gauges(lockstep, run, *args)
 
+        def exponential(a):
+            exps.append(len(a))
+            return sla.expm(a)
+
+        assert flows.expm is sla.expm
+        assert not any(hasattr(flows, name) for name in ("expm_stack", "_magnus", "_pieces"))
         monkeypatch.setattr(flows._Lockstep, "_gauges", counting)
-        assert not any(hasattr(flows, name) for name in ("expm", "expm_stack", "_magnus"))
+        monkeypatch.setattr(flows, "expm", exponential)
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=s3_label, record_every=0.25)
         assert integrate(mu_s3, dataclasses.replace(spec, gauges=False)).gauges == {}
-        assert calls == []
+        assert calls == exps == []
         traj = integrate(mu_s3, spec)
-        assert len(calls) == traj.steps - traj.rejected
+        assert len(calls) == len(exps) == traj.steps - traj.rejected
         calls.clear()
+        exps.clear()
         mu0s = [_s3_lambda_gauge(7, draw) for draw in range(3)]
         label = stratum_label(catalog("s3_lambda", lam=0.5).bracket)
         trajs = integrate_stack(mu0s, dataclasses.replace(spec, label=label))
-        assert len(calls) == sum(t.steps - t.rejected for t in trajs)
+        assert len(calls) == len(exps) == sum(t.steps - t.rejected for t in trajs)
         calls.clear()
+        exps.clear()
         for t in [traj] + trajs:
             for coefficient in GAUGE_COEFFICIENTS:
                 recover_gauge(t, coefficient=coefficient)
         run_uniqueness_experiment(catalog("s3_lambda", lam=0.5), 5, t_end=100.0, seed=0)
-        assert calls == []
+        assert calls == exps == []
 
 
 class TestWorkCounts:
@@ -1235,6 +1302,32 @@ class TestWorkCounts:
             counts.append((traj.steps, traj.rejected, traj.renormalizations,
                            sum(self._without_records(slices).values())))
         assert counts == [(35, 0, 0, 422), (33, 0, 0, 398), (34, 4, 30, 496)]
+
+    def test_gauge_coefficient_states(self, monkeypatch, mu_s3, s3_label):
+        # The gauges' Magnus sub-steps take X = (A, R) at four nodes each, formed in one stack
+        # per accepted step (and one more per cut of the sub-step length).  On s3 most of the
+        # 401 samples lie inside steps and cut them: 448 sub-steps, and one step cuts its
+        # length once (1,812 states).  The heisenberg(13) gauge, recorded at t_end only, takes
+        # one sub-step per accepted step.
+        states, coefficients = [], flows._Lockstep._coefficients
+
+        def counting(lockstep, cs):
+            states.append(len(cs))
+            return coefficients(lockstep, cs)
+
+        monkeypatch.setattr(flows._Lockstep, "_coefficients", counting)
+        spec = FlowSpec(variant=Variant.SCALSTAR, t_end=100.0, label=s3_label, record_every=0.25)
+        traj = integrate(mu_s3, spec)
+        assert (traj.steps, traj.rejected, len(traj.samples)) == (25, 0, 401)
+        assert sum(states) <= 1850
+        heis = catalog("heisenberg", dim=13).bracket
+        label = stratum_label(heis)
+        mu0 = act(random_parabolic_gauge(np.random.default_rng(1), beta_decomposition(label)), heis)
+        states.clear()
+        traj = integrate(mu0, FlowSpec(variant=Variant.SCALSTAR, t_end=20.0, label=label,
+                                       record_every=20.0))
+        assert (traj.steps, traj.rejected) == (30, 3)
+        assert sum(states) <= 4 * (traj.steps - traj.rejected + 1)
 
     def test_raw_flat_bracket_takes_one_step(self, mu_e2):
         # e2's raw field vanishes, so the starting step is t_end.
@@ -1448,8 +1541,7 @@ class TestStepControl:
 
         def measuring(*args):
             errs = norms(*args)
-            if sys._getframe(1).f_code.co_name == "_step":  # not the gauges' pieces
-                log[-1].append(errs[0])
+            log[-1].append(errs[0])
             return errs
 
         monkeypatch.setattr(flows, "_dp_step", stepping)
@@ -1528,7 +1620,7 @@ class TestTableau:
         return dop853_coefficients
 
     def test_quadrature_order_conditions(self):
-        b, c = flows._A[11, :12], np.concatenate(([0.0], flows._C))
+        b, c = flows._A[11, :12], np.concatenate(([0.0], flows._A[:11].sum(axis=1)))
         for k in range(1, 9):
             assert abs(b @ c ** (k - 1) - 1.0 / k) <= 2e-15, k
 
