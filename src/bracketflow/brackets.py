@@ -247,11 +247,6 @@ def ensure_lie(mu):
         raise _lie_error(res)
 
 
-def singular_tolerance(h):
-    n = h.shape[0]
-    return 1e-12 * np.linalg.norm(h, 2) ** n
-
-
 def act_apply(h, c):
     """h.c on raw structure constants c; no validation, result not antisymmetrized.
 
@@ -266,12 +261,20 @@ def act_apply(h, c):
     return (t.reshape(lead + (n, n * n)).mT @ h.mT).reshape(c.shape)
 
 
+def ensure_regular(h, name="h"):
+    """Raise SingularGauge for an (n, n) h with sigma_min <= n eps sigma_max: a rule on its
+    condition alone, so a scaled or well-conditioned h passes at any size."""
+    sigma = np.linalg.svd(h, compute_uv=False)
+    if not sigma[-1] > len(h) * np.finfo(float).eps * sigma[0]:
+        raise SingularGauge(f"{name} is singular: sigma_min / sigma_max = "
+                            f"{sigma[-1] / max(sigma[0], 1e-300):.3e} <= n eps")
+
+
 def act(h, mu):
-    """Change-of-basis action (h.mu)(x, y) = h mu(h^-1 x, h^-1 y)."""
+    """Change-of-basis action (h.mu)(x, y) = h mu(h^-1 x, h^-1 y); a singular h raises
+    SingularGauge (ensure_regular)."""
     h = np.asarray(h, dtype=float)
-    det = abs(np.linalg.det(h))
-    if det <= singular_tolerance(h):
-        raise SingularGauge(f"|det h| = {det:.3e} below tolerance")
+    ensure_regular(h)
     return BracketTensor(act_apply(h, mu.coeffs), antisymmetrize=True)
 
 

@@ -16,18 +16,25 @@ too small to move the state by its tolerance before t_end (one that vanishes, or
 at a fixed point) starts at t_end.  Grid samples inside a step come from its 7th-order dense
 output, whose three extra stages are evaluated only on steps that have samples inside them
 (or carry gauges), so only t_end cuts a step short.  A stage state is one product of the
-step's coefficients with the state and the slopes so far, and calls the field kernel
-`_field` once: no flow forms M or K, Ric* is one product, Ric is formed only for a raw A,
-and -pi(A)c takes two (brackets.neg_pi_apply), so every stage state stays exactly
-antisymmetric.  A record (the seeds, one step's grid samples or the final samples) decides,
-as one stack, only what the loop needs.  A run that checks convergence measures the field
+step's coefficients with the state and the slopes so far, and its slopes come from
+_Lockstep._slopes.  For n <= POLY_MAX_DIM (3) the field is a polynomial in the packed
+coordinates x = c[i < j, k], two small matrix products per state: (x (x) x) q gives A (and,
+scalstar, Ric* and scal*), and (A (x) x) p the i < j entries of -pi(A)c, written with their
+exact negatives.  At n = 3 a stage takes about half the tensor kernel's time, which goes to
+its numpy calls, not its arithmetic; the products grow as n^6, and from n = 4 they are no
+faster for one state and slower for a stack, so larger runs call the tensor kernel `_field`
+once a stage: no flow forms M or K, Ric* is one product, Ric is formed only for a raw A, and
+-pi(A)c takes two (brackets.neg_pi_apply).  Either way every stage state stays exactly
+antisymmetric.  Records, gauges, flow_field and linearize keep the tensor kernel.  A record
+(the seeds, one step's grid samples or the final samples) decides, as one stack, only what
+the loop needs.  A run that checks convergence measures the field
 norms of a step's grid states in chunks until its streak fills, and keeps and checks the
 samples only up to there.  bracket_stack checks the kept states against COEFF_CAP and for
 the Jacobi identity, the flow's one Jacobi check (DOP853 does not keep the Jacobi identity,
 and a record past jacobi_tolerance raises NotALieBracket); the states are exactly
 antisymmetric, so nothing is projected or copied.  A raw or gauged run's first sample is the
 caller's bracket itself.  Each run forms its Ric, Ric*, Monitors and FlowSamples once, when
-it ends, in one pass over its samples.
+it ends, in one pass over its samples, and keeps their monitors as one (N, 8) array.
 
 The scalstar field F(c) keeps scal* = -1 on the slice, but off it grows along c at the rate
 2 ||Ric*||^2 (F(lam c) = lam^3 F(c) + (lam^5 - lam^3) q c).  So a scalstar (and scal) stage
@@ -35,7 +42,9 @@ evaluates the field at its state moved onto the slice, c <- |scal*(c)|^-1/2 c, w
 same field on the slice and flat along c off it, and every accepted step is projected back
 onto the slice (Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4).  Without
 this, a long step grows the stage states' round-off along c by up to e^(2h), and the error
-estimates, the dense output and the step sequence follow it.
+estimates, the dense output and the step sequence follow it.  The polynomial stage moves no
+state: by the degree split, the field at lam c is lam^3 (-pi(R_q + lam^2 ||R||^2 Id)c), with
+R = Ric*(c) and lam from the same product.
 
 There is one stepper loop, over a stack of B trajectories of one FlowSpec
 (`integrate_stack`); `integrate` is that loop with B = 1.  Each trajectory keeps
@@ -55,17 +64,20 @@ sub-steps' Gauss-Legendre nodes as one stack, and takes all their exponentials i
 scipy.linalg.expm call.  FlowSpec.gauges = False keeps none and changes no sample or step.
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
 
-from .brackets import BracketTensor, bracket_stack, ensure_lie, neg_pi_apply, report_to_dict
+from .brackets import (BracketTensor, bracket_stack, ensure_lie, ensure_regular, neg_pi_apply,
+                       report_to_dict)
 from .curvature import coeff_ric_star, coeff_ricci, coeff_scal_star, curvature_pack
-from .errors import GaugeMismatch, OutOfRange, SingularGauge
+from .errors import GaugeMismatch, OutOfRange
 from .strata import check_gauged, beta_decomposition, project_qbeta
 
 CONV_TOL = 1e-10
@@ -104,8 +116,7 @@ class FlowSpec:
     gauges: bool = True
 
 
-@dataclass(slots=True)
-class Monitors:
+class Monitors(NamedTuple):
     f: float
     lyapunov: float
     cs: float
@@ -120,7 +131,15 @@ class Monitors:
 class FlowSample:
     t: float
     bracket: BracketTensor
-    monitors: Monitors
+    # The run's read-only (N, 8) monitors, one row per sample in Monitors' order, and this
+    # sample's row: a run keeps one array, not eight floats per sample.
+    _table: np.ndarray = field(repr=False, compare=False)
+    _row: int = field(repr=False, compare=False)
+
+    @property
+    def monitors(self):
+        """The sample's Monitors, read off its row."""
+        return Monitors(*self._table[self._row].tolist())
 
     @property
     def pack(self):
@@ -140,6 +159,8 @@ class FlowTrajectory:
     # coefficient name -> (len(samples), n, n) stack of h at the sample times;
     # empty on raw runs and on runs whose FlowSpec.gauges is False.
     gauges: dict = field(default_factory=dict)
+    # The sample times of the gauges, one read-only array that recover_gauge hands out.
+    gauge_times: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def times(self):
@@ -270,6 +291,41 @@ def _field(c, variant, dec, out=None):
     ric, ric_star = coeff_ricci(c) if variant == Variant.RAW else (None, coeff_ric_star(c))
     a = _endomorphism(ric, ric_star, variant, dec)
     return neg_pi_apply(a, c, out), a, ric_star
+
+
+# The largest dimension whose stages take the polynomial field (_Lockstep._slopes).  A raw
+# stage, polynomial against tensor kernel (2 shared vCPUs, OpenBLAS on 1 thread), on one
+# state: 9.5 vs 21.1 us at n = 2, 9.9 vs 21.3 at n = 3, 15.7 vs 21.7 at n = 4 and 62.2 vs
+# 22.2 at n = 5; on a stack of five: 15.7 vs 26.5 us at n = 3 and 44.0 vs 27.0 at n = 4.
+POLY_MAX_DIM = 3
+
+
+@functools.cache
+def _stage_polynomial(n):
+    """The field's coefficients in the packed coordinates x = c[i < j, k] of an antisymmetric c
+    (n, n, n), d = n^2 (n - 1) / 2 of them: (up, q_ric, q_ric_star, p), all read-only.
+
+    up indexes x in the flat c.  Ric and Ric* (n^2 entries each) are (x (x) x) q, q (d^2, n^2),
+    by polarizing coeff_ricci on the unit brackets e_a (1 at c[i, j, k], -1 at c[j, i, k]):
+    q[a, b] = (f(e_a + e_b) - f(e_a) - f(e_b)) / 2, with f(e_a) = f(2 e_a) / 4.  The i < j
+    entries of -pi(A)c, and 0 at the others, are (A (x) x) p, p (n^2 d, n^3) holding
+    neg_pi_apply(E_kl, e_a) there.  Every entry is a small dyadic rational, formed exactly.
+    """
+    i, j = np.triu_indices(n, 1)
+    i, j, k = np.repeat(i, n), np.repeat(j, n), np.tile(np.arange(n), len(i))
+    d, m = len(k), n * n
+    units = np.zeros((d, n, n, n))
+    units[np.arange(d), i, j, k], units[np.arange(d), j, i, k] = 1.0, -1.0
+    q = []
+    for f in coeff_ricci(units[:, None] + units[None, :]):
+        own = np.einsum("aa...->a...", f) / 4.0
+        q.append(((f - own[:, None] - own[None, :]) / 2.0).reshape(d * d, m))
+    p = neg_pi_apply(np.eye(m).reshape(m, 1, n, n), np.broadcast_to(units, (m, d, n, n, n)))
+    p *= np.triu(np.ones((n, n)), 1)[:, :, None]
+    parts = ((i * n + j) * n + k, *q, p.reshape(m * d, n ** 3))
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def flow_field(coeffs, variant, dec):
@@ -408,32 +464,26 @@ def _run_samples(kept, variant, dec, label, scal=False):
             if isinstance(mu, Exception):
                 raise mu
         norm_sq, (ric, ric_star) = new_sq, coeff_ricci(cs)
-    ric_norm = _row_norms(ric)
-    nan = float("nan")
-    rstar, beta_sq = [(nan, nan, nan)] * len(ts), nan
+    times = np.array(ts)
+    rstar_beta = rstar_sq = scal_star = np.full(len(ts), np.nan)
+    beta_sq = np.nan
     if label is not None:
         beta_sq = label.norm_sq
-        rstar = zip(
-            (ric_star * label.beta).reshape(len(ts), -1).sum(axis=1).tolist(),
-            (ric_star * ric_star).reshape(len(ts), -1).sum(axis=1).tolist(),
-            ric_star.trace(axis1=-2, axis2=-1).tolist(),
-        )
-    samples = []
-    for t, mu, sq, (rstar_beta, rstar_sq, scal_star), bound, fnorm, drift in zip(
-        ts, brackets, norm_sq.tolist(), rstar, ric_norm, field_norm, joined("drift")
-    ):
-        monitors = Monitors(
-            f=rstar_sq - rstar_beta,
-            lyapunov=rstar_sq + scal_star * rstar_beta,
-            cs=rstar_beta - abs(scal_star) * beta_sq,
-            type3=t * sq,
-            ric_bound=t * bound,
-            jacobi=mu.jacobi_residual(),
-            field_norm=fnorm,
-            drift=drift,
-        )
-        samples.append(FlowSample(t, mu, monitors))
-    return samples, scals
+        rstar_beta = (ric_star * label.beta).reshape(len(ts), -1).sum(axis=1)
+        rstar_sq = (ric_star * ric_star).reshape(len(ts), -1).sum(axis=1)
+        scal_star = ric_star.trace(axis1=-2, axis2=-1)
+    table = np.stack((
+        rstar_sq - rstar_beta,
+        rstar_sq + scal_star * rstar_beta,
+        rstar_beta - np.abs(scal_star) * beta_sq,
+        times * norm_sq,
+        times * _row_norms(ric),
+        [mu.jacobi_residual() for mu in brackets],
+        field_norm,
+        joined("drift"),
+    ), axis=1)
+    table.flags.writeable = False
+    return [FlowSample(t, mu, table, j) for j, (t, mu) in enumerate(zip(ts, brackets))], scals
 
 
 def _converging(rec, blocks, conv_tol):
@@ -604,16 +654,59 @@ class _Lockstep:
         run.traj.termination = termination
         run.running, run.end = False, end
 
+    def _polynomial(self):
+        """(up, q, p) of the polynomial field (_slopes) of this run's variant at n <= POLY_MAX_DIM,
+        else None: q (d^2, M) gives A (M = n^2), or on scalstar runs (Ric*)_{q_beta}, Ric* and
+        scal* = tr Ric* (M = 2 n^2 + 1); its (Ric*)_{q_beta} columns are project_qbeta of the
+        Ric* columns."""
+        n = self.n
+        if n > POLY_MAX_DIM:
+            return None
+        up, q_ric, q_ric_star, p = _stage_polynomial(n)
+        if self.core == Variant.RAW:
+            return up, q_ric, p
+        q = project_qbeta(q_ric_star.reshape(-1, n, n), self.dec).reshape(q_ric_star.shape)
+        if self.core == Variant.SCALSTAR:
+            q = np.concatenate((q, q_ric_star, q_ric_star[:, :: n + 1].sum(axis=1, keepdims=True)),
+                               axis=1)
+        return up, q, p
+
     def _slopes(self, y, out):
-        """The field -pi(A)c at the flat states y (..., n^3), into out of y's shape; at scalstar
-        states moved onto scal* = -1 first, by the factors that it returns (flat), else None."""
-        c = y.reshape(y.shape[:-1] + (self.n,) * 3)
+        """The field -pi(A)c at the flat states y (..., n^3), into out of y's shape; a scalstar
+        field at its states moved onto scal* = -1, by the factors that it returns (flat), else
+        None.
+
+        Above POLY_MAX_DIM the tensor kernel _field takes the moved states.  At or below it the
+        field is a polynomial in the packed coordinates x (_stage_polynomial): one product
+        (x (x) x) q gives A, and a second, (A (x) x) p, the i < j entries W of -pi(A)c, written
+        as W - W^T, so exactly antisymmetric.  A scalstar field moves no state: by its degree
+        split it is lam^3 (-pi(R_q + lam^2 ||R||^2 Id)c) at lam c, R = Ric*(c) and lam =
+        |scal*(c)|^-1/2, with R_q, R and scal* from the one product.  Each state takes its own
+        products, so a stack of one has the bits of a slice.
+        """
+        n = self.n
+        if self.poly is None:
+            c = y.reshape(y.shape[:-1] + (n,) * 3)
+            factor = None
+            if self.core == Variant.SCALSTAR:  # as a stack: a stack of one has the bits of a slice
+                flat = c.reshape((-1,) + c.shape[-3:])
+                factor = _scalstar_factor(coeff_scal_star(flat))
+                c = (flat * factor[:, None, None, None]).reshape(c.shape)
+            _field(c, *self.kernel, out=out.reshape(c.shape, copy=False))
+            return factor
+        up, q, p = self.poly
+        x = y.reshape(-1, 1, n ** 3)[..., up]
+        a = (x.mT * x).reshape(len(x), 1, -1) @ q
         factor = None
-        if self.core == Variant.SCALSTAR:  # as a stack: a stack of one has the bits of a slice
-            flat = c.reshape((-1,) + c.shape[-3:])
-            factor = _scalstar_factor(coeff_scal_star(flat))
-            c = (flat * factor[:, None, None, None]).reshape(c.shape)
-        _field(c, *self.kernel, out=out.reshape(c.shape, copy=False))
+        if self.core == Variant.SCALSTAR:  # a[:, 0] holds R_q, R and scal*
+            m, parts = n * n, a[:, 0]
+            factor = _scalstar_factor(parts[:, -1])
+            sq, ric_star = factor * factor, parts[:, m: 2 * m]
+            parts[:, : m: n + 1] += (sq * np.vecdot(ric_star, ric_star))[:, None]
+            parts[:, :m] *= (sq * factor)[:, None]
+            a = a[..., :m]
+        w = ((a.mT * x).reshape(len(x), 1, -1) @ p).reshape((-1,) + (n,) * 3)
+        np.subtract(w, w.swapaxes(-3, -2), out=out.reshape(w.shape, copy=False))
         return factor
 
     def _start(self, runs, mu0s, cs):
@@ -621,6 +714,7 @@ class _Lockstep:
         the first slopes and choose each run's first step."""
         count, n = len(runs), cs.shape[-1]
         self.n = n
+        self.poly = self._polynomial()
         self.g = np.broadcast_to(np.eye(n), (count, 2, n, n)).copy() if self.gauged else None
         rec = _record_stack([0.0] * count, cs, *self.kernel,
                             None if self.g is None else self.g.copy(), self.curved,
@@ -920,8 +1014,10 @@ class _Lockstep:
                 if scal is not None:  # h(t).mu(0) = mu(t) for the rescaled samples
                     mats[:, 0] *= np.sqrt(np.abs(scal) / abs(scal[0]))[:, None, None]
                 mats = mats.swapaxes(0, 1).copy()
-                mats.flags.writeable = False  # recover_gauge hands these out without h0
-                traj.gauges = dict(zip(GAUGE_COEFFICIENTS, mats))
+                times = traj.times
+                for part in (mats, times):  # recover_gauge hands these out
+                    part.flags.writeable = False
+                traj.gauges, traj.gauge_times = dict(zip(GAUGE_COEFFICIENTS, mats)), times
 
 
 def _scalstar_factor(s):
@@ -979,8 +1075,8 @@ def recover_gauge(traj, h0=None, coefficient="variant"):
     ungauged normalized coefficient whose solution converges in GL exactly in the Einstein
     case (on a scal run, the gauge of the scalstar run the samples were rescaled from).  No
     gauges (a raw run, or FlowSpec.gauges False) or an h0 that is not a finite (n, n) matrix
-    raise GaugeMismatch; sigma_min(h0) <= n eps sigma_max(h0) raises SingularGauge.  Without
-    h0 the path's mats are the trajectory's own read-only stack, not a copy.
+    raise GaugeMismatch; sigma_min(h0) <= n eps sigma_max(h0) raises SingularGauge.  The path's
+    times, and without h0 its mats, are the trajectory's own read-only arrays, not copies.
     """
     if coefficient not in GAUGE_COEFFICIENTS:
         raise ValueError(f"unknown gauge coefficient {coefficient!r}; "
@@ -994,12 +1090,10 @@ def recover_gauge(traj, h0=None, coefficient="variant"):
     if h.shape != (n, n) or bad.size:
         raise GaugeMismatch(f"h0 must be a finite ({n}, {n}) matrix, got shape {h.shape}"
                             + (f" with the entry {bad[0]}" if bad.size else ""))
-    sigma = np.ones(1) if h0 is None else np.linalg.svd(h, compute_uv=False)
-    if not sigma[-1] > n * np.finfo(float).eps * sigma[0]:
-        raise SingularGauge(f"h0 is singular: sigma_min / sigma_max = "
-                            f"{sigma[-1] / max(sigma[0], 1e-300):.3e} <= n eps")
+    if h0 is not None:
+        ensure_regular(h, "h0")
     mats = traj.gauges[coefficient]
-    return GaugePath(times=traj.times, mats=mats if h0 is None else mats @ h,
+    return GaugePath(times=traj.gauge_times, mats=mats if h0 is None else mats @ h,
                      coefficient=coefficient)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from bracketflow import (
     pi_action,
     save_bracket,
 )
-from bracketflow.brackets import bracket_stack
+from bracketflow.brackets import act_apply, bracket_stack
 from bracketflow.errors import NotSolvable, SingularGauge
 from bracketflow.catalog import random_solvable_bracket
 
@@ -153,6 +154,22 @@ class TestAction:
     def test_singular_gauge(self, mu_h3):
         with pytest.raises(SingularGauge):
             act(np.diag([1.0, 1.0, 0.0]), mu_h3)
+
+    def test_a_well_conditioned_gauge_is_not_singular(self, rng):
+        # Condition number 100 at n = 15: |det h| = 1e15 lies below 1e-12 ||h||_2^15 =
+        # 1e18, which a rule on the determinant would reject, but sigma_min / sigma_max =
+        # 0.01 is far above n eps.
+        h = np.diag(np.geomspace(1.0, 100.0, 15))
+        mu = random_antisymmetric_bracket(rng, 15)
+        assert abs(np.linalg.det(h)) < 1e-12 * np.linalg.norm(h, 2) ** 15
+        assert act(h, mu).coeffs.tobytes() == BracketTensor(
+            act_apply(h, mu.coeffs), antisymmetrize=True).coeffs.tobytes()
+
+    @pytest.mark.parametrize("ratio", [0.0, 1e-16])
+    def test_singular_gauge_message(self, mu_h3, ratio):
+        with pytest.raises(SingularGauge, match=re.escape(
+                f"h is singular: sigma_min / sigma_max = {ratio:.3e} <= n eps")):
+            act(np.diag([1.0, 1.0, ratio]), mu_h3)
 
     def test_orthogonal_action_preserves_norm(self, rng):
         mu = random_antisymmetric_bracket(rng, 5)

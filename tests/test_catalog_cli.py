@@ -150,10 +150,10 @@ class TestExperiments:
     def _run_with_bad_seeds(monkeypatch, not_lie, off):
         """run_uniqueness_experiment on five s3_lambda(0.5) gauges, seed not_lie not a Lie
         bracket and seed off outside V>=0: the error it raises, the seeds made, the seeds
-        checked for V>=0 and the field-kernel calls."""
+        checked for V>=0 and the stage evaluations (_Lockstep._slopes calls)."""
         bad = random_antisymmetric_bracket(np.random.default_rng(1), 3)
         made, checks, stages = [], [], []
-        act, check_gauged, field = experiments.act, flows.check_gauged, flows._field
+        act, check_gauged, slopes = experiments.act, flows.check_gauged, flows._Lockstep._slopes
 
         def acting(h, mu):
             made.append(bad if len(made) == not_lie else act(h, mu))
@@ -165,13 +165,13 @@ class TestExperiments:
                 return GaugeCheck(in_nonneg=False, v0_norm=1.0, neg_norm=0.5)
             return check_gauged(mu, label)
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             stages.append(args)
-            return field(*args, **kwargs)
+            return slopes(*args)
 
         monkeypatch.setattr(experiments, "act", acting)
         monkeypatch.setattr(flows, "check_gauged", checking)
-        monkeypatch.setattr(flows, "_field", counting)
+        monkeypatch.setattr(flows._Lockstep, "_slopes", counting)
         with pytest.raises(BracketFlowError) as raised:
             run_uniqueness_experiment(catalog("s3_lambda", lam=0.5), seeds=5, t_end=1.0)
         return raised.value, made, checks, stages
@@ -203,7 +203,7 @@ class TestExperiments:
 
         monkeypatch.setattr(experiments, "random_parabolic_gauge", drawing)
         monkeypatch.setattr(experiments, "integrate_stack", lambda *args: flowed.append(args))
-        with pytest.raises(SingularGauge, match=r"\|det h\| = 0.000e\+00 below tolerance"):
+        with pytest.raises(SingularGauge, match=r"h is singular: sigma_min / sigma_max = 0.000e\+00"):
             run_uniqueness_experiment(catalog("s3_lambda", lam=0.5), seeds=5, t_end=1.0)
         assert len(draws) == 3
         assert flowed == []

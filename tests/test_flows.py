@@ -40,6 +40,7 @@ from bracketflow.flows import (
     CONV_WINDOW,
     GAUGE_COEFFICIENTS,
     FlowTrajectory,
+    Monitors,
     _converging,
     _keep,
     _record_stack,
@@ -611,6 +612,20 @@ class TestGaugeRecovery:
                 rtol=0.0, atol=1e-14,
             )
 
+    def test_paths_share_the_runs_read_only_arrays(self, s3_short, rng):
+        # A flow keeps one times array and one monitors array per run, not one per call
+        # or per sample.
+        paths = [recover_gauge(s3_short, coefficient=c) for c in GAUGE_COEFFICIENTS]
+        paths.append(recover_gauge(s3_short, h0=sla.expm(0.3 * rng.standard_normal((3, 3)))))
+        times = s3_short.gauge_times
+        assert all(path.times is times for path in paths) and not times.flags.writeable
+        assert times.tobytes() == s3_short.times.tobytes()
+        tables = {id(s._table) for s in s3_short.samples}
+        assert len(tables) == 1 and not s3_short.samples[0]._table.flags.writeable
+        for j, s in enumerate(s3_short.samples):
+            assert s.monitors == Monitors(*s._table[j].tolist())
+            assert s.monitors.type3 == s.t * s.bracket.norm_sq
+
     def test_unknown_coefficient_rejected(self, s3_short):
         with pytest.raises(ValueError, match="'Ricci'"):
             recover_gauge(s3_short, coefficient="Ricci")
@@ -763,7 +778,7 @@ def _same_sample(got, want):
     assert got.t == want.t
     assert np.array_equal(got.bracket.coeffs, want.bracket.coeffs)
     assert got.bracket.jacobi_residual() == want.bracket.jacobi_residual()
-    values = [np.array(dataclasses.astuple(s.monitors)).tobytes() for s in (got, want)]
+    values = [np.array(tuple(s.monitors)).tobytes() for s in (got, want)]
     assert values[0] == values[1]
 
 
@@ -918,6 +933,8 @@ def _same_trajectory(got, want):
     for key, mats in want.gauges.items():
         assert got.gauges[key].shape == mats.shape
         assert got.gauges[key].tobytes() == mats.tobytes()
+    if want.gauges:
+        assert got.gauge_times.tobytes() == want.gauge_times.tobytes()
     assert (got.termination, got.steps, got.renormalizations) == (
         want.termination, want.steps, want.renormalizations)
 
@@ -1197,7 +1214,9 @@ class TestWorkCounts:
     to the step-size controller, the tableau or the kernel that moves them shows,
     and fewer steps can be told apart from cheaper ones.
 
-    Each run evaluates the field kernel on its first state (_start), on the Euler
+    Stages are counted at _Lockstep._slopes, which takes the polynomial field at
+    n <= POLY_MAX_DIM and the tensor kernel above it, so both paths count alike.
+    Each run evaluates the field on its first state (_start), on the Euler
     state of its starting step (_first_steps), on the eleven new stages of each
     step tried (_dp_step) and on the new state of each accepted step (_accept, the
     dense output's k_12; on scalstar runs, whose every accepted step is projected
@@ -1209,18 +1228,26 @@ class TestWorkCounts:
 
     @staticmethod
     def _stage_slices(monkeypatch):
-        """Per caller, the number of states the field kernel is evaluated on."""
+        """Per caller, the number of states the stages (_Lockstep._slopes, polynomial or
+        tensor) and the records (the field kernel outside _slopes) evaluate the field on."""
         slices = {}
-        kernel = flows._field
+        slopes, kernel = flows._Lockstep._slopes, flows._field
 
-        def counting(c, *args, **kwargs):
+        def count(caller, states):
+            slices[caller] = slices.get(caller, 0) + states
+
+        def stage(lockstep, y, out):
+            count(sys._getframe(1).f_code.co_name, 1 if y.ndim == 1 else len(y))
+            return slopes(lockstep, y, out)
+
+        def record(c, *args, **kwargs):
             caller = sys._getframe(1).f_code.co_name
-            if caller == "_slopes":
-                caller = sys._getframe(2).f_code.co_name
-            slices[caller] = slices.get(caller, 0) + (1 if c.ndim == 3 else len(c))
+            if caller != "_slopes":
+                count(caller, 1 if c.ndim == 3 else len(c))
             return kernel(c, *args, **kwargs)
 
-        monkeypatch.setattr(flows, "_field", counting)
+        monkeypatch.setattr(flows._Lockstep, "_slopes", stage)
+        monkeypatch.setattr(flows, "_field", record)
         return slices
 
     @staticmethod
@@ -1367,10 +1394,10 @@ class TestWorkCounts:
 
 class TestSliceProjection:
     """Every accepted scalstar step is moved back onto scal* = -1, y <- lam y, and the next
-    step's first slope is rescaled in closed form by the degree split of the field at the
-    step's new state, F(lam c) = lam^3 F(c) + (lam^5 - lam^3) q c with q = ||Ric*(c)||^2; it
-    matches a fresh field kernel call at the projected state within 1e-14 of F's scale
-    ||F|| + q ||c||."""
+    step's first slope is the field there: at n <= POLY_MAX_DIM by the degree split of the
+    field at the step's new state, F(lam c) = lam^3 F(c) + (lam^5 - lam^3) q c with
+    q = ||Ric*(c)||^2, above it at the moved state; it matches a fresh field kernel call at
+    the projected state within 1e-14 of F's scale ||F|| + q ||c||."""
 
     @staticmethod
     def _carried_gaps(monkeypatch):
@@ -1410,20 +1437,27 @@ class TestSliceProjection:
 
 
 class TestExactAntisymmetry:
-    """Every stage state is exactly antisymmetric in its first two axes: the field
-    kernel's slopes are, and a stage state is one product of the step's
-    coefficients with the state and slopes, which keeps them so."""
+    """Every stage state is exactly antisymmetric in its first two axes: the slopes
+    of _Lockstep._slopes are, on its polynomial path (n <= POLY_MAX_DIM) and on the
+    tensor kernel, and a stage state is one product of the step's coefficients with
+    the state and slopes, which keeps them so."""
 
     @staticmethod
     def _stage_defects(monkeypatch):
+        """The antisymmetry defect of each stage state and of its slopes, at _slopes."""
         defects = []
-        kernel = flows._field
+        slopes = flows._Lockstep._slopes
 
-        def checking(c, *args, **kwargs):
-            defects.append(float(np.max(np.abs(c + c.swapaxes(-3, -2)))))
-            return kernel(c, *args, **kwargs)
+        def defect(flat, n):
+            c = flat.reshape(-1, n, n, n)
+            return float(np.max(np.abs(c + c.swapaxes(-3, -2))))
 
-        monkeypatch.setattr(flows, "_field", checking)
+        def checking(lockstep, y, out):
+            factor = slopes(lockstep, y, out)
+            defects.append(max(defect(y, lockstep.n), defect(out, lockstep.n)))
+            return factor
+
+        monkeypatch.setattr(flows._Lockstep, "_slopes", checking)
         return defects
 
     def test_s3_scalstar_to_t_100(self, monkeypatch, mu_s3, s3_label):

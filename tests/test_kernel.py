@@ -24,6 +24,7 @@ from bracketflow import (
     brackets,
     catalog,
     derivation_space,
+    flows,
     integrate,
     pi_action,
     stratum_label,
@@ -39,7 +40,7 @@ from bracketflow.brackets import (
     neg_pi_apply,
     pi_apply,
 )
-from bracketflow.catalog import random_solvable_bracket
+from bracketflow.catalog import almost_abelian, random_solvable_bracket
 from bracketflow.curvature import (
     coeff_ad_h_t,
     coeff_moment,
@@ -51,6 +52,7 @@ from bracketflow.curvature import (
     ricci_from,
 )
 from bracketflow.errors import NotALieBracket
+from bracketflow.experiments import random_parabolic_gauge
 from bracketflow.flows import _endomorphism, _field, _shifted, flow_field
 from bracketflow.strata import beta_decomposition, label_from_beta, project_qbeta
 from bracketflow.linalg import RANK_TOL, null_space, subspace_distance
@@ -321,6 +323,117 @@ class TestFieldKernel:
             slopes, a, ric_star = _field(c, variant, None if variant == Variant.RAW else dec)
             for out in (slopes, a, ric_star, _ricci_of(c, ric_star, gauged)):
                 assert out is None or np.all(np.isfinite(out))
+
+
+def _lockstep(variant, dec, n, poly):
+    """A _Lockstep of the variant's kernel at dimension n, its stages on the polynomial field
+    when poly, else on the tensor kernel."""
+    lockstep = flows._Lockstep(FlowSpec(variant=variant, t_end=1.0))
+    lockstep.n, lockstep.dec, lockstep.kernel = n, dec, (variant, dec)
+    lockstep.poly = lockstep._polynomial() if poly else None
+    return lockstep
+
+
+def _stage(lockstep, y):
+    """(slopes, factor) of lockstep._slopes at the flat states y."""
+    out = np.full(y.shape, np.nan)
+    return out, lockstep._slopes(y, out)
+
+
+def _small_n_inputs():
+    """(n, variant, dec, states (B, n^3)): stacks of 1-4 random antisymmetric brackets at n = 2
+    and 3 (scalstar ones with scal* < 0) with a beta decomposition drawn as for _field, and four
+    parabolic gauges of each of the catalog's s3, h3, e2 and s3_lambda(0.5) with its own."""
+    rng = np.random.default_rng(32)
+    for variant in (Variant.RAW, Variant.GAUGED, Variant.SCALSTAR):
+        for n in (2, 3):
+            for count in range(1, 5):
+                c, dec = _draw_field_input(rng, n, variant, count)
+                if variant == Variant.SCALSTAR:
+                    c = c[coeff_scal_star(c) < 0.0]
+                yield n, variant, dec, c.reshape(len(c), -1)
+        for name, kw in (("s3", {}), ("h3", {}), ("e2", {}), ("s3_lambda", {"lam": 0.5})):
+            mu = catalog(name, **kw).bracket
+            dec = beta_decomposition(stratum_label(mu))
+            states = [act(random_parabolic_gauge(rng, dec), mu).coeffs.ravel() for _ in range(4)]
+            yield 3, variant, None if variant == Variant.RAW else dec, np.array(states)
+
+
+class TestSmallDimensionStages:
+    """The stages of an n <= POLY_MAX_DIM run take the polynomial field (_Lockstep._slopes,
+    built from _stage_polynomial): it matches the tensor kernel within the rounding bound of
+    the field's homogeneity test, its slopes are exactly antisymmetric, and each state has
+    the bits of its own products.  Runs above POLY_MAX_DIM keep the tensor kernel."""
+
+    def test_slopes_match_the_tensor_kernel(self):
+        cases = 0
+        for n, variant, dec, y in _small_n_inputs():
+            got, factor = _stage(_lockstep(variant, dec, n, True), y)
+            want, want_factor = _stage(_lockstep(variant, dec, n, False), y)
+            c = y.reshape(-1, n, n, n)
+            if variant == Variant.SCALSTAR:  # the field is evaluated on scal* = -1
+                assert np.all(np.abs(factor / want_factor - 1.0) <= KERNEL_TOL)
+                c = c * want_factor[:, None, None, None]
+            else:
+                assert factor is None and want_factor is None
+            for g, w, state in zip(got, want, c):
+                bound = KERNEL_TOL * (1.0 + float(np.sum(state * state))) ** 1.5
+                assert np.max(np.abs(g - w)) <= bound
+            cases += len(y)
+        assert cases >= 100
+
+    def test_slopes_are_exactly_antisymmetric(self):
+        for n, variant, dec, y in _small_n_inputs():
+            got = _stage(_lockstep(variant, dec, n, True), y)[0].reshape(-1, n, n, n)
+            assert np.array_equal(got, -got.swapaxes(-3, -2))
+
+    def test_a_stack_of_one_has_the_bits_of_a_slice(self):
+        for n, variant, dec, y in _small_n_inputs():
+            lockstep = _lockstep(variant, dec, n, True)
+            slopes, factors = _stage(lockstep, y)
+            for b in range(len(y)):
+                for one in (y[b: b + 1], y[b]):  # the stepper passes a stack of one as a slice
+                    got, factor = _stage(lockstep, one)
+                    assert got.tobytes() == slopes[b].tobytes()
+                    assert (factor is None) == (factors is None)
+                    assert factor is None or factor.tobytes() == factors[b: b + 1].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_at_cap_input_stays_finite_without_warnings(self, n):
+        # As the tensor kernel's test: |c[i, j, k]| = COEFF_CAP for i != j, where x (x) x
+        # reaches 1e50 and the scalstar ||R||^2 1e100; a RuntimeWarning is an error.
+        rng = np.random.default_rng(23)
+        for sign in (np.ones((n,) * 3), rng.choice([-1.0, 1.0], (n,) * 3)):
+            c = COEFF_CAP * np.triu(np.ones((n, n)), 1)[:, :, None] * sign
+            c = (c - c.swapaxes(0, 1)).reshape(1, -1)
+            for variant in (Variant.RAW, Variant.GAUGED, Variant.SCALSTAR):
+                dec = _draw_field_input(rng, n, variant, 1)[1]
+                slopes, factor = _stage(_lockstep(variant, dec, n, True), c)
+                assert np.all(np.isfinite(slopes)) and (factor is None or np.isfinite(factor).all())
+
+    @pytest.mark.parametrize("variant", [Variant.RAW, Variant.GAUGED, Variant.SCALSTAR])
+    def test_an_n4_run_keeps_the_tensor_kernel(self, monkeypatch, variant):
+        mu = almost_abelian([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        label = stratum_label(mu)
+        mu0 = mu if variant == Variant.RAW else act(
+            random_parabolic_gauge(np.random.default_rng(4), beta_decomposition(label)), mu)
+        slopes, checked = flows._Lockstep._slopes, []
+
+        def checking(lockstep, y, out):
+            assert lockstep.poly is None
+            factor = slopes(lockstep, y, out)
+            c = y.reshape(-1, 4, 4, 4)
+            if factor is not None:
+                c = c * factor[:, None, None, None]
+            want = _field(c, *lockstep.kernel)[0]
+            assert out.reshape(want.shape).tobytes() == want.tobytes()
+            checked.append(len(c))
+            return factor
+
+        monkeypatch.setattr(flows._Lockstep, "_slopes", checking)
+        spec = FlowSpec(variant=variant, t_end=2.0, label=None if variant == Variant.RAW else label)
+        traj = integrate(mu0, spec)
+        assert sum(checked) >= 12 * traj.steps
 
 
 class TestRicciKernels:
