@@ -262,8 +262,12 @@ def act_apply(h, c):
 
 
 def ensure_regular(h, name="h"):
-    """Raise SingularGauge for an (n, n) h with sigma_min <= n eps sigma_max: a rule on its
-    condition alone, so a scaled or well-conditioned h passes at any size."""
+    """Raise SingularGauge for an (n, n) h with an entry that is not finite, or with
+    sigma_min <= n eps sigma_max: a rule on its condition alone, so a scaled or
+    well-conditioned h passes at any size."""
+    bad = h[~np.isfinite(h)]
+    if bad.size:
+        raise SingularGauge(f"{name} has the entry {bad[0]}, which is not finite")
     sigma = np.linalg.svd(h, compute_uv=False)
     if not sigma[-1] > len(h) * np.finfo(float).eps * sigma[0]:
         raise SingularGauge(f"{name} is singular: sigma_min / sigma_max = "

@@ -10,14 +10,14 @@ Vector fields (all of the shape mu' = -pi(A(mu)) mu):
 Integration uses Hairer's DOP853, the Dormand-Prince 8(5,3) pair (Hairer, Norsett &
 Wanner, Solving ODEs I, II.4-II.6), for every variant: twelve stages a step, the last at the
 new state and reused as the next step's first, and an error norm that combines the 5th-
-and 3rd-order estimates.  dop853's controller scales h by 0.9 e^(-1/8) within [1/3, 6], and
-not up after a rejection.  The first step comes from the field (hinit), except that a field
-too small to move the state by its tolerance before t_end (one that vanishes, or round-off
-at a fixed point) starts at t_end.  Grid samples inside a step come from its 7th-order dense
-output, whose three extra stages are evaluated only on steps that have samples inside them
-(or carry gauges), so only t_end cuts a step short.  A stage state is one product of the
-step's coefficients with the state and the slopes so far, and its slopes come from
-_Lockstep._slopes.  For n <= POLY_MAX_DIM (3) the field is a polynomial in the packed
+and 3rd-order estimates.  dop853's controller (_step_factor) scales h by 0.9 e^(-1/8) within
+[1/3, 6], and not up after a rejection.  The first step comes from the field (hinit), except
+that a field too small to move the state by its tolerance before t_end (one that vanishes,
+or round-off at a fixed point) starts at t_end.  Grid samples inside a step come from its
+7th-order dense output, whose three extra stages are evaluated only on steps that have
+samples inside them (or carry gauges), so only t_end cuts a step short.  A stage state is one
+product of the step's coefficients with the state and the slopes so far, and its slopes come
+from _Lockstep._slopes.  For n <= POLY_MAX_DIM (3) the field is a polynomial in the packed
 coordinates x = c[i < j, k], two small matrix products per state: (x (x) x) q gives A (and,
 scalstar, Ric* and scal*), and (A (x) x) p the i < j entries of -pi(A)c, written with their
 exact negatives.  At n = 3 a stage takes about half the tensor kernel's time, which goes to
@@ -26,15 +26,18 @@ faster for one state and slower for a stack, so larger runs call the tensor kern
 once a stage: no flow forms M or K, Ric* is one product, Ric is formed only for a raw A, and
 -pi(A)c takes two (brackets.neg_pi_apply).  Either way every stage state stays exactly
 antisymmetric.  Records, gauges, flow_field and linearize keep the tensor kernel.  A record
-(the seeds, one step's grid samples or the final samples) decides, as one stack, only what
-the loop needs.  A run that checks convergence measures the field
-norms of a step's grid states in chunks until its streak fills, and keeps and checks the
-samples only up to there.  bracket_stack checks the kept states against COEFF_CAP and for
-the Jacobi identity, the flow's one Jacobi check (DOP853 does not keep the Jacobi identity,
-and a record past jacobi_tolerance raises NotALieBracket); the states are exactly
-antisymmetric, so nothing is projected or copied.  A raw or gauged run's first sample is the
-caller's bracket itself.  Each run forms its Ric, Ric*, Monitors and FlowSamples once, when
-it ends, in one pass over its samples, and keeps their monitors as one (N, 8) array.
+(the seeds, one step's grid samples or the final samples) is one stack of plain arrays for
+all runs, and two functions decide what the loop keeps of it.  _converging moves scalstar
+states onto the slice, keeping their drifts; on a run that checks convergence it measures
+the field norms of a step's grid states in chunks until its streak fills, and cuts the run
+there.  The gauges are formed for the kept samples only.  _keep then checks the kept states
+with one bracket_stack call, against COEFF_CAP and for the Jacobi identity, the flow's one
+Jacobi check (DOP853 does not keep the Jacobi identity, and a record past jacobi_tolerance
+raises NotALieBracket), and appends each run's block of the arrays to run.blocks.  The
+states are exactly antisymmetric, so nothing is projected or copied.  A raw or gauged run's
+first sample is the caller's bracket itself.  Each run forms its Ric, Ric*, Monitors and
+FlowSamples once, when it ends, in one pass over its blocks, with the field norms that no
+record formed (NaN) from that Ric and Ric*, and keeps their monitors as one (N, 8) array.
 
 The scalstar field F(c) keeps scal* = -1 on the slice, but off it grows along c at the rate
 2 ||Ric*||^2 (F(lam c) = lam^3 F(c) + (lam^5 - lam^3) q c).  So a scalstar (and scal) stage
@@ -381,76 +384,35 @@ def _error_norms(err, y_old, y_new, h, rel_tol, abs_tol):
             for hb, (e5, e3) in zip(h.tolist(), sq)]
 
 
+def _step_factor(e, retried):
+    """dop853's step-size factor after a try with error norm e: 0.9 e^(-1/8) within [1/3, 6]
+    (6 at e = 0, 1/3 at a NaN e), and at most 1 if the try before was rejected (retried).  The
+    one rule of the step size, for accepted (e <= 1) and rejected tries alike."""
+    fac = 6.0 if e == 0.0 else min(6.0, max(1.0 / 3.0, 0.9 * e ** -0.125))
+    return min(fac, 1.0) if retried else fac
+
+
 def _row_norms(x):
     """The 2-norm of each slice of the stack x, as floats (the bits of np.linalg.norm)."""
     flat = x.reshape(len(x), -1)
     return np.sqrt(np.vecdot(flat, flat)).tolist()
 
 
-class _Record:
-    """A stack of samples of the loop's runs: _record_stack forms it, _converging cuts it and
-    _keep checks and keeps it."""
+def _run_samples(blocks, variant, dec, label, scal=False):
+    """(FlowSamples, scal of each state if scal) of one run, in one pass over its kept blocks.
 
-    __slots__ = ("ts", "cs", "gauges", "drift", "norm_sq", "brackets", "field_norm", "norms",
-                 "kernel")
-
-    def measure(self, first, end):
-        """Form the field and bracket norms of the samples first, ..., end - 1 not yet measured."""
-        todo = [j for j in range(first, end) if self.norms[j] is None]
-        if todo:
-            cs = self.cs[todo]
-            fnorms = _row_norms(_field(cs, *self.kernel)[0])
-            for j, fnorm, norm in zip(todo, fnorms, _row_norms(cs)):
-                self.field_norm[j], self.norms[j] = fnorm, norm
-
-
-def _record_stack(ts, cs, variant, dec, gauges=None, curved=True, brackets=None):
-    """The _Record of the states cs (B, n, n, n) at times ts, with the gauges (B, 2, n, n) there.
-
-    cs is a fresh, exactly antisymmetric stack, which the record keeps.  Scalstar states (a
-    step's end on the scal* = -1 slice, samples inside it off it by its error) are moved onto
-    it, and their drifts kept.  A curved record forms the field and bracket norms of the
-    convergence streak when they are read (_Record.measure); the run's samples reuse the field
-    norms.  The states are checked only when _keep keeps them, unless brackets gives the
-    caller's checked BracketTensors of cs.
+    The run's Ric and Ric* are formed here, from its stacked states, and from them the field
+    norms that no record formed (NaN).  With scal, the scalstar samples are rescaled by
+    |scal|^-1/2, keeping their field norms and drifts.
     """
-    drift = [float("nan")] * len(ts)
-    if variant == Variant.SCALSTAR:
-        s = coeff_scal_star(cs)
-        drift = np.abs(s + 1.0).tolist()
-        cs = cs * _scalstar_factor(s)[:, None, None, None]
-    rec = _Record()
-    rec.ts, rec.cs, rec.gauges, rec.drift, rec.brackets = ts, cs, gauges, drift, brackets
-    rec.norm_sq = None if brackets is None else np.array([mu.norm_sq for mu in brackets])
-    rec.field_norm = rec.norms = None
-    if curved:
-        rec.field_norm, rec.norms, rec.kernel = [None] * len(ts), [None] * len(ts), (variant, dec)
-    return rec
-
-
-def _run_samples(kept, variant, dec, label, scal=False):
-    """(FlowSamples, scal of each state if scal) of one run, in one pass over its kept slices.
-
-    The run's Ric and Ric* are formed here, from its stacked states, and its field norms too
-    unless its records hold them.  With scal, the scalstar samples are rescaled by |scal|^-1/2,
-    keeping their field norms and drifts.
-    """
-    parts = [(rec, slice(first, end)) for rec, first, end in kept]
-
-    def joined(name):
-        return [v for rec, part in parts for v in getattr(rec, name)[part]]
-
-    def stacked(name):
-        return np.concatenate([getattr(rec, name)[part] for rec, part in parts])
-
-    ts, brackets, norm_sq, cs = joined("ts"), joined("brackets"), stacked("norm_sq"), stacked("cs")
+    columns = list(zip(*blocks))
+    ts, cs, drift, field_norm, norm_sq = map(np.concatenate, columns[:5])
+    brackets = [mu for part in columns[5] for mu in part]
     ric, ric_star = coeff_ricci(cs)
-    if all(rec.field_norm is not None for rec, _ in parts):
-        for rec, part in parts:
-            rec.measure(part.start, part.stop)
-        field_norm = joined("field_norm")
-    else:
-        field_norm = _row_norms(neg_pi_apply(_endomorphism(ric, ric_star, variant, dec), cs))
+    missing = np.isnan(field_norm)
+    if missing.any():
+        a = _endomorphism(ric[missing], ric_star[missing], variant, dec)
+        field_norm[missing] = _row_norms(neg_pi_apply(a, cs[missing]))
     scals = None
     if scal:
         scals = ric.trace(axis1=-2, axis2=-1).tolist()
@@ -458,13 +420,12 @@ def _run_samples(kept, variant, dec, label, scal=False):
         scales = np.array([abs(v) ** -0.5 if v else 1.0 for v in scals])
         cs = cs * scales[:, None, None, None]
         new_sq, brackets = bracket_stack(cs)
-        for t, v, sq, mu in zip(ts, scals, norm_sq.tolist(), brackets):
+        for t, v, sq, mu in zip(ts.tolist(), scals, norm_sq.tolist(), brackets):
             if abs(v) < 1e-12 * (1.0 + sq):
                 raise OutOfRange(f"scal = {v:.3e} at t = {t}; cannot rescale")
             if isinstance(mu, Exception):
                 raise mu
         norm_sq, (ric, ric_star) = new_sq, coeff_ricci(cs)
-    times = np.array(ts)
     rstar_beta = rstar_sq = scal_star = np.full(len(ts), np.nan)
     beta_sq = np.nan
     if label is not None:
@@ -476,65 +437,74 @@ def _run_samples(kept, variant, dec, label, scal=False):
         rstar_sq - rstar_beta,
         rstar_sq + scal_star * rstar_beta,
         rstar_beta - np.abs(scal_star) * beta_sq,
-        times * norm_sq,
-        times * _row_norms(ric),
+        ts * norm_sq,
+        ts * _row_norms(ric),
         [mu.jacobi_residual() for mu in brackets],
         field_norm,
-        joined("drift"),
+        drift,
     ), axis=1)
     table.flags.writeable = False
-    return [FlowSample(t, mu, table, j) for j, (t, mu) in enumerate(zip(ts, brackets))], scals
+    samples = [FlowSample(t, mu, table, j) for j, (t, mu) in enumerate(zip(ts.tolist(), brackets))]
+    return samples, scals
 
 
-def _converging(rec, blocks, conv_tol):
-    """Cut the _Record's samples, one block (run, first, count) per run, at each run's
-    convergence; returns the blocks (run, first, count, converged) of the cut record.
+def _converging(blocks, ts, cs, kernel, conv_tol):
+    """Cut the samples of the loop's runs, the states cs (B, n, n, n) at the times ts in one
+    block (run, first, count) per run, at each run's convergence: returns (ts, cs, drift,
+    field_norm) of the kept samples, and their blocks (run, first, count, converged).
 
-    run.streak counts the latest samples in a row with field norm <= conv_tol (1 + ||mu||^3);
-    a run converges when it reaches CONV_WINDOW (conv_tol <= 0: never), and its samples past
-    that are dropped unchecked.  The norms are formed in chunks of 10, 20, 40, ... samples, so
-    a run that converges early in a long step measures few past it.
+    cs is a fresh, exactly antisymmetric stack.  Scalstar states (a step's end on the
+    scal* = -1 slice, samples inside it off it by its error) are moved onto it, and their
+    drifts kept.  run.streak counts the latest samples in a row with field norm <= conv_tol
+    (1 + ||mu||^3); a run converges when it reaches CONV_WINDOW (conv_tol <= 0: never), and its
+    samples past that are dropped unchecked.  The field norms are formed in chunks of 10, 20,
+    40, ... samples, so a run that converges early in a long step measures few past it; NaN
+    marks one not formed, which _run_samples forms.
     """
+    drift, field_norm = np.full((2, len(ts)), np.nan)
+    if kernel[0] == Variant.SCALSTAR:
+        s = coeff_scal_star(cs)
+        drift = np.abs(s + 1.0)
+        cs = cs * _scalstar_factor(s)[:, None, None, None]
     kept, rows = [], []
     for run, first, count in blocks:
         converged, j, size = False, first, CONV_WINDOW
         while conv_tol > 0.0 and j < first + count and not converged:  # in chunks, 10, 20, ...
             end = min(first + count, j + size)
-            rec.measure(j, end)
-            for j in range(j, end):
-                small = rec.field_norm[j] <= conv_tol * (1.0 + rec.norms[j] ** 3)
-                run.streak = run.streak + 1 if small else 0
+            fnorms = _row_norms(_field(cs[j:end], *kernel)[0])
+            field_norm[j:end] = fnorms
+            for fnorm, norm in zip(fnorms, _row_norms(cs[j:end])):
+                run.streak = run.streak + 1 if fnorm <= conv_tol * (1.0 + norm ** 3) else 0
+                j += 1
                 if run.streak >= CONV_WINDOW:
-                    count, converged = j + 1 - first, True
+                    count, converged = j - first, True
                     break
-            j, size = end, 2 * size
+            size *= 2
         kept.append((run, len(rows), count, converged))
         rows += range(first, first + count)
-    if len(rows) < len(rec.ts):
-        for name in ("ts", "drift", "brackets", "field_norm", "norms"):
-            values = getattr(rec, name)
-            if values is not None:
-                setattr(rec, name, [values[j] for j in rows])
-        for name in ("cs", "gauges", "norm_sq"):
-            values = getattr(rec, name)
-            if values is not None:
-                setattr(rec, name, values[rows])
-    return kept
+    samples = (np.asarray(ts, dtype=float), cs, drift, field_norm)
+    if len(rows) < len(ts):
+        samples = tuple(x[rows] for x in samples)
+    return samples, kept
 
 
-def _keep(rec, kept):
-    """Check the _Record's states as one stack (bracket_stack: the size cap and the Jacobi
-    identity) and give each run its block of kept = [(run, first, count, converged)]; a failed
-    sample raises when its run reaches it."""
-    if rec.brackets is None:
-        rec.norm_sq, rec.brackets = bracket_stack(rec.cs)
+def _keep(samples, kept, gauges, brackets=None):
+    """Check the kept samples (ts, cs, drift, field_norm) as one stack (bracket_stack: the size
+    cap and the Jacobi identity; brackets gives the caller's checked BracketTensors of cs
+    instead), and append to each run of kept = [(run, first, count, converged)] its block of
+    them, with their gauges (B, 2, n, n) or None; the first failed sample raises."""
+    if brackets is None:
+        norm_sq, brackets = bracket_stack(samples[1])
+    else:
+        norm_sq = np.array([mu.norm_sq for mu in brackets])
+    for mu in brackets:
+        if isinstance(mu, Exception):
+            raise mu
     for run, first, count, _ in kept:
-        for j in range(first, first + count):
-            if isinstance(rec.brackets[j], Exception):
-                if j > first:
-                    run.keep(rec, first, j)
-                raise rec.brackets[j]
-        run.keep(rec, first, first + count)
+        part = slice(first, first + count)
+        run.blocks.append((*(x[part] for x in samples), norm_sq[part], brackets[part],
+                           None if gauges is None else gauges[part]))
+        run.count += count
 
 
 def integrate(mu0, spec):
@@ -581,24 +551,20 @@ def integrate_stack(mu0s, spec):
 class _Run:
     """The scalar state of one trajectory of integrate_stack."""
 
-    __slots__ = ("traj", "cap", "t", "h", "err", "retried", "steps", "rejected", "streak", "kept",
-                 "count", "t_kept", "running", "end", "substep")
+    __slots__ = ("traj", "cap", "t", "h", "retried", "steps", "rejected", "streak", "blocks",
+                 "count", "running", "end", "substep")
 
     def __init__(self, traj, cap, h):
         self.traj, self.cap, self.h = traj, cap, h
-        self.t, self.err, self.retried = 0.0, 0.0, False  # retried: the last try was rejected
+        self.t, self.retried = 0.0, False  # retried: the last try was rejected
         self.steps = self.rejected = 0
         self.streak = 0  # the latest samples in a row that meet the convergence test
-        self.kept = []  # (_Record, first, end): the samples kept, in time order
-        self.count, self.t_kept = 0, None  # how many, and the time of the last
+        # The samples kept, in time order, as blocks (ts, cs, drift, field_norm, norm_sq,
+        # brackets, gauges) of _keep, and how many
+        self.blocks, self.count = [], 0
         # end: (state, gauges) where the run stopped, for its last sample
         self.running, self.end = True, None
         self.substep = math.inf  # the gauge sub-step length that the last _gauges proposes
-
-    def keep(self, rec, first, end):
-        self.kept.append((rec, first, end))
-        self.count += end - first
-        self.t_kept = rec.ts[end - 1]
 
 
 class _Lockstep:
@@ -620,8 +586,6 @@ class _Lockstep:
         seeds = [self._seed(mu0) for mu0 in mu0s]
         self.gauged = self.dec is not None and self.spec.gauges
         self.kernel = (self.core, self.dec)  # _field's arguments after the state
-        # A record forms the field norms where the loop reads them: the convergence test.
-        self.curved = self.spec.conv_tol > 0.0
         runs = [_Run(FlowTrajectory(variant=self.variant, label=self.label),
                      BLOWUP_FACTOR * max(mu0.norm, 1.0), 0.0) for mu0 in mu0s]
         if runs:
@@ -710,16 +674,17 @@ class _Lockstep:
         return factor
 
     def _start(self, runs, mu0s, cs):
-        """Record each seed as its first sample (a raw or gauged run's is mu0 itself), evaluate
-        the first slopes and choose each run's first step."""
+        """Record each seed as its first sample (a raw or gauged run's is mu0 itself; one sample
+        does not fill the convergence window), evaluate the first slopes and choose each run's
+        first step."""
         count, n = len(runs), cs.shape[-1]
         self.n = n
         self.poly = self._polynomial()
         self.g = np.broadcast_to(np.eye(n), (count, 2, n, n)).copy() if self.gauged else None
-        rec = _record_stack([0.0] * count, cs, *self.kernel,
-                            None if self.g is None else self.g.copy(), self.curved,
-                            None if self.core == Variant.SCALSTAR else list(mu0s))
-        self._keep_blocks(rec, [(run, j, 1) for j, run in enumerate(runs)], self.spec.conv_tol)
+        _keep(*_converging([(run, j, 1) for j, run in enumerate(runs)], [0.0] * count, cs,
+                           self.kernel, self.spec.conv_tol),
+              None if self.g is None else self.g.copy(),
+              None if self.core == Variant.SCALSTAR else list(mu0s))
         self.live, self.y = list(runs), cs.reshape(count, -1).copy()
         self.k0 = np.empty_like(self.y)
         self._slopes(_one(self.y), _one(self.k0))
@@ -752,14 +717,6 @@ class _Lockstep:
             hs.append(spec.t_end if a * spec.t_end <= 1.0 else min(100.0 * h, h1, spec.t_end))
         return hs
 
-    def _keep_blocks(self, rec, blocks, conv_tol):
-        """_converging and _keep, and stop the runs that converged."""
-        kept = _converging(rec, blocks, conv_tol)
-        for run, _, _, converged in kept:
-            if converged:
-                self._stop(run, Termination.CONVERGED)
-        _keep(rec, kept)
-
     def _compress(self):
         """Drop the stopped runs from live and the stacks."""
         keep = [j for j, run in enumerate(self.live) if run.running]
@@ -770,8 +727,8 @@ class _Lockstep:
                 self.g = self.g[keep]
 
     def _step(self):
-        """One DOP853 step of every running trajectory, accepted or rejected per run: dop853's
-        controller scales h by 0.9 e^(-1/8) within [1/3, 6], and not up after a rejection."""
+        """One DOP853 step of every running trajectory, accepted or rejected per run; each run's
+        next step size is its step size scaled by _step_factor."""
         spec = self.spec
         t_stop = spec.t_end - 1e-14 * max(1.0, spec.t_end)
         for j, run in enumerate(self.live):
@@ -791,16 +748,12 @@ class _Lockstep:
         hs = np.array([run.h for run in self.live])
         y_new, rows, err = _dp_step(self._slopes, self.y, hs, self.k0)
         errs = _error_norms(err, self.y, y_new, hs, spec.rel_tol, spec.abs_tol)
-        accepted = []
-        for j, (run, e) in enumerate(zip(self.live, errs)):
+        for run, e in zip(self.live, errs):
             run.steps += 1
-            run.err = e
-            if e <= 1.0:
-                accepted.append(j)
-            else:
-                run.rejected += 1
-                run.retried = True
-                run.h *= max(1.0 / 3.0, 0.9 * e ** -0.125)
+            run.h *= _step_factor(e, run.retried)
+            run.retried = not e <= 1.0  # rejected, as a NaN e is
+            run.rejected += run.retried
+        accepted = [j for j, e in enumerate(errs) if e <= 1.0]
         if accepted:
             self._accept(accepted, hs, y_new, rows)
         self._compress()
@@ -816,8 +769,8 @@ class _Lockstep:
             y_old, y, rows, hs = (x[acc] for x in (y_old, y, rows, hs))
             g = None if g is None else g[acc]
         t_old = [run.t for run in runs]
-        for run in runs:
-            run.t += run.h
+        for run, h in zip(runs, hs.tolist()):
+            run.t += h
             if abs(run.t - spec.t_end) <= 1e-12 * max(1.0, spec.t_end):
                 run.t = spec.t_end
         factor = self._slopes(_one(y), _one(rows[:, 13]))
@@ -828,12 +781,6 @@ class _Lockstep:
         g = self._record(runs, cap, t_old, y_old, y, rows, hs, g)
         for i in cap:  # blow-up ends a run before its samples
             self._stop(runs[i], Termination.DIVERGED, (y[i], None if g is None else g[i]))
-        for run in runs:
-            if run.running:
-                e = run.err
-                fac = min(6.0, max(1.0 / 3.0, 0.9 * e ** -0.125)) if e > 0.0 else 6.0
-                run.h *= min(fac, 1.0) if run.retried else fac
-                run.retried = False
         if whole:
             self.y, self.k0, self.g = y, k0, g
         else:
@@ -862,44 +809,43 @@ class _Lockstep:
                 continue
             times = np.arange(grid, last + 1) * every
             inside = times[t - times > 1e-12 * np.maximum(1.0, times)]
-            plan.append((i, len(ts), len(times), (inside - t_old[i]) / run.h))
+            plan.append((i, len(ts), len(times), (inside - t_old[i]) / hs[i]))
             ts += inside.tolist() + [min(v, spec.t_end) for v in times[len(inside):].tolist()]
         dense = self._extra_stages(rows, hs, range(len(runs)) if self.gauged else
                                    [i for i, _, _, thetas in plan if len(thetas)])
-        kept, inside = [], {}  # inside: per run, the number of samples kept inside the step
+        # cut: per run with samples, (the thetas of those kept inside the step, how many are
+        # kept at its end)
+        cut = {}
         if plan:
             states = []
             for i, _, count, thetas in plan:
                 if len(thetas):
                     states.append(y_old[i] + hs[i] * (_dense_weights(thetas) @ dense[i]))
                 states += [y[i: i + 1]] * (count - len(thetas))
-            rec = _record_stack(ts, np.concatenate(states).reshape(len(ts), *(self.n,) * 3),
-                                *self.kernel, curved=self.curved)
-            kept = _converging(rec, [(runs[i], first, count) for i, first, count, _ in plan],
-                               spec.conv_tol)
+            samples, kept = _converging(
+                [(runs[i], first, count) for i, first, count, _ in plan], ts,
+                np.concatenate(states).reshape(len(ts), *(self.n,) * 3), self.kernel,
+                spec.conv_tol)
             for (i, _, _, thetas), (run, _, count, converged) in zip(plan, kept):
                 if converged:
                     self._stop(run, Termination.CONVERGED)
-                inside[i] = min(count, len(thetas))
-        g = None
+                cut[i] = (thetas[:count], max(count - len(thetas), 0))
+        g = gauges = None
         if self.gauged:
-            g, parts = g_old.copy(), {}
-            for (i, _, _, thetas), (_, _, count, _) in zip(plan, kept):
-                parts[i] = (thetas[: inside[i]], count - inside[i])
+            g, path = g_old.copy(), []
             for i, run in enumerate(runs):
-                thetas, ends = parts.get(i, ((), 0))
+                thetas, ends = cut.get(i, ((), 0))
                 end = run.running or ends > 0 or i in cap
                 if len(thetas) or end:
-                    gauges = self._gauges(run, g_old[i], y_old[i], dense[i], hs[i],
-                                          hs[i] * np.append(thetas, [1.0] * end))
+                    at = self._gauges(run, g_old[i], y_old[i], dense[i], hs[i],
+                                      hs[i] * np.append(thetas, [1.0] * end))
                     if end:
-                        g[i] = gauges[-1]
-                    parts[i] = (gauges[: len(thetas)], ends)
-            if plan:
-                rec.gauges = np.concatenate([part for i, *_ in plan for part in (
-                    parts[i][0], np.repeat(g[i: i + 1], parts[i][1], axis=0))])
+                        g[i] = at[-1]
+                    if i in cut:
+                        path += [at[: len(thetas)], np.repeat(g[i: i + 1], ends, axis=0)]
+            gauges = np.concatenate(path) if plan else None
         if plan:
-            _keep(rec, kept)
+            _keep(samples, kept, gauges)
         return g
 
     def _extra_stages(self, rows, hs, extended):
@@ -995,22 +941,22 @@ class _Lockstep:
         final = [
             run for run in runs
             if run.traj.termination != Termination.CONVERGED
-            and abs(run.t_kept - run.t) > 1e-12 * max(1.0, run.t)
+            and abs(run.blocks[-1][0][-1] - run.t) > 1e-12 * max(1.0, run.t)
         ]
         if final:
             cs = np.stack([run.end[0] for run in final]).reshape(len(final), *(self.n,) * 3)
             gauges = np.stack([run.end[1] for run in final]) if self.gauged else None
-            rec = _record_stack([run.t for run in final], cs, *self.kernel, gauges, self.curved)
-            self._keep_blocks(rec, [(run, j, 1) for j, run in enumerate(final)], 0.0)
+            _keep(*_converging([(run, j, 1) for j, run in enumerate(final)],
+                               [run.t for run in final], cs, self.kernel, 0.0), gauges)
         for run in runs:
             traj = run.traj
-            traj.samples, scal = _run_samples(run.kept, self.core, self.dec, self.label,
+            traj.samples, scal = _run_samples(run.blocks, self.core, self.dec, self.label,
                                               self.variant == Variant.SCAL)
             traj.steps, traj.rejected = run.steps, run.rejected
             if self.core == Variant.SCALSTAR:  # each accepted step was projected onto scal* = -1
                 traj.renormalizations = run.steps - run.rejected
             if self.gauged:
-                mats = np.concatenate([rec.gauges[first:end] for rec, first, end in run.kept])
+                mats = np.concatenate([block[-1] for block in run.blocks])
                 if scal is not None:  # h(t).mu(0) = mu(t) for the rescaled samples
                     mats[:, 0] *= np.sqrt(np.abs(scal) / abs(scal[0]))[:, None, None]
                 mats = mats.swapaxes(0, 1).copy()

@@ -36,8 +36,8 @@ from bracketflow.brackets import act
 from bracketflow.catalog import random_solvable_bracket
 from bracketflow.errors import BracketFlowError
 from bracketflow.experiments import random_parabolic_gauge, run_collapse_experiment
-from bracketflow.flows import GAUGE_COEFFICIENTS, FlowSpec, Monitors, Variant, integrate, \
-    integrate_stack
+from bracketflow.flows import (GAUGE_COEFFICIENTS, FlowSpec, FlowTrajectory, Monitors, Variant,
+                               integrate, integrate_stack)
 from bracketflow.strata import beta_decomposition, stratum_label
 
 CORPUS = Path(__file__).with_name("golden") / "flows.json"
@@ -131,9 +131,9 @@ def run(name):
         results = RUNS[name]()
     except (BracketFlowError, ValueError) as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}, []
-    trajs = [r for r in results if not hasattr(r, "to_dict")]
+    trajs = [r for r in results if isinstance(r, FlowTrajectory)]
     entry = {"trajectories": [_trajectory(traj) for traj in trajs]}
-    for report in results[len(trajs):]:
+    for report in results[len(trajs):]:  # a collapse run's report
         entry["report"] = report.to_dict()
     return entry, trajs
 
@@ -212,7 +212,9 @@ def main(argv=None):
     got = {name: run(name)[0] for name in RUNS}
     if not args.check:
         CORPUS.parent.mkdir(exist_ok=True)
-        CORPUS.write_text(json.dumps(got, separators=(",", ":")) + "\n")
+        lines = [f"{json.dumps(name)}:{json.dumps(entry, separators=(',', ':'))}"
+                 for name, entry in got.items()]
+        CORPUS.write_text("{\n" + ",\n".join(lines) + "\n}\n")  # one run a line
         print(f"wrote {CORPUS} ({CORPUS.stat().st_size} bytes, {len(got)} runs)")
         return 0
     moves, mismatches = compare(got, load())

@@ -23,7 +23,7 @@ index, basis element or matrix entry at a time:
 - `gauge_paths_loop`: a run's gauges rebuilt sample to sample by scipy's
   `solve_ivp` of the joint system, restarted at each recorded bracket;
 - `field_reference`: the flow's stage as composed before the field kernel
-  `flows._field` and the gauges' `flows._gauge_coefficients`, which must give
+  `flows._field` and the gauges' `flows._Lockstep._coefficients`, which must give
   the bits of its A and R: all of `coeff_parts`, the q_beta projection by the
   three beta masks, A and R with ||Ric*||^2 Id added on copies, then
   -pi_apply, which `_field`'s two-product slopes match within a rounding bound;

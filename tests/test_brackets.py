@@ -171,6 +171,12 @@ class TestAction:
                 f"h is singular: sigma_min / sigma_max = {ratio:.3e} <= n eps")):
             act(np.diag([1.0, 1.0, ratio]), mu_h3)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_a_gauge_entry_that_is_not_finite_raises_before_the_svd(self, mu_h3, entry):
+        with pytest.raises(SingularGauge, match=re.escape(
+                f"h has the entry {entry}, which is not finite")):
+            act(np.diag([1.0, entry, 1.0]), mu_h3)
+
     def test_orthogonal_action_preserves_norm(self, rng):
         mu = random_antisymmetric_bracket(rng, 5)
         k = random_orthogonal(rng, 5)

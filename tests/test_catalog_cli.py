@@ -223,6 +223,15 @@ class TestExperiments:
         assert main(["collapse", "--catalog", "h3", "--t-end", "0.5"]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: collapse window [1, t_end] = [1, 0.5]")
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_collapse_gauge_entry_that_is_not_finite(self, entry, capsys):
+        message = f"h has the entry {entry}, which is not finite"
+        with pytest.raises(SingularGauge, match=message):
+            run_collapse_experiment(catalog("e2"), gauge=np.diag([1.0, float(entry), 1.0]))
+        code = main(["collapse", "--catalog", "e2", "--gauge-diag", f"1,{entry},1"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_collapse_verdicts(self):
         assert run_collapse_experiment(catalog("h3"), t_end=50.0).non_collapsed
         gauged = run_collapse_experiment(

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import re
 import sys
 
@@ -43,7 +44,6 @@ from bracketflow.flows import (
     Monitors,
     _converging,
     _keep,
-    _record_stack,
     _Run,
     _run_samples,
     flow_field,
@@ -782,29 +782,31 @@ def _same_sample(got, want):
     assert values[0] == values[1]
 
 
-def _append(run, rec, first, count, conv_tol):
-    """Keep the samples first, ..., first + count - 1 of the _Record for the _Run until it
-    converges: returns (number kept, converged)."""
-    ((_, _, count, converged),) = kept = _converging(rec, [(run, first, count)], conv_tol)
-    _keep(rec, kept)
+def _append(run, record, first, count, conv_tol):
+    """Keep the samples first, ..., first + count - 1 of the record (ts, cs, (variant, dec))
+    for the _Run until it converges: returns (number kept, converged)."""
+    ts, cs, kernel = record
+    samples, kept = _converging([(run, first, count)], ts, cs, kernel, conv_tol)
+    ((_, _, count, converged),) = kept
+    _keep(samples, kept, None)
     return count, converged
 
 
-def _recorded(ts, cs, variant, dec, label, curved=True):
-    """The FlowSamples of one record of the states cs, built as a run's trajectory is."""
-    rec = _record_stack(ts, cs, variant, dec, curved=curved)
+def _recorded(ts, cs, variant, dec, label, conv_tol=CONV_TOL):
+    """The FlowSamples of one record of the states cs, built as a run's trajectory is; with
+    conv_tol = 0 no record forms their field norms."""
     run = _Run(FlowTrajectory(variant, label), np.inf, 1.0)
-    _append(run, rec, 0, len(ts), 0.0)
+    _append(run, (ts, cs, (variant, dec)), 0, len(ts), conv_tol)
     return _kept(run, variant, dec, label)
 
 
 def _kept(run, variant, dec, label):
-    return _run_samples(run.kept, variant, dec, label)[0] if run.kept else []
+    return _run_samples(run.blocks, variant, dec, label)[0] if run.blocks else []
 
 
 class TestStackSampler:
-    """A step's grid samples are recorded as one stack (flows._record_stack), and a run's
-    samples are built once, from its kept records (flows._run_samples)."""
+    """A step's grid samples are recorded as one stack (flows._converging and flows._keep), and
+    a run's samples are built once, from its kept blocks (flows._run_samples)."""
 
     @staticmethod
     def _states(mu_s3, s3_label, variant):
@@ -836,19 +838,18 @@ class TestStackSampler:
         # Runs that do not check convergence leave the field norms to the one
         # pass over the run's samples.
         ts, cs, dec, label = self._states(mu_s3, s3_label, variant)
-        curved = _recorded(ts, cs, variant, dec, label)
-        deferred = _recorded(ts, cs, variant, dec, label, curved=False)
-        for got, want in zip(deferred, curved, strict=True):
+        measured = _recorded(ts, cs, variant, dec, label)
+        deferred = _recorded(ts, cs, variant, dec, label, conv_tol=0.0)
+        for got, want in zip(deferred, measured, strict=True):
             _same_sample(got, want)
 
     def test_failed_middle_sample_raises_when_reached(self, mu_s3):
         bad = random_antisymmetric_bracket(np.random.default_rng(1), 3).coeffs
         cs = np.stack([mu_s3.coeffs, bad, mu_s3.coeffs])
-        rec = _record_stack([0.0, 1.0, 2.0], cs, Variant.RAW, None)
         run = _Run(FlowTrajectory(Variant.RAW, None), np.inf, 1.0)
         with pytest.raises(NotALieBracket) as got:
-            _append(run, rec, 0, 3, CONV_TOL)
-        assert [s.t for s in _kept(run, Variant.RAW, None, None)] == [0.0]
+            _append(run, ([0.0, 1.0, 2.0], cs, (Variant.RAW, None)), 0, 3, CONV_TOL)
+        assert run.blocks == [] and run.count == 0
         with pytest.raises(NotALieBracket) as want:
             curvature_pack(BracketTensor(bad))
         assert str(got.value) == str(want.value)
@@ -860,8 +861,7 @@ class TestStackSampler:
         dec = beta_decomposition(hyp_label)
 
         def stack(count):
-            cs = np.stack([hyp_norm.coeffs] * count)
-            return _record_stack([0.0] * count, cs, Variant.SCALSTAR, dec)
+            return [0.0] * count, np.stack([hyp_norm.coeffs] * count), (Variant.SCALSTAR, dec)
 
         run = _Run(FlowTrajectory(Variant.SCALSTAR, hyp_label), np.inf, 1.0)
         before = CONV_WINDOW - 1 - j
@@ -870,15 +870,15 @@ class TestStackSampler:
         assert _append(run, stack(12), 0, 12, CONV_TOL) == (j + 1, True)
         assert len(_kept(run, Variant.SCALSTAR, dec, hyp_label)) == CONV_WINDOW
 
-    def test_a_sample_above_the_threshold_restarts_the_window(self, hyp_norm, hyp_label):
+    def test_a_sample_above_the_threshold_restarts_the_window(self, hyp_norm, hyp_label, mu_s3):
+        # s3 is no fixed point of the flow gauged by the soliton's label.
         dec = beta_decomposition(hyp_label)
         cs = np.stack([hyp_norm.coeffs] * (2 * CONV_WINDOW))
-        rec = _record_stack([0.0] * len(cs), cs, Variant.SCALSTAR, dec)
         j = CONV_WINDOW // 2
-        rec.measure(0, len(cs))
-        rec.field_norm[j] = 1.0
+        cs[j] = mu_s3.coeffs
         run = _Run(FlowTrajectory(Variant.SCALSTAR, hyp_label), np.inf, 1.0)
-        assert _append(run, rec, 0, len(cs), CONV_TOL) == (j + 1 + CONV_WINDOW, True)
+        record = ([0.0] * len(cs), cs, (Variant.SCALSTAR, dec))
+        assert _append(run, record, 0, len(cs), CONV_TOL) == (j + 1 + CONV_WINDOW, True)
 
     def test_one_curvature_pass_per_stack(self, monkeypatch, mu_e2):
         # e2 is flat: its raw field vanishes, so the flow to t = 200 is one step
@@ -1083,17 +1083,18 @@ class TestLockstep:
             integrate_stack([mu_s3, mu_s3, bad], FlowSpec(variant=Variant.RAW, t_end=1.0))
         assert str(got.value) == str(want) and calls == []
 
-    def test_a_run_that_fails_before_its_first_step_raises_its_own_error(self, monkeypatch, mu_s3):
-        record_stack = flows._record_stack
+    def test_a_run_that_fails_before_its_first_step_raises_its_own_error(self, monkeypatch, mu_s3,
+                                                                           s3_label):
+        # A scalstar seed, moved onto scal* = -1, is checked as a record; the first check fails.
+        stack = flows.bracket_stack
 
-        def seed_sample_fails(ts, *args):
-            rec = record_stack(ts, *args)
-            rec.brackets = [NotALieBracket("seed sample")] * len(ts)
-            return rec
+        def seed_sample_fails(cs):
+            norm_sq, _ = stack(cs)
+            return norm_sq, [NotALieBracket("seed sample")] * len(cs)
 
-        monkeypatch.setattr(flows, "_record_stack", seed_sample_fails)
+        monkeypatch.setattr(flows, "bracket_stack", seed_sample_fails)
         with pytest.raises(NotALieBracket, match="seed sample"):
-            integrate(mu_s3, FlowSpec(variant=Variant.RAW, t_end=1.0))
+            integrate(mu_s3, FlowSpec(variant=Variant.SCALSTAR, t_end=1.0, label=s3_label))
 
     def test_a_failed_renormalization_raises_its_own_error(self, monkeypatch, mu_s3, s3_label):
         # The seeds and the seed samples normalize; the first stage of the first
@@ -1223,7 +1224,7 @@ class TestWorkCounts:
     onto scal* = -1, the next step's first slope follows from it in closed form).
     The dense output's three extra stages (_extra_stages) are evaluated on the
     accepted steps with grid samples inside them, and on every accepted step of a
-    run that carries gauges.  Records measure their states' field norms apart.
+    run that carries gauges.  Records measure their states' field norms apart (_converging).
     """
 
     @staticmethod
@@ -1258,7 +1259,7 @@ class TestWorkCounts:
 
     @staticmethod
     def _without_records(slices):
-        return {k: v for k, v in slices.items() if k != "measure"}
+        return {k: v for k, v in slices.items() if k != "_converging"}
 
     def test_s3_scalstar_to_t_100(self, monkeypatch, mu_s3, s3_label):
         slices = self._stage_slices(monkeypatch)
@@ -1267,7 +1268,7 @@ class TestWorkCounts:
         assert (traj.steps, traj.rejected, len(traj.samples), traj.renormalizations) == (
             25, 0, 401, 25)
         assert self._without_records(slices) == self._stages(traj, 25)
-        assert slices["measure"] == 401
+        assert slices["_converging"] == 401
 
     def test_flow_on_the_soliton(self, monkeypatch):
         # s3_lambda(0.5) is a solvsoliton, a fixed point of the scalstar flow: its
@@ -1380,7 +1381,7 @@ class TestWorkCounts:
         assert (traj.termination, traj.steps, len(traj.samples)) == (
             Termination.CONVERGED, 1, 10)
         assert traj.times.tolist() == [0.25 * j for j in range(10)]
-        assert built == [1, 9] and slices["measure"] == 1 + 10
+        assert built == [1, 9] and slices["_converging"] == 1 + 10
         assert all(len(mats) == 10 for mats in traj.gauges.values())
 
     def test_zero_t_end_records_the_seed_and_steps_nothing(self, monkeypatch, mu_h3):
@@ -1504,14 +1505,11 @@ class TestRecordedStacksAreExactlyAntisymmetric:
             caller = sys._getframe(1)
             if caller.f_code.co_name == "_run_samples":
                 kinds = ["scal rescale"] * len(cs)
-            else:  # _keep, from _keep_blocks in _start or _finish, or from _record
-                keeper = caller.f_back
-                if keeper.f_code.co_name == "_keep_blocks":
-                    keeper = keeper.f_back
-                kind = {"_start": "seed", "_finish": "final"}.get(keeper.f_code.co_name)
+            else:  # _keep, from _start, _finish or _record
+                kind = {"_start": "seed", "_finish": "final"}.get(caller.f_back.f_code.co_name)
                 kinds = [kind or ("step end" if any(abs(t - e) <= 1e-12 * max(1.0, e)
                                                     for e in ends) else "dense")
-                         for t in caller.f_locals["rec"].ts]
+                         for t in caller.f_locals["samples"][0]]
             for kind, defect in zip(kinds, np.abs(cs + cs.swapaxes(1, 2)).max(axis=(1, 2, 3)),
                                     strict=True):
                 defects.setdefault(kind, []).append(float(defect))
@@ -1563,6 +1561,21 @@ class TestStepControl:
     """dop853's step-size controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5):
     a step scales h by 0.9 e^(-1/8), clamped to [1/3, 6], and not up after a rejection;
     scalstar error estimates leave out the part the projection onto scal* = -1 undoes."""
+
+    def test_one_factor_for_accepted_and_rejected_tries(self):
+        # A rejected try (e > 1) is scaled by max(1/3, 0.9 e^(-1/8)) whether or not the try
+        # before it was rejected; an accepted one by at most 6, and by at most 1 after a
+        # rejection.
+        for e in (1.0 + 1e-12, 2.0, 37.5, 1e6):
+            want = max(1.0 / 3.0, 0.9 * e ** -0.125)
+            assert flows._step_factor(e, False) == flows._step_factor(e, True) == want
+        for e in (0.0, 1e-12):
+            assert (flows._step_factor(e, False), flows._step_factor(e, True)) == (6.0, 1.0)
+        assert (flows._step_factor(0.01, False), flows._step_factor(0.01, True)) == (
+            0.9 * 0.01 ** -0.125, 1.0)
+        assert flows._step_factor(0.5, True) == flows._step_factor(0.5, False) < 1.0
+        for e in (math.nan, math.inf):  # rejected, and cut as far as the rule goes
+            assert flows._step_factor(e, False) == flows._step_factor(e, True) == 1.0 / 3.0
 
     @staticmethod
     def _step_log(monkeypatch):

@@ -555,7 +555,7 @@ class TestStackedKernels:
         spec = FlowSpec(variant=Variant.SCALSTAR, t_end=10.0, label=stratum_label(mu))
         monkeypatch.setattr(brackets, "_validated", watching)
         assert len(integrate(mu, spec).samples) == 21
-        assert [names for names in callers if "_record_stack" in names] == []
+        assert [names for names in callers if {"_converging", "_keep"} & set(names)] == []
 
 
 @pytest.mark.parametrize("dim", [1, 3, 7])
